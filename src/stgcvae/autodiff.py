@@ -8,12 +8,16 @@ forward pass builds a fresh graph, so variable agent counts are free.
 
 Values are immutable after construction; gradients never mutate nodes.
 `backward` walks the record in reverse topological order and returns a
-GradientMap, so repeated calls on the same record are idempotent.
+GradientMap, so repeated calls on the same record are idempotent. Inside
+a `no_record()` block nothing is recorded, for forward passes that are
+never differentiated.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
 
 import numpy as np
 
@@ -22,12 +26,31 @@ from .errors import ContractError, DimensionError, ParameterError
 _ids = itertools.count()
 
 
+class _Mode(threading.local):
+    record = True
+
+
+_mode = _Mode()
+
+
+@contextlib.contextmanager
+def no_record():
+    """Build Values without parents or vjp inside the block (this thread
+    only), so each intermediate is freed as soon as the forward pass stops
+    using it. `backward` raises ContractError inside the block."""
+    saved, _mode.record = _mode.record, False
+    try:
+        yield
+    finally:
+        _mode.record = saved
+
+
 class Value:
     """A node in the computation record: a float64 array plus its history.
 
     `parents` holds the operand Values and `vjp` maps the incoming output
     gradient to one gradient array per parent (vector-Jacobian product).
-    Leaves have no parents.
+    Leaves, and every Value built inside `no_record()`, have no parents.
     """
 
     __slots__ = ("data", "nid", "parents", "vjp")
@@ -35,8 +58,11 @@ class Value:
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.nid = next(_ids)
-        self.parents = tuple(parents)
-        self.vjp = vjp
+        if _mode.record:
+            self.parents = tuple(parents)
+            self.vjp = vjp
+        else:
+            self.parents, self.vjp = (), None
 
     @property
     def shape(self):
@@ -368,6 +394,8 @@ class GradientMap:
 
 def backward(loss: Value) -> GradientMap:
     """Reverse-mode sweep from a scalar loss over its computation record."""
+    if not _mode.record:
+        raise ContractError("backward: called inside a no_record() block")
     if loss.data.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {loss.data.shape}")

@@ -133,11 +133,11 @@ def cmd_train(args) -> int:
 
     for epoch in range(cfg.epochs):
         state = training.train_epoch(state, m, train_ws, cfg, log=log)
-        _, report = training.window_gradients(
-            m, train_ws[0], state.epoch - 1, np.random.default_rng(0),
-            slope=cfg.anneal_slope, cap_epochs=cfg.cap_epochs)
-        print(f"epoch {epoch}: total={report.total:.4f} "
-              f"rec={report.rec:.4f} kl={report.kl:.4f} w={report.weight:.2e}")
+        report = state.epoch_report
+        if report is not None:
+            print(f"epoch {epoch}: total={report.total:.4f} "
+                  f"rec={report.rec:.4f} kl={report.kl:.4f} "
+                  f"w={report.weight:.2e}")
         if val_ws and (epoch + 1) % cfg.val_every == 0:
             rep = evaluation.evaluate_dataset(m, val_ws, k=20, seed=cfg.seed,
                                               with_latency=False)

@@ -11,6 +11,7 @@ The preprocessed window cache is a single binary file (magic `STGW`).
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,8 +87,8 @@ def parse_annotations(path, name: str | None = None,
                       frame_period: float = TARGET_PERIOD) -> Scene:
     """Parse an annotation file into a time-ordered Scene.
 
-    Raises ParseError (with file:line) on malformed lines and
-    IntegrityError on duplicate (frame, agent) pairs.
+    Raises ParseError (with file:line) on malformed lines, nan and infinite
+    values included, and IntegrityError on duplicate (frame, agent) pairs.
     """
     path = Path(path)
     robot_id = None
@@ -113,8 +114,11 @@ def parse_annotations(path, name: str | None = None,
             try:
                 frame, agent = int(float(parts[0])), int(float(parts[1]))
                 x, y = float(parts[2]), float(parts[3])
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(
+                    f"{path}:{lineno}: non-finite coordinate in {line!r}")
             key = (frame, agent)
             if key in seen:
                 raise IntegrityError(

@@ -34,5 +34,10 @@ class ParseError(StgcvaeError):
     """A text input file could not be parsed; message names file and line."""
 
 
+class MissingTruthError(StgcvaeError):
+    """A window to be scored has non-finite positions, such as the NaN
+    future frames of an infer-mode cache; the message names the window."""
+
+
 class IntegrityError(StgcvaeError):
     """Input data violates a structural invariant (e.g. duplicate rows)."""

@@ -86,9 +86,8 @@ def nll_cells(pred: BivariateGaussianSeq, target: np.ndarray,
 
     one_m_r2 = ad.clamp(ad.sub(ad.Value(np.ones_like(rho.data)),
                                ad.mul(rho, rho)), lo=RHO_FLOOR)
-    quad = ad.add(ad.sub(ad.add(ad.mul(dx, dx), ad.mul(dy, dy)),
-                         ad.scale(ad.mul(rho, ad.mul(dx, dy)), 2.0)),
-                  ad.Value(np.zeros_like(rho.data)))
+    quad = ad.sub(ad.add(ad.mul(dx, dx), ad.mul(dy, dy)),
+                  ad.scale(ad.mul(rho, ad.mul(dx, dy)), 2.0))
     nll = ad.add(
         ad.add(ad.add(s_x, s_y), ad.scale(ad.log(one_m_r2), 0.5)),
         ad.mul(quad, ad.scale(ad.reciprocal(one_m_r2), 0.5)))

@@ -13,6 +13,7 @@ back keyed by parameter name.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -106,10 +107,6 @@ class ParamStore:
     def items(self):
         return self._entries.items()
 
-    def group(self, prefix: str):
-        return {k: v for k, v in self._entries.items()
-                if k.startswith(prefix)}
-
     def count_params(self) -> int:
         return sum(v.size for v in self._entries.values())
 
@@ -201,10 +198,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     slope("dec.txp2.slope", p)
     conv("dec.out", config.out_channels, p, 1)
     return store
-
-
-def count_params(store: ParamStore) -> int:
-    return store.count_params()
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +389,37 @@ _MAGIC = b"STGC"
 def save_params(path, store: ParamStore, metadata: dict | None = None,
                 dtype: str = "f4") -> None:
     """Write a checkpoint. A sidecar `<path>.meta` records config metadata
-    as plain `key=value` lines."""
+    as plain `key=value` lines.
+
+    Both files are written to temporary files beside the target and then
+    renamed over it, the sidecar first, so a failed write leaves the
+    previous checkpoint as it was.
+    """
     version = 1 if dtype == "f4" else 2
     np_dtype = "<f4" if dtype == "f4" else "<f8"
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BI", version, len(store.names())))
-        for name, arr in store.items():
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
-    if metadata is not None:
-        lines = [f"{k}={v}" for k, v in metadata.items()]
-        Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    meta_path = Path(f"{path}.meta")
+    tmp, meta_tmp = (p.with_name(f".{p.name}.{os.getpid()}.tmp")
+                     for p in (path, meta_path))
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<BI", version, len(store.names())))
+            for name, arr in store.items():
+                enc = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(enc)))
+                fh.write(enc)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
+        if metadata is not None:
+            lines = [f"{k}={v}" for k, v in metadata.items()]
+            meta_tmp.write_text("\n".join(lines) + "\n")
+            os.replace(meta_tmp, meta_path)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+        meta_tmp.unlink(missing_ok=True)
 
 
 def load_params(path) -> tuple[ParamStore, dict]:

@@ -63,6 +63,8 @@ class TrainState:
     step: int = 0
     best_val_metric: float = float("inf")
     skipped_windows: int = 0
+    # mean loss report over the windows of the last epoch run (not saved)
+    epoch_report: losses.LossReport | None = None
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -146,8 +148,10 @@ def train_epoch(state: TrainState, model: TrajCvae,
     """One epoch of accumulated SGD over a shuffled window order.
 
     Every batch_size windows (and at the epoch tail) one step
-    param <- param - lr * mean(grad) is applied. Windows with zero agents
-    are skipped and counted.
+    param <- param - lr * mean(grad) is applied, and `log` gets the mean
+    loss report of the step's windows. Windows with zero agents are
+    skipped and counted. state.epoch_report is set to the mean report over
+    the epoch's windows.
     """
     if not windows:
         raise ConfigError("train_epoch: empty window list")
@@ -156,16 +160,22 @@ def train_epoch(state: TrainState, model: TrajCvae,
 
     acc: dict[str, np.ndarray] = {}
     in_batch = 0
-    report = None  # the last window's; a list of all of them would keep
-                   # every window's computation record alive until epoch end
+    # (rec, kl) of every window this epoch; floats only, since keeping the
+    # reports would keep every window's computation record alive
+    parts: list[tuple[float, float]] = []
+    weight = losses.anneal_weight(state.epoch, config.anneal_slope,
+                                  config.cap_epochs)
 
     def apply_step():
         nonlocal acc, in_batch
         for name in acc:
             model.params[name] = model.params[name] - lr * acc[name] / in_batch
+        state.step += 1
+        if log is not None:
+            log.append(state.epoch, state.step,
+                       _mean_report(parts[-in_batch:], weight, state.epoch))
         acc = {}
         in_batch = 0
-        state.step += 1
 
     for idx in order:
         window = windows[idx]
@@ -178,18 +188,25 @@ def train_epoch(state: TrainState, model: TrajCvae,
         _check_finite(model, report, grads, int(idx))
         for name, g in grads.items():
             acc[name] = acc.get(name, 0.0) + g
+        parts.append((report.rec, report.kl))
         in_batch += 1
         if in_batch == config.batch_size:
             apply_step()
-            if log is not None:
-                log.append(state.epoch, state.step, report)
     if in_batch:
         apply_step()
-        if log is not None:
-            log.append(state.epoch, state.step, report)
 
+    state.epoch_report = _mean_report(parts, weight, state.epoch) \
+        if parts else None
     state.epoch += 1
     return state
+
+
+def _mean_report(parts, weight: float, epoch: int) -> losses.LossReport:
+    """Mean of window reports given as (rec, kl) pairs; as in every report,
+    total = rec + weight * kl exactly."""
+    rec, kl = (float(v) for v in np.mean(parts, axis=0))
+    return losses.LossReport(total=rec + weight * kl, rec=rec, kl=kl,
+                             weight=weight, epoch=epoch)
 
 
 def make_split(windows: list[SequenceWindow],

@@ -275,3 +275,24 @@ class TestBackward:
         a = ad.tanh(ad.matmul(ad.leaf(x), ad.leaf(x))).data
         b = ad.tanh(ad.matmul(ad.leaf(x), ad.leaf(x))).data
         np.testing.assert_array_equal(a, b)
+
+
+class TestNoRecord:
+    def test_values_keep_no_record(self):
+        x = ad.leaf(np.array([1.0, -2.0]))
+        with ad.no_record():
+            y = ad.tanh(ad.mul(x, x))
+        assert y.parents == () and y.vjp is None
+        np.testing.assert_array_equal(y.data, np.tanh(x.data * x.data))
+
+    def test_backward_rejected_inside(self):
+        x = ad.leaf(2.0)
+        loss = ad.mul(x, x)
+        with ad.no_record(), pytest.raises(ContractError):
+            ad.backward(loss)
+
+    def test_recording_resumes_after_error(self):
+        with pytest.raises(RuntimeError), ad.no_record():
+            raise RuntimeError("inside")
+        x = ad.leaf(3.0)
+        assert ad.backward(ad.mul(x, x)).get(x) == pytest.approx(6.0)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from stgcvae import cli, data, synthetic
+from stgcvae import cli, data, synthetic, training
 
 
 def run(argv):
@@ -109,6 +109,43 @@ class TestTrainCommand:
         d2 = hashlib.sha256(c2.read_bytes()).hexdigest()
         assert d1 == d2
 
+    def test_one_pass_per_window_and_batch_mean_rows(
+            self, small_config, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "five.stgw"
+        data.save_windows(cache, synthetic.make_corpus(
+            "turn", 2, 5, seed=2))
+        reports = []
+        inner = training.window_gradients
+
+        def counted(*args, **kwargs):
+            grads, report = inner(*args, **kwargs)
+            reports.append(report)
+            return grads, report
+
+        monkeypatch.setattr(training, "window_gradients", counted)
+        train_once(cache, small_config, tmp_path / "run")
+        assert len(reports) == 5 * 3  # windows x epochs, nothing more
+
+        # batch_size 2 over 5 windows: batches of 2, 2, 1 per epoch
+        batches = [reports[e * 5:][a:b] for e in range(3)
+                   for a, b in ((0, 2), (2, 4), (4, 5))]
+        lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+        assert len(rows) == len(batches)
+        for row, batch in zip(rows, batches):
+            for col, field in ((3, "rec"), (4, "kl")):
+                assert row[col] == pytest.approx(
+                    np.mean([getattr(r, field) for r in batch]), rel=1e-12)
+            assert row[2] == pytest.approx(row[3] + row[5] * row[4],
+                                           rel=1e-12)
+
+        # the printed line is the mean over the epoch's windows
+        out = capsys.readouterr().out
+        last = [l for l in out.splitlines() if l.startswith("epoch 2:")][0]
+        rec = float(last.split("rec=")[1].split()[0])
+        assert rec == pytest.approx(np.mean([r.rec for r in reports[10:]]),
+                                    abs=1e-4)
+
     def test_missing_cache(self, small_config, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.stgw"),
                     "--config", str(small_config),
@@ -134,6 +171,23 @@ class TestEvaluateCommand:
         assert lines[0] == "window_id,agent_id,frame,sample_id,x,y"
         ids = {int(l.split(",")[3]) for l in lines[1:]}
         assert ids == {-1, 0, 1, 2, 3}
+
+    def test_infer_mode_cache_exits_1(self, toy_dataset, synth_cache,
+                                      small_config, tmp_path, capsys):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        cache = tmp_path / "infer.stgw"
+        (toy_dataset / "alpha.txt").write_text(
+            "\n".join(f"{f} 1 {0.3 * f:.3f} 0.0" for f in range(25))
+            + "\n" + "\n".join(f"{f} 2 {0.3 * f:.3f} 1.5" for f in range(12))
+            + "\n")
+        assert run(["preprocess", "--input", str(toy_dataset),
+                    "--output", str(cache), "--mode", "infer"]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--ckpt", str(ckpt), "--data", str(cache),
+                    "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "window 0 " in captured.err and "non-finite" in captured.err
+        assert "ade" not in captured.out
 
     def test_k1_vs_k20_statistical_ordering(self, small_config, tmp_path,
                                             capsys):

@@ -32,6 +32,13 @@ class TestParse:
         with pytest.raises(ParseError, match=r":2"):
             data.parse_annotations(p)
 
+    @pytest.mark.parametrize("line", ["0 2 nan 0.0", "0 2 0.0 inf",
+                                      "0 2 -inf 1.0", "inf 2 0.0 0.0"])
+    def test_non_finite_value_names_position(self, tmp_path, line):
+        p = write(tmp_path, f"0 1 0.0 0.0\n{line}\n")
+        with pytest.raises(ParseError, match=r"scene\.txt:2"):
+            data.parse_annotations(p)
+
     def test_duplicate_pair_rejected(self, tmp_path):
         p = write(tmp_path, "0 1 0.0 0.0\n0 1 1.0 1.0\n")
         with pytest.raises(IntegrityError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stgcvae import evaluation, model, synthetic
-from stgcvae.data import SequenceWindow
-from stgcvae.errors import DimensionError, ParameterError
+from stgcvae import autodiff as ad
+from stgcvae import evaluation, graph, model, synthetic
+from stgcvae.data import SequenceWindow, to_displacements
+from stgcvae.errors import DimensionError, MissingTruthError, ParameterError
 
 SMALL = model.ModelConfig(embed_channels=6, latent_len=4)
 
@@ -115,6 +116,72 @@ def make_model_and_window(seed=0, n=2):
     return m, w
 
 
+def reference_futures(m, window, rng, k, sample_mode):
+    """k single samples, each through its own recorded prior_forward,
+    reparameterize and decode on one rng: the sampling path that
+    sample_futures replaced."""
+    obs_len = m.config.obs_len
+    obs_pos = window.positions[:obs_len]
+    scale = m.config.feature_scale
+    futures = []
+    for _ in range(k):
+        adj = graph.normalized_adjacency(obs_pos)
+        p = m.traced_params()
+        v_obs = ad.leaf(to_displacements(obs_pos).values * scale)
+        prior = m.prior_forward(p, v_obs, adj)
+        z = ad.reparameterize(prior.mu, prior.logvar, rng)
+        out = m.decode(p, z, v_obs, adj).constrained()
+        steps = out[0:2, obs_len:, :].copy()
+        if sample_mode == "full":
+            sx, sy, rho = out[2, obs_len:], out[3, obs_len:], out[4, obs_len:]
+            e1 = rng.standard_normal(sx.shape)
+            e2 = rng.standard_normal(sx.shape)
+            steps[0] += sx * e1
+            steps[1] += sy * (rho * e1
+                              + np.sqrt(np.maximum(1 - rho ** 2, 0)) * e2)
+        steps = np.transpose(steps, (1, 2, 0)) / scale
+        futures.append(obs_pos[-1][None] + np.cumsum(steps, axis=0))
+    return np.stack(futures)
+
+
+PAPER = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                       rng=np.random.default_rng(0))
+
+
+class TestSampleFutures:
+    # N and k cross the DECODE_COLUMNS pass boundaries: one pass (N = 1),
+    # several full passes and a partial one, one sample per pass (N >= 40)
+    @pytest.mark.parametrize("mode", ["latent", "full"])
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    @pytest.mark.parametrize("n", [1, 5, 12, 40, 70])
+    def test_matches_recorded_single_samples(self, n, k, mode):
+        w = synthetic.make_window("turn", n, np.random.default_rng(n))
+        got = evaluation.sample_futures(PAPER, w, np.random.default_rng(3),
+                                        k, mode)
+        want = reference_futures(PAPER, w, np.random.default_rng(3), k, mode)
+        assert got.shape == (k, 12, n, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_adjacency_and_prior_pass(self, monkeypatch):
+        calls = []
+        for owner, name in ((graph, "normalized_adjacency"),
+                            (model.TrajCvae, "prior_forward")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        w = synthetic.make_window("turn", 40, np.random.default_rng(0))
+        evaluation.sample_futures(PAPER, w, np.random.default_rng(0), 20)
+        assert sorted(calls) == ["normalized_adjacency", "prior_forward"]
+
+    def test_bad_arguments(self):
+        m, w = make_model_and_window()
+        with pytest.raises(ParameterError):
+            evaluation.sample_futures(m, w, np.random.default_rng(0), 0)
+        with pytest.raises(ParameterError):
+            evaluation.sample_futures(m, w, np.random.default_rng(0), 2,
+                                      "mean")
+
+
 class TestBestOfK:
     def test_k_must_be_positive(self):
         m, w = make_model_and_window()
@@ -157,6 +224,20 @@ class TestBestOfK:
                                       oracle_per_metric=True)
         assert ao == pytest.approx(a)
         assert fo <= f + 1e-12
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_scores_equal_per_candidate_metrics(self, oracle):
+        w = synthetic.make_window("turn", 12, np.random.default_rng(4))
+        preds = reference_futures(PAPER, w, np.random.default_rng(5), 20,
+                                  "latent")
+        truth = w.positions[8:]
+        ades = [evaluation.ade(p, truth) for p in preds]
+        fdes = [evaluation.fde(p, truth) for p in preds]
+        want = (min(ades), min(fdes)) if oracle \
+            else (min(ades), fdes[int(np.argmin(ades))])
+        got = evaluation.best_of_k(PAPER, w, 20, np.random.default_rng(5),
+                                   oracle_per_metric=oracle)
+        assert got == want
 
     def test_full_mode_runs(self):
         m, w = make_model_and_window()
@@ -210,6 +291,13 @@ class TestEvaluateDataset:
                                          with_latency=False)
         assert r1.ade == r2.ade and r1.fde == r2.fde
 
+    def test_infer_mode_window_rejected(self):
+        m, _ = make_model_and_window()
+        windows = synthetic.make_corpus("turn", 2, 3, seed=3)
+        windows[1].positions[15, 0] = np.nan  # an unobserved future frame
+        with pytest.raises(MissingTruthError, match=r"window 1\b"):
+            evaluation.evaluate_dataset(m, windows, k=2, with_latency=False)
+
     def test_per_scene_breakdown_and_render(self):
         m, _ = make_model_and_window()
         windows = (synthetic.make_corpus("const-velocity", 2, 2, 1, scene="a")
@@ -232,3 +320,22 @@ class TestExport:
         assert sample_ids == {-1, 0, 1, 2}
         # 12 truth frames + 3*12 sampled frames, times 2 agents
         assert len(lines) - 1 == (12 + 3 * 12) * 2
+
+    def test_rows_match_recorded_samples(self, tmp_path):
+        windows = [synthetic.make_window("turn", n, np.random.default_rng(n))
+                   for n in (3, 7)]
+        path = tmp_path / "preds.csv"
+        evaluation.export_predictions(path, PAPER, windows, k=4, seed=2,
+                                      sample_mode="full")
+        rows = [l.split(",") for l in path.read_text().splitlines()[1:]]
+        streams = np.random.SeedSequence(2).spawn(2)
+        for wi, (w, ss) in enumerate(zip(windows, streams)):
+            preds = reference_futures(PAPER, w, np.random.default_rng(ss), 4,
+                                      "full")
+            want = [[str(wi), str(agent), str(8 + t), str(s),
+                     f"{block[t, n, 0]:.6f}", f"{block[t, n, 1]:.6f}"]
+                    for s, block in enumerate([w.positions[8:]] + list(preds),
+                                              start=-1)
+                    for t in range(12)
+                    for n, agent in enumerate(w.agent_ids)]
+            assert [r for r in rows if r[0] == str(wi)] == want

@@ -262,3 +262,29 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-17])
         with pytest.raises(FormatError):
             model.load_params(p)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        old = model.init_params(SMALL, np.random.default_rng(0))
+        path = tmp_path / "model.stgc"
+        model.save_params(path, old, metadata={"epoch": 1}, dtype="f8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        entries = model.ParamStore.items
+
+        def failing_items(store):
+            it = iter(entries(store))
+            yield next(it)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model.ParamStore, "items", failing_items)
+        new = model.init_params(SMALL, np.random.default_rng(1))
+        with pytest.raises(OSError, match="disk full"):
+            model.save_params(path, new, metadata={"epoch": 2}, dtype="f8")
+        monkeypatch.undo()
+
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        loaded, meta = model.load_params(path)
+        assert meta["epoch"] == "1"
+        for n in old.names():
+            np.testing.assert_array_equal(loaded[n], old[n])
