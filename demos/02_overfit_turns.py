@@ -29,13 +29,11 @@ t0 = time.perf_counter()
 for epoch in range(EPOCHS):
     state = training.train_epoch(state, m, corpus, tc)
     if (epoch + 1) % 30 == 0:
-        rep = evaluation.evaluate_dataset(m, corpus, k=20, seed=1,
-                                          with_latency=False)
+        rep = evaluation.evaluate_dataset(m, corpus, k=20, seed=1)
         print(f"epoch {epoch + 1:3d}: best-of-20 ade={rep.ade:.3f} "
               f"fde={rep.fde:.3f} ({time.perf_counter() - t0:.0f}s)")
 
-rep = evaluation.evaluate_dataset(m, corpus, k=20, seed=1,
-                                  with_latency=False)
+rep = evaluation.evaluate_dataset(m, corpus, k=20, seed=1)
 turn_base = np.mean([evaluation.constant_velocity_baseline(w)[0]
                      for w in corpus if w.scene == "turn"])
 print("\nper-scene best-of-20:")

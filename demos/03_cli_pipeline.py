@@ -17,7 +17,8 @@ with tempfile.TemporaryDirectory() as tmp:
     cache = tmp / "turns.stgw"
     run_dir = tmp / "run"
     cfg = tmp / "train.cfg"
-    cfg.write_text("epochs = 20\nbatch_size = 4\nlr_switch_epoch = 10\n")
+    cfg.write_text("feature_scale = 4\n"
+                   "epochs = 20\nbatch_size = 4\nlr_switch_epoch = 10\n")
 
     steps = [
         ["gen-synthetic", "--pattern", "turn", "--agents", "2",

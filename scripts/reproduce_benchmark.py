@@ -13,59 +13,29 @@ Usage:
 
 <dir> must hold one whitespace-delimited annotation file per scene
 (frame agent x y), e.g. eth.txt hotel.txt univ.txt zara1.txt zara2.txt.
+Each fold is one `stgcvae train --holdout <scene> --config <out>/train.cfg`
+run into <out>/<scene>/, validated on <scene> every 10 epochs.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stgcvae import data, evaluation, losses, model, training  # noqa: E402
+from stgcvae import cli, data, evaluation, training  # noqa: E402
 
 REFERENCE = {"ade": 0.45, "fde": 0.60}   # published averages this targets
 TOLERANCE = {"ade": 0.15, "fde": 0.20}
 
 
-def load_all_windows(data_root: Path, rate: float, stride: int):
-    windows = []
-    for path in sorted(data_root.glob("*.txt")):
-        scene = data.parse_annotations(path, frame_period=1.0 / rate)
-        scene = data.resample(scene, 1.0 / rate)
-        ws = data.build_windows(scene, stride=stride)
-        print(f"{scene.name}: {len(ws)} windows")
-        windows += ws
-    return windows
-
-
-def run_fold(windows, held_out, args, out_dir):
-    train_ws, test_ws = training.make_split(windows, held_out)
-    mcfg = model.ModelConfig(feature_scale=args.feature_scale)
-    m = model.TrajCvae(mcfg, rng=np.random.default_rng(args.seed))
-    tc = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                              seed=args.seed,
-                              lr_switch_epoch=args.epochs // 2)
-    state = training.TrainState(params=m.params,
-                                rng=np.random.default_rng(args.seed))
-    log = losses.MetricsLog(out_dir / f"{held_out}.metrics.csv")
-
-    t0 = time.perf_counter()
-    for epoch in range(tc.epochs):
-        state = training.train_epoch(state, m, train_ws, tc, log=log)
-        if (epoch + 1) % 10 == 0:
-            rep = evaluation.evaluate_dataset(m, test_ws, k=20,
-                                              seed=args.seed,
-                                              with_latency=False)
-            print(f"[{held_out}] epoch {epoch + 1}: "
-                  f"ade={rep.ade:.4f} fde={rep.fde:.4f} "
-                  f"({time.perf_counter() - t0:.0f}s)", flush=True)
-    training.checkpoint(state, m, out_dir / f"{held_out}.stgc", tc)
-    rep = evaluation.evaluate_dataset(m, test_ws, k=20, seed=args.seed,
-                                      with_latency=False)
-    return rep
+def stgcvae(*argv) -> None:
+    """Run one `stgcvae` command in this process; exit if it fails."""
+    argv = [str(a) for a in argv]
+    if cli.main(argv) != 0:
+        sys.exit(f"stgcvae {' '.join(argv)} failed")
 
 
 def main():
@@ -80,17 +50,30 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    windows = load_all_windows(args.data_root, args.rate, args.stride)
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    stgcvae("preprocess", "--input", args.data_root,
+            "--output", out / "windows.stgw", "--rate", args.rate,
+            "--input-rate", args.rate, "--stride", args.stride)
+    windows = data.load_windows(out / "windows.stgw")
     scenes = sorted({w.scene for w in windows})
     if len(scenes) < 2:
         sys.exit("need at least two scenes for leave-one-out")
+    (out / "train.cfg").write_text(f"feature_scale = {args.feature_scale}\n"
+                                   f"epochs = {args.epochs}\n"
+                                   f"batch_size = {args.batch_size}\n"
+                                   f"lr_switch_epoch = {args.epochs // 2}\n")
 
     results = {}
     for held_out in scenes:
         print(f"=== fold: hold out {held_out} "
               f"({len(scenes) - 1} train scenes) ===", flush=True)
-        rep = run_fold(windows, held_out, args, args.out)
+        stgcvae("train", "--data", out / "windows.stgw",
+                "--config", out / "train.cfg", "--out", out / held_out,
+                "--holdout", held_out, "--seed", args.seed)
+        _, m = training.restore(out / held_out / "final.stgc")
+        test_ws = [w for w in windows if w.scene == held_out]
+        rep = evaluation.evaluate_dataset(m, test_ws, k=20, seed=args.seed)
         results[held_out] = (rep.ade, rep.fde)
         print(f"[{held_out}] final best-of-20 ade={rep.ade:.4f} "
               f"fde={rep.fde:.4f}")

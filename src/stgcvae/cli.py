@@ -2,7 +2,7 @@
 
 Subcommands: preprocess, train, evaluate, bench, predict, gen-synthetic.
 Exit codes: 0 success, 1 user error (bad inputs/flags), 2 internal error.
-All randomness in a command derives from its --seed flag.
+All randomness in a command derives from its seed (train: --seed or config).
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", default=None,
                    help="scene held out for validation (leave-one-out)")
     p.add_argument("--config", default=None,
-                   help="flat key=value training config file")
+                   help="key=value file of ModelConfig and TrainConfig "
+                        "fields (feature_scale, latent_len, epochs, seed...)")
     p.add_argument("--out", required=True, help="checkpoint directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
 
     p = sub.add_parser("evaluate", help="best-of-K evaluation of a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -113,9 +114,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     windows = data.load_windows(args.data)
-    cfg = training.TrainConfig.from_file(args.config) if args.config \
-        else training.TrainConfig()
-    cfg.seed = args.seed
+    mcfg, cfg = training.read_config(args.config) if args.config \
+        else (model.ModelConfig(), training.TrainConfig())
+    if args.seed is not None:
+        cfg.seed = args.seed
     if args.holdout:
         train_ws, val_ws = training.make_split(windows, args.holdout)
     else:
@@ -125,7 +127,6 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mcfg = model.ModelConfig(latent_len=cfg.latent_length)
     m = model.TrajCvae(mcfg, rng=np.random.default_rng(cfg.seed))
     state = training.TrainState(params=m.params,
                                 rng=np.random.default_rng(cfg.seed))
@@ -139,8 +140,7 @@ def cmd_train(args) -> int:
                   f"rec={report.rec:.4f} kl={report.kl:.4f} "
                   f"w={report.weight:.2e}")
         if val_ws and (epoch + 1) % cfg.val_every == 0:
-            rep = evaluation.evaluate_dataset(m, val_ws, k=20, seed=cfg.seed,
-                                              with_latency=False)
+            rep = evaluation.evaluate_dataset(m, val_ws, k=20, seed=cfg.seed)
             print(f"  val best-of-20 ade={rep.ade:.4f} fde={rep.fde:.4f}")
             if rep.ade < state.best_val_metric:
                 state.best_val_metric = rep.ade
@@ -152,7 +152,7 @@ def cmd_train(args) -> int:
 
 def _load_model(ckpt):
     store, meta = model.load_params(ckpt)
-    cfg = model.config_from_metadata(meta)
+    cfg = model.config_from_metadata(meta, f"{ckpt}.meta")
     return model.TrajCvae(cfg, params=store)
 
 

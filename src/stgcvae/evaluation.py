@@ -210,13 +210,13 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
                      k: int = 20, seed: int = 0,
                      sample_mode: str = "latent",
                      oracle_per_metric: bool = False,
-                     with_latency: bool = True) -> EvalReport:
+                     with_latency: bool = False) -> EvalReport:
     """Mean per-window best-of-k ADE/FDE with a per-scene breakdown.
 
     Every window must hold finite positions at all its frames, or
     MissingTruthError names the first that does not. Each window gets its
     own rng stream derived from (seed, index), so the report is
-    reproducible regardless of evaluation order.
+    reproducible regardless of evaluation order (unless with_latency).
     """
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")

@@ -130,8 +130,6 @@ def anneal_weight(epoch: int, slope: float = ANNEAL_SLOPE,
 
 def total_loss(pred: BivariateGaussianSeq, target: np.ndarray,
                q: LatentGaussian, p: LatentGaussian, epoch: int,
-               slope: float = ANNEAL_SLOPE,
-               cap_epochs: int = ANNEAL_CAP_EPOCHS,
                prior_samples: int = 0) -> LossReport:
     """Combined loss over all output frames: rec + w_kl(epoch) * kl.
 
@@ -152,7 +150,7 @@ def total_loss(pred: BivariateGaussianSeq, target: np.ndarray,
     n = columns - prior_samples
     rec = float(np.sum(cells.data[:, :, :n])) * (1.0 / (t * n))
     kl = kl_diag_gaussians(q, p)
-    w = anneal_weight(epoch, slope, cap_epochs)
+    w = anneal_weight(epoch)
     mask = np.zeros(cells.data.shape)
     mask[:, :, :n] = 1.0 / (t * n)
     if prior_samples:

@@ -13,9 +13,11 @@ back keyed by parameter name.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -452,23 +454,50 @@ def load_params(path) -> tuple[ParamStore, dict]:
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated ({exc})") from exc
 
-    meta_path = Path(str(path) + ".meta")
-    metadata = {}
-    if meta_path.exists():
-        for line in meta_path.read_text().splitlines():
-            if "=" in line:
-                k, v = line.split("=", 1)
-                metadata[k.strip()] = v.strip()
+    meta_path = Path(f"{path}.meta")
+    metadata = {k: v for k, (_, v) in read_key_values(meta_path).items()} \
+        if meta_path.exists() else {}
     return store, metadata
 
 
-def config_from_metadata(metadata: dict) -> ModelConfig:
-    """Rebuild a ModelConfig from sidecar metadata, using defaults for
-    missing keys."""
+def read_key_values(path, error=FormatError) -> dict[str, tuple[str, str]]:
+    """{key: ("file:line", value)} of a flat `key = value` text file. Blank
+    lines and lines starting with `#` are skipped; a line without `=` or a
+    repeated key raises `error` naming the file and line."""
+    entries = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            key, eq, value = (s.strip() for s in line.partition("="))
+            if not (key or eq) or key.startswith("#"):
+                continue
+            if not eq or key in entries:
+                raise error(f"{path}:{lineno}: " + (
+                    f"{key} is set twice" if eq else "expected key=value"))
+            entries[key] = f"{path}:{lineno}", value
+    return entries
+
+
+def build_config(config_cls, texts: dict[str, tuple[str, str]], error):
+    """config_cls from {field name: (where, text)}, each text cast to its
+    field's declared type (int or float, or an optional of either); a text
+    that is not a finite value of it raises `error` naming where and field."""
     kwargs = {}
-    defaults = ModelConfig()
-    for f_name, default in asdict(defaults).items():
-        if f_name in metadata:
-            cast = type(default)
-            kwargs[f_name] = cast(metadata[f_name])
-    return ModelConfig(**kwargs)
+    for name, (where, text) in texts.items():
+        hint = typing.get_type_hints(config_cls)[name]
+        kind = (typing.get_args(hint) or (hint,))[0]  # int | None -> int
+        try:
+            kwargs[name] = kind(text)
+            if not math.isfinite(kwargs[name]):
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise error(f"{where}: {name}: expected a finite "
+                        f"{kind.__name__}, got {text!r}") from None
+    return config_cls(**kwargs)
+
+
+def config_from_metadata(metadata: dict, source="sidecar") -> ModelConfig:
+    """Rebuild a ModelConfig from sidecar metadata, using defaults for
+    missing keys; a bad value raises FormatError naming `source`."""
+    return build_config(ModelConfig, {f.name: (source, metadata[f.name])
+                                      for f in fields(ModelConfig)
+                                      if f.name in metadata}, FormatError)

@@ -4,7 +4,7 @@ sequence graphs, deterministic shuffling, splits, and resumable state."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -12,7 +12,9 @@ from . import autodiff as ad
 from . import graph, losses
 from .data import SequenceWindow, to_displacements
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
-from .model import ModelConfig, ParamStore, TrajCvae, load_params, save_params
+from .model import (ModelConfig, ParamStore, TrajCvae, build_config,
+                    config_from_metadata, load_params, read_key_values,
+                    save_params)
 
 
 @dataclass
@@ -21,38 +23,32 @@ class TrainConfig:
     batch_size: int = 128          # sequences accumulated per SGD step
     lr_initial: float = 0.01
     lr_after: float = 0.002
-    lr_switch_epoch: int = 150
+    lr_switch_epoch: int | None = None  # default: 3/5 of epochs
     seed: int = 0
-    latent_length: int = 20
-    held_out_scene: str = ""
-    cap_epochs: int = 250          # KL annealing cap
-    anneal_slope: float = losses.ANNEAL_SLOPE
     val_every: int = 10            # best-checkpoint cadence (epochs)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.lr_switch_epoch >= self.epochs:
+        for name in ("epochs", "batch_size", "val_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.lr_switch_epoch is None:
+            self.lr_switch_epoch = self.epochs * 3 // 5
+        elif self.lr_switch_epoch >= self.epochs:
             raise ConfigError("lr_switch_epoch must be < epochs")
 
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        """Flat key=value plain text; keys match the field names."""
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = (s.strip() for s in line.split("=", 1))
-                if key not in known:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                current = getattr(cls(), key)
-                kwargs[key] = type(current)(value)
-        return cls(**kwargs)
+
+def read_config(path) -> tuple[ModelConfig, TrainConfig]:
+    """Both configs from one `key = value` file (see read_key_values) whose
+    keys are field names of either (no name is in both); unset fields keep
+    their defaults. A bad key or value raises ConfigError naming file:line.
+    """
+    texts = {ModelConfig: {}, TrainConfig: {}}
+    owner = {f.name: cls for cls in texts for f in fields(cls)}
+    for key, (where, value) in read_key_values(path, ConfigError).items():
+        if key not in owner:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        texts[owner[key]][key] = where, value
+    return tuple(build_config(cls, t, ConfigError) for cls, t in texts.items())
 
 
 @dataclass
@@ -81,9 +77,7 @@ CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
 
 
 def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
-                     rng: np.random.Generator,
-                     slope: float = losses.ANNEAL_SLOPE,
-                     cap_epochs: int = losses.ANNEAL_CAP_EPOCHS,
+                     rng: np.random.Generator
                      ) -> tuple[dict, losses.LossReport]:
     """One forward/backward pass over a single training window.
 
@@ -115,8 +109,7 @@ def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
     columns = np.concatenate([np.arange(n), pick])
     pred = model.decode(p, z, v_obs, adj[:obs], columns)
     report = losses.total_loss(pred, scaled[:, :, columns], post, prior,
-                               epoch, slope=slope, cap_epochs=cap_epochs,
-                               prior_samples=PRIOR_SAMPLES)
+                               epoch, prior_samples=PRIOR_SAMPLES)
     traced = ad.backward(report.total_value)
     grads = {name: traced.get(leaf) for name, leaf in p.items()}
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
@@ -163,8 +156,7 @@ def train_epoch(state: TrainState, model: TrajCvae,
     # (rec, kl) of every window this epoch; floats only, since keeping the
     # reports would keep every window's computation record alive
     parts: list[tuple[float, float]] = []
-    weight = losses.anneal_weight(state.epoch, config.anneal_slope,
-                                  config.cap_epochs)
+    weight = losses.anneal_weight(state.epoch)
 
     def apply_step():
         nonlocal acc, in_batch
@@ -182,9 +174,8 @@ def train_epoch(state: TrainState, model: TrajCvae,
         if window.n_agents == 0:
             state.skipped_windows += 1
             continue
-        grads, report = window_gradients(
-            model, window, state.epoch, state.rng,
-            slope=config.anneal_slope, cap_epochs=config.cap_epochs)
+        grads, report = window_gradients(model, window, state.epoch,
+                                         state.rng)
         _check_finite(model, report, grads, int(idx))
         for name, g in grads.items():
             acc[name] = acc.get(name, 0.0) + g
@@ -229,8 +220,7 @@ def make_split(windows: list[SequenceWindow],
 def checkpoint(state: TrainState, model: TrajCvae, path,
                config: TrainConfig | None = None) -> None:
     """Full-precision snapshot that resumes bit-identically."""
-    from dataclasses import asdict
-    meta = {k: v for k, v in asdict(model.config).items()}
+    meta = asdict(model.config)
     meta.update(epoch=state.epoch, step=state.step,
                 best_val_metric=state.best_val_metric,
                 skipped_windows=state.skipped_windows,
@@ -244,8 +234,7 @@ def restore(path) -> tuple[TrainState, TrajCvae]:
     store, meta = load_params(path)
     if "rng_state" not in meta:
         raise FormatError(f"{path}: missing training metadata sidecar")
-    from .model import config_from_metadata
-    config = config_from_metadata(meta)
+    config = config_from_metadata(meta, f"{path}.meta")
     model = TrajCvae(config, params=store)
     rng = np.random.default_rng(0)
     rng.bit_generator.state = json.loads(meta["rng_state"])

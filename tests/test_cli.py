@@ -1,9 +1,10 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stgcvae import cli, data, synthetic, training
+from stgcvae import cli, data, model, synthetic, training
 
 
 def run(argv):
@@ -82,7 +83,7 @@ def synth_cache(tmp_path):
 def small_config(tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=3\nbatch_size=2\nlr_switch_epoch=2\n"
-                   "latent_length=4\n")
+                   "latent_len=4\n")
     return cfg
 
 
@@ -157,7 +158,80 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "o")]) == 1
 
 
+class TestTrainConfigFile:
+    def config(self, tmp_path, text, name="train.cfg"):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        return cfg
+
+    @pytest.mark.parametrize("line, named", [
+        ("epochs=2.5", "train.cfg:2: epochs"),
+        ("lr_initial=abc", "train.cfg:2: lr_initial"),
+        ("val_every=0", "val_every must be >= 1"),
+    ])
+    def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
+                                         line, named):
+        cfg = self.config(tmp_path, f"batch_size=2\n{line}\n")
+        assert run(["train", "--data", str(synth_cache), "--config",
+                    str(cfg), "--holdout", "const-velocity",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_epochs_alone_trains(self, synth_cache, tmp_path):
+        cfg = self.config(tmp_path, "epochs=10\n")
+        assert run(["train", "--data", str(synth_cache), "--config",
+                    str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_file_seed_used_unless_flag_given(self, synth_cache, tmp_path):
+        seeded = self.config(tmp_path, "epochs=2\nseed=7\n", "seeded.cfg")
+        plain = self.config(tmp_path, "epochs=2\n", "plain.cfg")
+        assert run(["train", "--data", str(synth_cache), "--config",
+                    str(seeded), "--out", str(tmp_path / "file")]) == 0
+        flag = train_once(synth_cache, plain, tmp_path / "flag", seed=7)
+        from_file = tmp_path / "file" / "final.stgc"
+        assert from_file.read_bytes() == flag.read_bytes()
+        assert "seed=7\n" in Path(f"{from_file}.meta").read_text()
+        # the flag wins over the file
+        over = train_once(synth_cache, seeded, tmp_path / "over", seed=3)
+        assert "seed=3\n" in Path(f"{over}.meta").read_text()
+
+    def test_model_keys_reach_checkpoint_and_bench(self, synth_cache,
+                                                   tmp_path, capsys):
+        cfg = self.config(tmp_path, "feature_scale = 4\nlatent_len = 8\n"
+                                    "epochs = 2\n")
+        ckpt = train_once(synth_cache, cfg, tmp_path / "run")
+        meta = Path(f"{ckpt}.meta").read_text().splitlines()
+        assert "feature_scale=4.0" in meta and "latent_len=8" in meta
+        capsys.readouterr()
+        assert run(["bench", "--ckpt", str(ckpt), "--reps", "2"]) == 0
+        want = model.TrajCvae(model.ModelConfig(latent_len=8)).count_params()
+        assert f"param_count = {want}" in capsys.readouterr().out
+
+
 class TestEvaluateCommand:
+    def test_bad_sidecar_value_exits_1(self, synth_cache, small_config,
+                                       tmp_path, capsys):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        meta = Path(f"{ckpt}.meta")
+        meta.write_text(meta.read_text().replace("latent_len=4",
+                                                 "latent_len=abc"))
+        capsys.readouterr()
+        assert run(["evaluate", "--ckpt", str(ckpt), "--data",
+                    str(synth_cache), "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "final.stgc.meta: latent_len: expected a finite int" in err
+
+    def test_report_is_deterministic(self, synth_cache, small_config,
+                                     tmp_path, capsys):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        outs = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run(["evaluate", "--ckpt", str(ckpt), "--data",
+                        str(synth_cache), "--k", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "ade = " in outs[0]
+
     def test_report_and_export(self, synth_cache, small_config, tmp_path,
                                capsys):
         ckpt = train_once(synth_cache, small_config, tmp_path / "run")
@@ -226,7 +300,7 @@ class TestBenchCommand:
         for latent in (4, 8):
             cfg = tmp_path / f"cfg{latent}"
             cfg.write_text(f"epochs=2\nbatch_size=2\nlr_switch_epoch=1\n"
-                           f"latent_length={latent}\n")
+                           f"latent_len={latent}\n")
             ckpt = train_once(synth_cache, cfg, tmp_path / f"run{latent}")
             assert run(["bench", "--ckpt", str(ckpt), "--reps", "3"]) == 0
             out = capsys.readouterr().out

@@ -298,6 +298,13 @@ class TestEvaluateDataset:
         with pytest.raises(MissingTruthError, match=r"window 1\b"):
             evaluation.evaluate_dataset(m, windows, k=2, with_latency=False)
 
+    def test_latency_only_on_request(self):
+        m, w = make_model_and_window()
+        assert evaluation.evaluate_dataset(m, [w], k=2).latency is None
+        report = evaluation.evaluate_dataset(m, [w], k=2, with_latency=True)
+        assert report.latency.repetitions == 100
+        assert "latency_mean_s" in report.render()
+
     def test_per_scene_breakdown_and_render(self):
         m, _ = make_model_and_window()
         windows = (synthetic.make_corpus("const-velocity", 2, 2, 1, scene="a")

@@ -1,7 +1,12 @@
 import hashlib
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stgcvae import autodiff as ad
 from stgcvae import losses, model, synthetic, training
@@ -53,22 +58,68 @@ class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "train.cfg"
         p.write_text("epochs=50\nbatch_size=4\nlr_switch_epoch=30\n"
-                     "held_out_scene=eth\nseed=7\n")
-        cfg = training.TrainConfig.from_file(p)
+                     "seed=7\n")
+        _, cfg = training.read_config(p)
         assert cfg.epochs == 50 and cfg.batch_size == 4
-        assert cfg.held_out_scene == "eth" and cfg.seed == 7
+        assert cfg.seed == 7
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")
         with pytest.raises(ConfigError, match="nonsense"):
-            training.TrainConfig.from_file(p)
+            training.read_config(p)
 
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             training.TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             training.TrainConfig(lr_switch_epoch=250, epochs=250)
+
+    def test_model_and_train_keys_in_one_file(self, tmp_path):
+        p = tmp_path / "train.cfg"
+        p.write_text("feature_scale = 4\nlatent_len = 8\nepochs = 10\n")
+        mcfg, cfg = training.read_config(p)
+        assert mcfg == model.ModelConfig(feature_scale=4.0, latent_len=8)
+        assert cfg == training.TrainConfig(epochs=10)
+
+    def test_field_names_disjoint(self):
+        names = [{f.name for f in fields(c)}
+                 for c in (model.ModelConfig, training.TrainConfig)]
+        assert not names[0] & names[1]
+        assert len(names[0]) + len(names[1]) == 19
+
+    @pytest.mark.parametrize("line, named", [
+        ("epochs=2.5", "epochs: expected a finite int"),
+        ("lr_initial=abc", "lr_initial: expected a finite float"),
+        ("lr_initial=nan", "lr_initial: expected a finite float"),
+        ("latent_len=abc", "latent_len: expected a finite int"),
+        ("epochs", "expected key=value"),
+    ])
+    def test_malformed_value_names_file_and_line(self, tmp_path, line,
+                                                 named):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"# comment\nbatch_size=4\n{line}\n")
+        with pytest.raises(ConfigError, match=f"bad.cfg:3: {named}"):
+            training.read_config(p)
+
+    def test_repeated_key(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("seed=1\nepochs=20\nseed=2\n")
+        with pytest.raises(ConfigError, match="twice.cfg:3: seed is set "
+                                              "twice"):
+            training.read_config(p)
+
+    @pytest.mark.parametrize("field", ["epochs", "val_every"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            training.TrainConfig(**{field: 0})
+
+    def test_lr_switch_default_is_three_fifths_of_epochs(self):
+        assert training.TrainConfig().lr_switch_epoch == 150
+        assert training.TrainConfig(epochs=10).lr_switch_epoch == 6
+        assert training.TrainConfig(epochs=1).lr_switch_epoch == 0
+        assert training.TrainConfig(epochs=10,
+                                    lr_switch_epoch=9).lr_switch_epoch == 9
 
 
 class TestTrainEpoch:
@@ -312,3 +363,76 @@ class TestVarianceWeightedObjective:
         # the plain NLL's gradient is e^4 times larger at the sharper sigma
         np.testing.assert_allclose(plain_sharp, plain_broad * np.exp(4.0),
                                    rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the config file and the checkpoint sidecar
+
+
+@st.composite
+def model_configs(draw):
+    obs_len = draw(st.integers(1, 8))
+    recog_blocks = draw(st.integers(1, 2))
+    return model.ModelConfig(
+        embed_channels=draw(st.integers(1, 6)),
+        latent_len=draw(st.integers(1, 6)),
+        obs_len=obs_len,
+        seq_len=obs_len + draw(st.integers(1, 6)),
+        recog_blocks=recog_blocks,
+        prior_blocks=recog_blocks + draw(st.integers(1, 2)),
+        tcn_kernel=draw(st.sampled_from([1, 3, 5])),
+        dropout=draw(st.floats(0.0, 0.9)),
+        noise_std=draw(st.floats(0.0, 1.0)),
+        feature_scale=draw(st.floats(1e-3, 1e3)))
+
+
+@st.composite
+def train_configs(draw):
+    epochs = draw(st.integers(1, 10 ** 6))
+    return training.TrainConfig(
+        epochs=epochs,
+        batch_size=draw(st.integers(1, 10 ** 4)),
+        lr_initial=draw(st.floats(-1e3, 1e3)),
+        lr_after=draw(st.floats(-1e3, 1e3)),
+        lr_switch_epoch=draw(st.integers(0, epochs - 1)),
+        seed=draw(st.integers(0, 2 ** 63)),
+        val_every=draw(st.integers(1, 10 ** 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mcfg=model_configs(), cfg=train_configs(), data=st.data())
+def test_read_config_roundtrip_any_order(mcfg, cfg, data):
+    """Any subset of the fields, in any order, with blank and comment lines
+    and spaces around `=`, reads back as the configs it was written from
+    (unset fields keep their defaults)."""
+    # a field whose valid values depend on another's is set with it
+    linked = {"seq_len": "obs_len", "prior_blocks": "recog_blocks",
+              "lr_switch_epoch": "epochs"}
+    values = {f.name: getattr(c, f.name) for c in (mcfg, cfg)
+              for f in fields(c)}
+    keys = {k for k in values if data.draw(st.booleans())}
+    keys |= {linked[k] for k in keys if k in linked}
+    lines = []
+    for key in data.draw(st.permutations(sorted(keys))):
+        lines += data.draw(st.lists(st.sampled_from(["", "# note", "  "]),
+                                    max_size=2))
+        pad = data.draw(st.sampled_from(["", " ", "  "]))
+        lines.append(f"{key}{pad}={pad}{values[key]!r}")
+    want = tuple(type(c)(**{f.name: values[f.name] for f in fields(c)
+                            if f.name in keys}) for c in (mcfg, cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "train.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert training.read_config(path) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(mcfg=model_configs())
+def test_checkpoint_sidecar_roundtrips_model_config(mcfg):
+    m = model.TrajCvae(mcfg, rng=np.random.default_rng(0))
+    state = training.TrainState(params=m.params, rng=np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        meta = model.load_params(path)[1]
+    assert model.config_from_metadata(meta) == mcfg
