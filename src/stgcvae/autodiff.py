@@ -247,18 +247,35 @@ def conv_time(x: Value, kernel: Value, padding: int = 0) -> Value:
         raise DimensionError(
             f"conv_time: kernel length {k} exceeds padded input length "
             f"{t + 2 * padding}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
+    # Each contraction is one matmul with the operand order and reshapes
+    # that numpy 2.4's optimizing Einstein-summation planner picks for it,
+    # so it makes the same BLAS call, with the same bits. The padded copy of
+    # x has np.pad's memory order (Fortran only for an F- and not
+    # C-contiguous x): at K = 1 the column matrix is a view of it, and a
+    # view of another layout rounds differently.
+    xp = np.zeros((c_in, t + 2 * padding, n),
+                  order="F" if x.data.flags.fnc else "C")
+    xp[:, padding:padding + t, :] = x.data
+    t_out = t + 2 * padding - k + 1
+    s_c, s_t, s_n = xp.strides
     # windows: (C_in, T', N, K)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    out = np.einsum("oik,itnk->otn", kernel.data, win, optimize=True)
-    t_out = out.shape[1]
+    win = np.lib.stride_tricks.as_strided(
+        xp, (c_in, t_out, n, k), (s_c, s_t, s_n, s_t), writeable=False)
+    cols = win.transpose(1, 2, 0, 3).reshape(t_out * n, c_in * k)
+    taps = kernel.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
+    out = (cols @ taps).reshape(t_out, n, c_out).transpose(2, 0, 1)
 
     def vjp(g):
-        gk = np.einsum("otn,itnk->oik", g, win, optimize=True)
+        g_rows = g.transpose(1, 2, 0).reshape(t_out * n, c_out)
+        gk = win.transpose(0, 3, 1, 2).reshape(c_in * k, t_out * n) @ g_rows
+        gk = gk.reshape(c_in, k, c_out).transpose(2, 0, 1)
+        g_cols = g.reshape(c_out, t_out * n)
         gxp = np.zeros_like(xp)
+        # one product per tap: a single transposed-convolution GEMM would
+        # sum in another order
         for j in range(k):
-            gxp[:, j:j + t_out, :] += np.einsum(
-                "otn,oi->itn", g, kernel.data[:, :, j], optimize=True)
+            gxp[:, j:j + t_out, :] += (kernel.data[:, :, j].T @ g_cols
+                                       ).reshape(c_in, t_out, n)
         gx = gxp[:, padding:padding + t, :] if padding else gxp
         return gx, gk
 
@@ -288,9 +305,11 @@ def mix_agents(x: Value, adj: np.ndarray) -> Value:
             or adj.shape[1] != adj.shape[2] or adj.shape[1] != x.data.shape[2]:
         raise DimensionError(
             f"mix_agents: input {x.data.shape} vs adjacency {adj.shape}")
-    out = np.einsum("ctm,tmn->ctn", x.data, adj, optimize=True)
-    return Value(out, (x,),
-                 lambda g: (np.einsum("ctn,tmn->ctm", g, adj, optimize=True),))
+    # one (N, N) @ (N, C) product per frame, laid out as the planner lays
+    # it out (see conv_time)
+    out = adj.transpose(0, 2, 1) @ x.data.transpose(1, 2, 0)
+    return Value(out.transpose(2, 0, 1), (x,),
+                 lambda g: ((adj @ g.transpose(1, 2, 0)).transpose(2, 0, 1),))
 
 
 def transpose_ct(x: Value) -> Value:

@@ -27,19 +27,17 @@ def kernel_adjacency(positions: np.ndarray) -> np.ndarray:
     positions: (N, 2). Pairs closer than CO_LOCATION_EPS (including the
     diagonal) get weight 0.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    with np.errstate(divide="ignore"):
-        a = np.where(dist > CO_LOCATION_EPS, 1.0 / dist, 0.0)
-    np.fill_diagonal(a, 0.0)
-    return a
+    return adjacency_series(np.asarray(positions)[None]).matrices[0]
 
 
 def adjacency_series(positions: np.ndarray) -> AdjacencySeries:
-    """Raw per-frame adjacency for a (T, N, 2) position block."""
+    """Raw per-frame adjacency (see kernel_adjacency) for a (T, N, 2)
+    position block, all frames in one broadcast."""
     positions = np.asarray(positions, dtype=np.float64)
-    mats = np.stack([kernel_adjacency(p) for p in positions])
+    diff = positions[:, :, None, :] - positions[:, None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    with np.errstate(divide="ignore"):  # the diagonal's distance is 0
+        mats = np.where(dist > CO_LOCATION_EPS, 1.0 / dist, 0.0)
     return AdjacencySeries(mats, normalized=False)
 
 

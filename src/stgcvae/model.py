@@ -70,6 +70,10 @@ class ModelConfig:
             raise ConfigError("prior_blocks must exceed recog_blocks")
         if self.seq_len <= self.obs_len:
             raise ConfigError("seq_len must exceed obs_len")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
+        if self.noise_std < 0:
+            raise ConfigError("noise_std must be non-negative")
 
     @property
     def reduce_kernel(self) -> int:

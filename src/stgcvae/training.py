@@ -230,18 +230,45 @@ def checkpoint(state: TrainState, model: TrajCvae, path,
     save_params(path, model.params, metadata=meta, dtype="f8")
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _metric(text: str) -> float:
+    value = float(text)  # inf until a validation has run
+    if np.isnan(value):
+        raise ValueError(text)
+    return value
+
+
+def _generator(text: str) -> np.random.Generator:
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = json.loads(text)
+    return rng
+
+
 def restore(path) -> tuple[TrainState, TrajCvae]:
     store, meta = load_params(path)
     if "rng_state" not in meta:
         raise FormatError(f"{path}: missing training metadata sidecar")
     config = config_from_metadata(meta, f"{path}.meta")
     model = TrajCvae(config, params=store)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = json.loads(meta["rng_state"])
-    state = TrainState(params=store, rng=rng,
-                       epoch=int(meta.get("epoch", 0)),
-                       step=int(meta.get("step", 0)),
-                       best_val_metric=float(meta.get("best_val_metric",
-                                                      "inf")),
-                       skipped_windows=int(meta.get("skipped_windows", 0)))
+
+    def field(name, cast, default=None):
+        text = meta.get(name, default)
+        try:
+            return cast(text)
+        except (ValueError, TypeError, KeyError):
+            raise FormatError(f"{path}.meta: {name}: bad value {text!r}") \
+                from None
+
+    state = TrainState(params=store, rng=field("rng_state", _generator),
+                       epoch=field("epoch", _count, "0"),
+                       step=field("step", _count, "0"),
+                       best_val_metric=field("best_val_metric", _metric,
+                                             "inf"),
+                       skipped_windows=field("skipped_windows", _count, "0"))
     return state, model

@@ -1,13 +1,15 @@
 """Gradient and forward checks for the autodiff core.
 
 Every differentiable op is checked against central finite differences
-(h = 1e-5, float64) on random inputs in [-1, 1].
+(h = 1e-5, float64) on random inputs in [-1, 1]. conv_time and mix_agents
+are also checked against the einsum code they replaced.
 """
 
 import numpy as np
 import pytest
 
 from stgcvae import autodiff as ad
+from stgcvae import evaluation, model, synthetic, training
 from stgcvae.errors import ContractError, DimensionError, ParameterError
 
 
@@ -296,3 +298,129 @@ class TestNoRecord:
             raise RuntimeError("inside")
         x = ad.leaf(3.0)
         assert ad.backward(ad.mul(x, x)).get(x) == pytest.approx(6.0)
+
+
+# ---------------------------------------------------------------------------
+# fixed matmul contractions against the einsum code they replaced
+
+
+def einsum_conv_time(x, kernel, padding=0):
+    """conv_time as written with np.einsum(optimize=True), the reference."""
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
+    k = kernel.data.shape[2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
+    out = np.einsum("oik,itnk->otn", kernel.data, win, optimize=True)
+    t, t_out = x.data.shape[1], out.shape[1]
+
+    def vjp(g):
+        gk = np.einsum("otn,itnk->oik", g, win, optimize=True)
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            gxp[:, j:j + t_out, :] += np.einsum(
+                "otn,oi->itn", g, kernel.data[:, :, j], optimize=True)
+        return (gxp[:, padding:padding + t, :] if padding else gxp), gk
+
+    return ad.Value(out, (x, kernel), vjp)
+
+
+def einsum_mix_agents(x, adj):
+    """mix_agents as written with np.einsum(optimize=True), the reference."""
+    out = np.einsum("ctm,tmn->ctn", x.data, adj, optimize=True)
+    return ad.Value(out, (x,), lambda g: (
+        np.einsum("ctn,tmn->ctm", g, adj, optimize=True),))
+
+
+# numpy 2.4's einsum(optimize=True) contracts each pair with one matmul, and
+# conv_time / mix_agents issue those matmuls with the same operand layouts
+BIT_EXACT = np.__version__.startswith("2.4.")
+
+
+def assert_same(got, want):
+    """Bit-identical where BIT_EXACT, else within rtol 1e-12."""
+    assert got.shape == want.shape
+    if BIT_EXACT:
+        assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
+def strided(a):
+    """The values of a laid out as a transpose_ct output: axes 0 and 1
+    swapped in memory."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
+
+
+class TestEinsumEquivalence:
+    """conv_time (forward, input and kernel gradients) and mix_agents
+    (forward and gradient) equal the einsum reference bit for bit on the
+    build they were measured on (numpy 2.4.6, OpenBLAS 0.3.31). Across
+    numpy builds the two agree only within rtol 1e-12.
+
+    Every combination of C_in, K and contiguous or strided input and
+    gradient runs at 5 agent counts; together they cover N = 1..130.
+    """
+
+    C_IN = (2, 8, 20, 24, 48)
+    # (K, padding, frame counts): the model's 1x1, TCN / TXP and
+    # recognition-reduction kernels
+    KERNELS = ((1, 0, (8, 20)), (3, 1, (8, 20, 24)), (13, 0, (20,)))
+
+    def cases(self):
+        grid = [(c_in, kernel, xs, gs) for c_in in self.C_IN
+                for kernel in self.KERNELS
+                for xs in (False, True) for gs in (False, True)]
+        for i, (c_in, (k, padding, frames), xs, gs) in enumerate(grid):
+            for n in range(1 + i % 26, 131, 26):
+                yield c_in, k, padding, frames, n, xs, gs
+
+    def test_grid_covers_every_agent_count(self):
+        assert {case[4] for case in self.cases()} == set(range(1, 131))
+
+    def test_bit_identical_to_einsum(self):
+        gen = np.random.default_rng(5)
+        for c_in, k, padding, frames, n, xs, gs in self.cases():
+            t = int(gen.choice(frames))
+            c_out = int(gen.choice([2, 5, 8, 20, 24]))
+            x = gen.standard_normal((c_in, t, n))
+            x = ad.leaf(strided(x) if xs else x)
+            kernel = ad.leaf(gen.standard_normal((c_out, c_in, k)))
+            got = ad.conv_time(x, kernel, padding)
+            want = einsum_conv_time(x, kernel, padding)
+            assert_same(got.data, want.data)
+            g = gen.standard_normal(got.shape)
+            g = strided(g) if gs else g
+            for a, b in zip(got.vjp(g), want.vjp(g)):
+                assert_same(a, b)
+
+            # mix_agents sees a conv_time output in the model
+            adj = gen.uniform(0, 1, (got.shape[1], n, n))
+            got_mix = ad.mix_agents(got, adj)
+            assert_same(got_mix.data, einsum_mix_agents(want, adj).data)
+            g = gen.standard_normal(got_mix.shape)
+            g = strided(g) if gs else g
+            assert_same(got_mix.vjp(g)[0],
+                        einsum_mix_agents(want, adj).vjp(g)[0])
+
+    @pytest.mark.parametrize("agents", [1, 2, 5, 12, 40])
+    def test_model_outputs_match_einsum(self, monkeypatch, agents):
+        """Training gradients and losses, and best-of-20 samples, come out
+        as they did with the einsum ops."""
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        window = synthetic.make_window("turn", agents,
+                                       np.random.default_rng(agents))
+
+        def outputs():
+            grads, report = training.window_gradients(
+                m, window, 40, np.random.default_rng(7))
+            samples = evaluation.sample_futures(
+                m, window, np.random.default_rng(11), 20, "full")
+            return [np.array([report.total, report.rec, report.kl]),
+                    samples, *(grads[name] for name in sorted(grads))]
+
+        got = outputs()
+        monkeypatch.setattr(ad, "conv_time", einsum_conv_time)
+        monkeypatch.setattr(ad, "mix_agents", einsum_mix_agents)
+        for a, b in zip(got, outputs()):
+            assert_same(a, b)

@@ -168,6 +168,8 @@ class TestTrainConfigFile:
         ("epochs=2.5", "train.cfg:2: epochs"),
         ("lr_initial=abc", "train.cfg:2: lr_initial"),
         ("val_every=0", "val_every must be >= 1"),
+        ("dropout=-0.5", "dropout must be in [0, 1)"),
+        ("dropout=1.0", "dropout must be in [0, 1)"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stgcvae import graph
 
@@ -71,3 +74,43 @@ class TestNormalize:
         direct = graph.normalized_adjacency(pos[:, perm, :])
         permuted = graph.normalized_adjacency(pos)[:, perm][:, :, perm]
         np.testing.assert_allclose(direct, permuted, atol=1e-12)
+
+
+def per_frame_adjacency(positions):
+    """The per-frame loop adjacency_series replaced: one kernel_adjacency
+    computation per frame, written out as it was."""
+    mats = []
+    for p in positions:
+        dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
+        with np.errstate(divide="ignore"):
+            a = np.where(dist > graph.CO_LOCATION_EPS, 1.0 / dist, 0.0)
+        np.fill_diagonal(a, 0.0)
+        mats.append(a)
+    return np.stack(mats)
+
+
+class TestAdjacencySeries:
+    def test_bit_identical_to_per_frame_loop(self):
+        rng = np.random.default_rng(4)
+        for trial in range(200):
+            pos = rng.uniform(-5, 5, (rng.integers(1, 21),
+                                      rng.integers(1, 13), 2))
+            if trial % 2:  # co-located pairs and exact integer distances
+                pos[:, 0] = pos[:, -1]
+                pos = np.round(pos)
+            got = graph.adjacency_series(pos).matrices
+            assert got.tobytes() == per_frame_adjacency(pos).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 8),
+                                    st.just(2)),
+              elements=st.floats(-50, 50)))
+def test_normalized_adjacency_symmetric_and_contracting(pos):
+    """Any positions, co-located or not: every normalized frame is
+    symmetric with spectral radius at most 1."""
+    normed = graph.normalized_adjacency(pos)
+    np.testing.assert_allclose(normed, np.swapaxes(normed, 1, 2), rtol=0,
+                               atol=1e-12)
+    for m in normed:
+        assert np.max(np.abs(np.linalg.eigvalsh(m))) <= 1 + 1e-12

@@ -47,6 +47,12 @@ class TestInit:
         with pytest.raises(ConfigError):
             model.ModelConfig(prior_blocks=2, recog_blocks=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dropout", -0.5), ("dropout", 1.0), ("noise_std", -0.01)])
+    def test_out_of_range_noise_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            model.ModelConfig(**{field: value})
+
 
 class TestCount:
     def test_empty_store(self):

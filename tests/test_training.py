@@ -262,6 +262,29 @@ class TestCheckpointResume:
         with pytest.raises(FormatError):
             training.restore(path)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("epoch", "abc"), ("step", "1.5"), ("skipped_windows", "-1"),
+        ("best_val_metric", "abc"), ("best_val_metric", "nan"),
+        ("rng_state", "{"),
+    ])
+    def test_corrupt_progress_field_names_sidecar(self, tmp_path, field, bad):
+        m, state, _ = small_setup()
+        path = tmp_path / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        meta = Path(f"{path}.meta")
+        lines = [f"{field}={bad}" if line.startswith(f"{field}=") else line
+                 for line in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"ckpt\.stgc\.meta: {field}"):
+            training.restore(path)
+
+    def test_infinite_best_val_metric_restores(self, tmp_path):
+        m, state, _ = small_setup()
+        path = tmp_path / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        assert "best_val_metric=inf" in Path(f"{path}.meta").read_text()
+        assert training.restore(path)[0].best_val_metric == float("inf")
+
 
 def restore_with_cfg(path):
     return training.restore(path)
