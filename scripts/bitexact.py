@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Byte-for-byte comparison of two trees' numerics.
+
+    PYTHONPATH=<tree>/src python3 scripts/bitexact.py dump OUT.npz
+    python3 scripts/bitexact.py compare A.npz B.npz
+
+`dump` runs the `stgcvae` package found on PYTHONPATH over a fixed grid and
+writes every resulting array to OUT.npz:
+
+- `window_gradients` gradients and loss components for N agents in
+  {1, 2, 3, 5, 12, 40}, every synthetic pattern, feature_scale {1, 4} and
+  epoch {0, 50};
+- best-of-20 `sample_futures` in `latent` and `full` mode at the same N;
+- the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows.
+
+`compare` prints how many arrays differ in shape, dtype or bytes (and which
+names only one side has) and exits 1 if any do. Dump the parent and the
+change with the same numpy build; across builds the bits may differ.
+Needs numpy only; a dump takes a few seconds.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+AGENTS = (1, 2, 3, 5, 12, 40)
+SCALES = (1.0, 4.0)
+EPOCHS = (0, 50)
+
+
+def grid() -> dict:
+    from stgcvae import evaluation, model, synthetic, training
+
+    out = {}
+    for scale in SCALES:
+        m = model.TrajCvae(model.ModelConfig(feature_scale=scale),
+                           rng=np.random.default_rng(3))
+        for n in AGENTS:
+            for pattern in synthetic.PATTERNS:
+                window = synthetic.make_window(pattern, n,
+                                               np.random.default_rng(n))
+                for epoch in EPOCHS:
+                    key = f"grad/s{scale:g}/n{n}/{pattern}/e{epoch}"
+                    grads, report = training.window_gradients(
+                        m, window, epoch, np.random.default_rng(7))
+                    out[f"{key}/loss"] = np.array(
+                        [report.total, report.rec, report.kl])
+                    for name, g in grads.items():
+                        out[f"{key}/{name}"] = g
+            window = synthetic.make_window("turn", n, np.random.default_rng(n))
+            for mode in ("latent", "full"):
+                out[f"sample/s{scale:g}/n{n}/{mode}"] = \
+                    evaluation.sample_futures(m, window,
+                                              np.random.default_rng(11), 20,
+                                              mode)
+
+    m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                       rng=np.random.default_rng(5))
+    windows = synthetic.make_corpus("turn", 3, 6, seed=2)
+    cfg = training.TrainConfig(epochs=4, batch_size=2)
+    state = training.TrainState(params=m.params,
+                                rng=np.random.default_rng(5))
+    for _ in range(cfg.epochs):
+        state = training.train_epoch(state, m, windows, cfg)
+    for name, v in m.params.items():
+        out[f"train/{name}"] = v
+    return out
+
+
+def compare(a_path, b_path) -> int:
+    a, b = np.load(a_path), np.load(b_path)
+    only = sorted(set(a.files) ^ set(b.files))
+    differ = [k for k in sorted(set(a.files) & set(b.files))
+              if a[k].shape != b[k].shape or a[k].dtype != b[k].dtype
+              or a[k].tobytes() != b[k].tobytes()]
+    for k in differ[:20]:
+        print(f"differs: {k}")
+    for k in only[:20]:
+        print(f"only in one file: {k}")
+    print(f"{len(differ)} of {len(set(a.files) & set(b.files))} arrays "
+          f"differ; {len(only)} names in only one file")
+    return 1 if differ or only else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="write the grid's arrays to an .npz")
+    p.add_argument("out")
+    p = sub.add_parser("compare", help="compare two dumps byte for byte")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "compare":
+        return compare(args.a, args.b)
+    arrays = grid()
+    np.savez(args.out, **arrays)
+    print(f"{len(arrays)} arrays -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

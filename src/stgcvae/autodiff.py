@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what the trajectory model needs: matrix products,
-1-D convolution along the time axis, per-frame agent mixing against a
-constant adjacency stack, a small elementwise suite, and the Gaussian
+The op set is exactly what the trajectory model needs: 1-D convolution
+along the time axis, per-frame agent mixing against a constant adjacency
+stack, a small elementwise suite on equal-shape operands, and the Gaussian
 reparameterization trick. The computation record is define-by-run: every
 forward pass builds a fresh graph, so variable agent counts are free.
 
@@ -68,15 +68,6 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __repr__(self):
         return f"Value(shape={self.data.shape}, nid={self.nid})"
 
@@ -86,52 +77,30 @@ def leaf(data) -> Value:
     return Value(data)
 
 
-def _as_value(x) -> Value:
-    if isinstance(x, Value):
-        return x
-    return Value(np.asarray(x, dtype=np.float64))
-
-
 def _check_elementwise(a: Value, b: Value, opname: str):
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if a.data.shape != b.data.shape:
         raise DimensionError(
-            f"{opname}: shapes {a.data.shape} and {b.data.shape} do not match "
-            "(only identical shapes or scalar-vs-tensor broadcast is supported)"
-        )
-
-
-def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
-    # undo scalar-vs-tensor broadcast in the backward pass
-    if grad.shape == tuple(shape):
-        return grad
-    return np.sum(grad).reshape(shape)
+            f"{opname}: shapes {a.data.shape} and {b.data.shape} do not match")
 
 
 # ---------------------------------------------------------------------------
 # elementwise suite
 
 
-def add(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
+def add(a: Value, b: Value) -> Value:
     _check_elementwise(a, b, "add")
-    out = a.data + b.data
-    return Value(out, (a, b),
-                 lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)))
+    return Value(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
+def sub(a: Value, b: Value) -> Value:
     _check_elementwise(a, b, "sub")
-    return Value(a.data - b.data, (a, b),
-                 lambda g: (_reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)))
+    return Value(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
-def mul(a, b) -> Value:
-    a, b = _as_value(a), _as_value(b)
+def mul(a: Value, b: Value) -> Value:
     _check_elementwise(a, b, "mul")
     return Value(a.data * b.data, (a, b),
-                 lambda g: (_reduce_to(g * b.data, a.data.shape),
-                            _reduce_to(g * a.data, b.data.shape)))
+                 lambda g: (g * b.data, g * a.data))
 
 
 def scale(x: Value, c: float) -> Value:
@@ -174,28 +143,20 @@ def clamp(x: Value, lo=None, hi=None) -> Value:
 
 
 def prelu(x: Value, slope: Value) -> Value:
-    """Parametric ReLU. `slope` is a scalar or a per-channel vector matching
-    the leading axis of `x`."""
-    slope = _as_value(slope)
-    if slope.data.ndim == 0:
-        s = slope.data
-    elif slope.data.shape == (x.data.shape[0],):
-        s = slope.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    else:
+    """Parametric ReLU with a per-channel slope vector matching the leading
+    axis of `x`."""
+    if slope.data.shape != (x.data.shape[0],):
         raise DimensionError(
             f"prelu: slope shape {slope.data.shape} incompatible with input "
             f"{x.data.shape}")
+    s = slope.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
     pos = x.data > 0
     out = np.where(pos, x.data, s * x.data)
 
     def vjp(g):
         gx = np.where(pos, g, s * g)
         gs_full = np.where(pos, 0.0, g * x.data)
-        if slope.data.ndim == 0:
-            gs = np.sum(gs_full)
-        else:
-            gs = np.sum(gs_full, axis=tuple(range(1, x.data.ndim)))
-        return gx, np.asarray(gs)
+        return gx, np.sum(gs_full, axis=tuple(range(1, x.data.ndim)))
 
     return Value(out, (x, slope), vjp)
 
@@ -216,16 +177,7 @@ def dropout(x: Value, rate: float, rng: np.random.Generator) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra / convolution
-
-
-def matmul(a: Value, b: Value) -> Value:
-    a, b = _as_value(a), _as_value(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    return Value(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+# convolution and agent mixing
 
 
 def conv_time(x: Value, kernel: Value, padding: int = 0) -> Value:
@@ -284,7 +236,6 @@ def conv_time(x: Value, kernel: Value, padding: int = 0) -> Value:
 
 def add_bias(x: Value, b: Value) -> Value:
     """Add a per-channel bias vector to a (C, ...) tensor."""
-    b = _as_value(b)
     if b.data.shape != (x.data.shape[0],):
         raise DimensionError(
             f"add_bias: bias {b.data.shape} does not match channels of "
@@ -351,20 +302,6 @@ def take_agents(x: Value, index) -> Value:
     return Value(x.data[:, :, index], (x,), vjp)
 
 
-def slice_time(x: Value, start: int, stop: int) -> Value:
-    """Take frames [start, stop) along the time axis of a (C, T, N) tensor."""
-    t = x.data.shape[1]
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop, :] = g
-        return (gx,)
-
-    if not (0 <= start < stop <= t):
-        raise DimensionError(f"slice_time: [{start}, {stop}) out of range T={t}")
-    return Value(x.data[:, start:stop, :], (x,), vjp)
-
-
 def sum_all(x: Value) -> Value:
     shape = x.data.shape
     return Value(np.sum(x.data), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
@@ -396,7 +333,12 @@ def reparameterize(mu: Value, logvar: Value, rng: np.random.Generator) -> Value:
 
 
 class GradientMap:
-    """Gradients keyed by node id; unreached nodes read as zero."""
+    """Gradients keyed by node id; unreached nodes read as zero.
+
+    Every stored gradient is C-contiguous, which the next VJP's BLAS calls
+    rely on for their bits. A returned array may be shared with other nodes'
+    gradients or with a VJP's input, so treat it as read-only.
+    """
 
     def __init__(self, grads: dict):
         self._grads = grads
@@ -442,5 +384,8 @@ def backward(loss: Value) -> GradientMap:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
             acc = grads.get(parent.nid)
-            grads[parent.nid] = pg.copy() if acc is None else acc + pg
+            # C order without a copy where pg has it; accumulation builds
+            # a new array, so sharing pg is safe
+            grads[parent.nid] = np.asarray(pg, order="C") if acc is None \
+                else acc + pg
     return GradientMap(grads)

@@ -150,14 +150,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(ckpt):
-    store, meta = model.load_params(ckpt)
-    cfg = model.config_from_metadata(meta, f"{ckpt}.meta")
-    return model.TrajCvae(cfg, params=store)
-
-
 def cmd_evaluate(args) -> int:
-    m = _load_model(args.ckpt)
+    m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
     if not windows:
         raise StgcvaeError("cache holds no windows")
@@ -174,7 +168,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m = _load_model(args.ckpt)
+    m, _ = model.load_model(args.ckpt)
     rng = np.random.default_rng(0)
     window = synthetic.make_window("const-velocity", args.agents, rng)
     stats = evaluation.benchmark_inference(m, window, repetitions=args.reps)
@@ -186,7 +180,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    m = _load_model(args.ckpt)
+    m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
     if not windows:
         raise StgcvaeError("cache holds no windows")

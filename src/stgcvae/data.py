@@ -315,6 +315,9 @@ def load_windows(path) -> list[SequenceWindow]:
             off += name_len
             windows.append(SequenceWindow(agents, pos, scene=scene,
                                           robot_index=robot_index))
-        return windows
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated ({exc})") from exc
+    if off != len(data):
+        raise FormatError(
+            f"{path}: {len(data) - off} bytes after the last window")
+    return windows

@@ -27,7 +27,9 @@ class DivergenceError(StgcvaeError):
 
 
 class FormatError(StgcvaeError):
-    """A binary file has a bad magic number, version, or is truncated."""
+    """A binary file has a bad magic number or version, is truncated or has
+    bytes after its last record, or a checkpoint's parameters do not match
+    its config."""
 
 
 class ParseError(StgcvaeError):

@@ -45,8 +45,7 @@ class LossReport:
     total_value: ad.Value = None  # traced node, for backward
 
 
-def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray,
-                  frames: slice = slice(None)) -> ad.Value:
+def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray) -> ad.Value:
     """Mean negative log-likelihood of target displacements under the
     predicted per-(agent, frame) bivariate Gaussians.
 
@@ -54,12 +53,12 @@ def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray,
     (2, T, N). sigma = exp(s) with s clamped, rho = tanh(r), and 1 - rho^2
     is floored at 1e-9 before the log and the division.
     """
-    return ad.mean_all(nll_cells(pred, target, frames)[0])
+    return ad.mean_all(nll_cells(pred, target)[0])
 
 
-def nll_cells(pred: BivariateGaussianSeq, target: np.ndarray,
-              frames: slice = slice(None)) -> tuple[ad.Value, np.ndarray]:
-    """Per-cell NLL (1, T', N) of bivariate_nll, and the objective's weight
+def nll_cells(pred: BivariateGaussianSeq,
+              target: np.ndarray) -> tuple[ad.Value, np.ndarray]:
+    """Per-cell NLL (1, T, N) of bivariate_nll, and the objective's weight
     sigma_x * sigma_y / NLL_REF_VAR per cell as a plain array."""
     raw = pred.raw
     target = np.asarray(target, dtype=np.float64)
@@ -67,17 +66,13 @@ def nll_cells(pred: BivariateGaussianSeq, target: np.ndarray,
         raise DimensionError(
             f"bivariate_nll: pred {raw.data.shape} vs target {target.shape}")
 
-    t_total = raw.data.shape[1]
-    start, stop, _ = frames.indices(t_total)
-    sl = lambda v: ad.slice_time(v, start, stop)
+    mu_x, mu_y = _channel(raw, 0), _channel(raw, 1)
+    s_x = ad.clamp(_channel(raw, 2), SIGMA_S_MIN, LOGVAR_MAX)
+    s_y = ad.clamp(_channel(raw, 3), SIGMA_S_MIN, LOGVAR_MAX)
+    rho = ad.tanh(ad.clamp(_channel(raw, 4), -RHO_R_MAX, RHO_R_MAX))
 
-    mu_x, mu_y = sl(_channel(raw, 0)), sl(_channel(raw, 1))
-    s_x = ad.clamp(sl(_channel(raw, 2)), SIGMA_S_MIN, LOGVAR_MAX)
-    s_y = ad.clamp(sl(_channel(raw, 3)), SIGMA_S_MIN, LOGVAR_MAX)
-    rho = ad.tanh(ad.clamp(sl(_channel(raw, 4)), -RHO_R_MAX, RHO_R_MAX))
-
-    tx = ad.Value(target[0:1, start:stop, :])
-    ty = ad.Value(target[1:2, start:stop, :])
+    tx = ad.Value(target[0:1])
+    ty = ad.Value(target[1:2])
 
     inv_sx = ad.exp(ad.neg(s_x))
     inv_sy = ad.exp(ad.neg(s_y))

@@ -454,14 +454,36 @@ def load_params(path) -> tuple[ParamStore, dict]:
             arr = np.frombuffer(blob, dtype=np_dtype, count=size,
                                 offset=off).reshape(shape).astype(np.float64)
             off += size * itemsize
+            if name in store:
+                raise FormatError(f"{path}: parameter {name} appears twice")
             store.add(name, arr)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated ({exc})") from exc
+    if off != len(blob):
+        raise FormatError(
+            f"{path}: {len(blob) - off} bytes after the last entry")
 
     meta_path = Path(f"{path}.meta")
     metadata = {k: v for k, (_, v) in read_key_values(meta_path).items()} \
         if meta_path.exists() else {}
     return store, metadata
+
+
+def load_model(path) -> tuple[TrajCvae, dict]:
+    """The model a checkpoint holds, and its sidecar metadata. The
+    parameters must have the names and shapes that the sidecar's config
+    gives; the first that does not raises FormatError naming the file."""
+    store, meta = load_params(path)
+    config = config_from_metadata(meta, f"{path}.meta")
+    want = {k: v.shape for k, v in
+            init_params(config, np.random.default_rng(0)).items()}
+    got = {k: v.shape for k, v in store.items()}
+    for name in dict.fromkeys([*want, *got]):
+        if got.get(name) != want.get(name):
+            raise FormatError(
+                f"{path}: parameter {name}: {got.get(name, 'absent')} in the "
+                f"file, {want.get(name, 'absent')} for its config")
+    return TrajCvae(config, params=store), meta
 
 
 def read_key_values(path, error=FormatError) -> dict[str, tuple[str, str]]:

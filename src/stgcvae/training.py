@@ -13,8 +13,7 @@ from . import graph, losses
 from .data import SequenceWindow, to_displacements
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
 from .model import (ModelConfig, ParamStore, TrajCvae, build_config,
-                    config_from_metadata, load_params, read_key_values,
-                    save_params)
+                    load_model, read_key_values, save_params)
 
 
 @dataclass
@@ -86,8 +85,9 @@ def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
     TrajCvae.decode) and scored together by losses.total_loss, whose
     best-of-k term trains the prior. Decoded columns do not interact, so
     one agent's samples cost the same at any crowd size. If the gradient's
-    global norm exceeds CLIP_NORM it is scaled down to it; a non-finite
-    gradient is returned as is, for train_epoch to report.
+    global norm exceeds CLIP_NORM it is scaled down to it. A non-finite loss
+    or norm raises DivergenceError naming the first parameter whose value is
+    not finite (or, if every value is, the first whose gradient is not).
 
     Returns (gradients by parameter name, loss report).
     """
@@ -113,26 +113,17 @@ def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
     traced = ad.backward(report.total_value)
     grads = {name: traced.get(leaf) for name, leaf in p.items()}
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if np.isfinite(norm) and norm > CLIP_NORM:
+    if not (np.isfinite(norm) and np.isfinite(report.total)):
+        bad = next((name for name, v in model.params.items()
+                    if not np.all(np.isfinite(v))), None) \
+            or next((name for name, g in grads.items()
+                     if not np.all(np.isfinite(g))), None)
+        raise DivergenceError(
+            f"non-finite loss ({report.total!r}) or gradient norm; "
+            f"first non-finite parameter: {bad}")
+    if norm > CLIP_NORM:
         grads = {name: g * (CLIP_NORM / norm) for name, g in grads.items()}
     return grads, report
-
-
-def _check_finite(model: TrajCvae, report: losses.LossReport, grads: dict,
-                  index: int):
-    """Raise DivergenceError if the loss or a gradient is not finite, naming
-    the window and the first parameter whose value is not finite (or, if
-    every value is, the first whose gradient is not)."""
-    if np.isfinite(report.total) and all(np.all(np.isfinite(g))
-                                         for g in grads.values()):
-        return
-    bad = next((name for name, v in model.params.items()
-                if not np.all(np.isfinite(v))), None) \
-        or next((name for name, g in grads.items()
-                 if not np.all(np.isfinite(g))), None)
-    raise DivergenceError(
-        f"window {index}: non-finite loss ({report.total!r}) or gradient; "
-        f"first non-finite parameter: {bad}")
 
 
 def train_epoch(state: TrainState, model: TrajCvae,
@@ -144,7 +135,8 @@ def train_epoch(state: TrainState, model: TrajCvae,
     param <- param - lr * mean(grad) is applied, and `log` gets the mean
     loss report of the step's windows. Windows with zero agents are
     skipped and counted. state.epoch_report is set to the mean report over
-    the epoch's windows.
+    the epoch's windows. A diverged window raises DivergenceError naming its
+    index (see window_gradients).
     """
     if not windows:
         raise ConfigError("train_epoch: empty window list")
@@ -174,9 +166,11 @@ def train_epoch(state: TrainState, model: TrajCvae,
         if window.n_agents == 0:
             state.skipped_windows += 1
             continue
-        grads, report = window_gradients(model, window, state.epoch,
-                                         state.rng)
-        _check_finite(model, report, grads, int(idx))
+        try:
+            grads, report = window_gradients(model, window, state.epoch,
+                                             state.rng)
+        except DivergenceError as exc:
+            raise DivergenceError(f"window {idx}: {exc}") from None
         for name, g in grads.items():
             acc[name] = acc.get(name, 0.0) + g
         parts.append((report.rec, report.kl))
@@ -251,11 +245,9 @@ def _generator(text: str) -> np.random.Generator:
 
 
 def restore(path) -> tuple[TrainState, TrajCvae]:
-    store, meta = load_params(path)
+    model, meta = load_model(path)
     if "rng_state" not in meta:
         raise FormatError(f"{path}: missing training metadata sidecar")
-    config = config_from_metadata(meta, f"{path}.meta")
-    model = TrajCvae(config, params=store)
 
     def field(name, cast, default=None):
         text = meta.get(name, default)
@@ -265,7 +257,8 @@ def restore(path) -> tuple[TrainState, TrajCvae]:
             raise FormatError(f"{path}.meta: {name}: bad value {text!r}") \
                 from None
 
-    state = TrainState(params=store, rng=field("rng_state", _generator),
+    state = TrainState(params=model.params,
+                       rng=field("rng_state", _generator),
                        epoch=field("epoch", _count, "0"),
                        step=field("step", _count, "0"),
                        best_val_metric=field("best_val_metric", _metric,

@@ -5,11 +5,14 @@ Every differentiable op is checked against central finite differences
 are also checked against the einsum code they replaced.
 """
 
+import collections
+import inspect
+
 import numpy as np
 import pytest
 
 from stgcvae import autodiff as ad
-from stgcvae import evaluation, model, synthetic, training
+from stgcvae import evaluation, losses, model, synthetic, training
 from stgcvae.errors import ContractError, DimensionError, ParameterError
 
 
@@ -59,26 +62,6 @@ def check_op(build, inputs, rel=1e-4, seed=0):
 rng = np.random.default_rng(1234)
 
 
-class TestMatmul:
-    def test_identity(self):
-        m = rng.uniform(-1, 1, (3, 3))
-        out = ad.matmul(ad.leaf(np.eye(3)), ad.leaf(m))
-        np.testing.assert_allclose(out.data, m)
-
-    def test_hand_product(self):
-        out = ad.matmul(ad.leaf([[1, 2], [3, 4]]), ad.leaf([[1], [1]]))
-        np.testing.assert_allclose(out.data, [[3], [7]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
-            ad.matmul(ad.leaf(np.zeros((2, 3))), ad.leaf(np.zeros((2, 3))))
-
-    def test_gradient_vs_finite_diff(self):
-        a = rng.uniform(-1, 1, (4, 3))
-        b = rng.uniform(-1, 1, (3, 5))
-        check_op(ad.matmul, [a, b], rel=1e-6)
-
-
 class TestConvTime:
     def test_unit_kernel_identity(self):
         x = rng.uniform(-1, 1, (1, 6, 2))
@@ -110,8 +93,8 @@ class TestConvTime:
 
 class TestElementwise:
     def test_prelu_negative(self):
-        out = ad.prelu(ad.leaf(-2.0), ad.leaf(0.25))
-        assert out.data == pytest.approx(-0.5)
+        out = ad.prelu(ad.leaf([-2.0, 2.0]), ad.leaf([0.25, 0.5]))
+        np.testing.assert_array_equal(out.data, [-0.5, 2.0])
 
     def test_dropout_rate_zero_identity(self):
         x = rng.uniform(-1, 1, (3, 4))
@@ -138,13 +121,25 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             ad.add(ad.leaf(np.zeros(3)), ad.leaf(np.zeros(4)))
 
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_scalar_against_tensor_rejected(self, op):
+        # operands must have equal shapes; nothing broadcasts
+        with pytest.raises(DimensionError, match=r"\(\) and \(3,\)"):
+            op(ad.leaf(2.0), ad.leaf(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            op(ad.leaf(np.zeros(3)), ad.leaf(2.0))
+
+    def test_prelu_scalar_slope_rejected(self):
+        with pytest.raises(DimensionError, match="slope"):
+            ad.prelu(ad.leaf(np.zeros((3, 4))), ad.leaf(0.25))
+
     @pytest.mark.parametrize("build", [
         lambda x: ad.tanh(x),
         lambda x: ad.exp(ad.scale(x, 0.5)),
         lambda x: ad.mul(x, x),
-        lambda x: ad.prelu(x, ad.leaf(0.25)),
-        lambda x: ad.reciprocal(ad.add(x, ad.leaf(3.0))),
-        lambda x: ad.log(ad.add(ad.mul(x, x), ad.leaf(1.0))),
+        lambda x: ad.prelu(x, ad.leaf(np.full(3, 0.25))),
+        lambda x: ad.reciprocal(ad.add(x, ad.leaf(np.full((3, 4), 3.0)))),
+        lambda x: ad.log(ad.add(ad.mul(x, x), ad.leaf(np.ones((3, 4))))),
     ])
     def test_gradients_vs_finite_diff(self, build):
         x = rng.uniform(-1, 1, (3, 4))
@@ -174,9 +169,11 @@ class TestStructuralOps:
         np.testing.assert_array_equal(out.data, x)
 
     def test_concat_and_slice_gradients(self):
+        # the VJP slices the output gradient back into one per operand
         a = rng.uniform(-1, 1, (2, 4, 3))
         b = rng.uniform(-1, 1, (3, 4, 3))
-        check_op(lambda a, b: ad.slice_time(ad.concat_channels(a, b), 1, 3),
+        w = rng.uniform(-1, 1, (5, 4, 3))
+        check_op(lambda a, b: ad.mul(ad.concat_channels(a, b), ad.Value(w)),
                  [a, b])
 
     def test_agent_axis_ops_gradients(self):
@@ -268,14 +265,16 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
     def test_tanh_linear_net_vs_finite_diff(self):
-        w = rng.uniform(-0.5, 0.5, (4, 3))
-        x = rng.uniform(-1, 1, (3, 2))
-        check_op(lambda w, x: ad.tanh(ad.matmul(w, x)), [w, x], rel=1e-5)
+        # a 1x1 conv_time is a linear map over channels
+        w = rng.uniform(-0.5, 0.5, (4, 3, 1))
+        x = rng.uniform(-1, 1, (3, 2, 2))
+        check_op(lambda w, x: ad.tanh(ad.conv_time(x, w)), [w, x], rel=1e-5)
 
     def test_forward_deterministic(self):
-        x = rng.uniform(-1, 1, (3, 3))
-        a = ad.tanh(ad.matmul(ad.leaf(x), ad.leaf(x))).data
-        b = ad.tanh(ad.matmul(ad.leaf(x), ad.leaf(x))).data
+        x = rng.uniform(-1, 1, (3, 3, 2))
+        w = rng.uniform(-1, 1, (3, 3, 1))
+        a = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w))).data
+        b = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w))).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -298,6 +297,31 @@ class TestNoRecord:
             raise RuntimeError("inside")
         x = ad.leaf(3.0)
         assert ad.backward(ad.mul(x, x)).get(x) == pytest.approx(6.0)
+
+
+def test_every_op_is_used(monkeypatch):
+    """Every public autodiff function runs in a training step, in best-of-K
+    sampling or in bivariate_nll, so an op the model stops using shows up
+    here (the record-keeping functions leaf, no_record and backward aside)."""
+    calls = collections.Counter()
+    ops = [name for name, fn in vars(ad).items() if inspect.isfunction(fn)
+           and fn.__module__ == ad.__name__ and not name.startswith("_")]
+    for name in ops:
+        def counted(*args, _name=name, _fn=getattr(ad, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ad, name, counted)
+
+    m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(0))
+    window = synthetic.make_window("turn", 3, np.random.default_rng(1))
+    training.window_gradients(m, window, 0, np.random.default_rng(2))
+    evaluation.sample_futures(m, window, np.random.default_rng(3), 2)
+    losses.bivariate_nll(model.BivariateGaussianSeq(
+        ad.leaf(np.zeros((5, 4, 3)))), np.zeros((2, 4, 3)))
+
+    assert len(ops) > 20
+    unused = set(ops) - set(calls) - {"leaf", "no_record", "backward"}
+    assert not unused, f"never called: {sorted(unused)}"
 
 
 # ---------------------------------------------------------------------------

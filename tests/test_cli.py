@@ -223,6 +223,26 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "final.stgc.meta: latent_len: expected a finite int" in err
 
+    @pytest.mark.parametrize("corrupt", ["entry_count", "latent_len",
+                                         "trailing_byte"])
+    def test_bad_checkpoint_exits_1_naming_it(self, synth_cache, small_config,
+                                              tmp_path, capsys, corrupt):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        blob = bytearray(ckpt.read_bytes())
+        meta = Path(f"{ckpt}.meta")
+        if corrupt == "entry_count":
+            blob[5] -= 1  # little-endian entry count
+        elif corrupt == "latent_len":
+            meta.write_text(meta.read_text().replace("latent_len=4",
+                                                     "latent_len=5"))
+        else:
+            blob += b"\0"
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(["evaluate", "--ckpt", str(ckpt), "--data",
+                    str(synth_cache), "--k", "2"]) == 1
+        assert f"error: {ckpt}: " in capsys.readouterr().err
+
     def test_report_is_deterministic(self, synth_cache, small_config,
                                      tmp_path, capsys):
         ckpt = train_once(synth_cache, small_config, tmp_path / "run")

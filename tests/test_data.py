@@ -213,3 +213,34 @@ class TestCache:
         p.write_bytes(p.read_bytes()[:-30])
         with pytest.raises(FormatError):
             data.load_windows(p)
+
+    @staticmethod
+    def small_cache(path):
+        data.save_windows(path, [
+            data.SequenceWindow([1, 2], np.zeros((3, 2, 2)), scene="é"),
+            data.SequenceWindow([4], np.ones((2, 1, 2)), scene="s",
+                                robot_index=0)])
+        return path.read_bytes()
+
+    def test_truncated_at_every_byte(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        blob = self.small_cache(p)
+        assert len(data.load_windows(p)) == 2
+        for cut in range(len(blob)):
+            p.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                data.load_windows(p)
+
+    def test_trailing_byte(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        p.write_bytes(self.small_cache(p) + b"\0")
+        with pytest.raises(FormatError, match="cache.stgw: 1 bytes after"):
+            data.load_windows(p)
+
+    def test_window_count_one_short(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        blob = bytearray(self.small_cache(p))
+        blob[5] -= 1  # little-endian window count
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="after the last window"):
+            data.load_windows(p)

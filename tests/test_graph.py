@@ -7,47 +7,61 @@ from hypothesis.extra.numpy import arrays
 from stgcvae import graph
 
 
+def frame(positions):
+    """normalized_adjacency of one frame of (N, 2) positions."""
+    return graph.normalized_adjacency(np.asarray(positions, float)[None])[0]
+
+
+def raw_weights(normed):
+    """The raw inverse-distance weights behind one normalized frame. Its
+    diagonal is 1 / d_i, so a_ij = m_ij / sqrt(m_ii * m_jj) off the
+    diagonal; the diagonal itself reads 0."""
+    d = np.sqrt(np.diag(normed))
+    raw = normed / np.outer(d, d)
+    np.fill_diagonal(raw, 0.0)
+    return raw
+
+
 class TestKernelAdjacency:
     def test_two_agents_two_meters(self):
-        a = graph.kernel_adjacency(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        np.testing.assert_allclose(a, [[0, 0.5], [0.5, 0]])
+        a = frame([[0.0, 0.0], [2.0, 0.0]])
+        # A + I = [[1, .5], [.5, 1]], degrees 1.5
+        np.testing.assert_allclose(a, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
+        np.testing.assert_allclose(raw_weights(a), [[0, 0.5], [0.5, 0]])
 
     def test_single_agent(self):
-        a = graph.kernel_adjacency(np.array([[1.0, 1.0]]))
+        a = frame([[1.0, 1.0]])
         assert a.shape == (1, 1)
-        assert a[0, 0] == 0.0
+        assert a[0, 0] == 1.0
 
     def test_three_agent_hand_distances(self):
-        a = graph.kernel_adjacency(np.array([[0, 0], [1, 0], [0, 1]], float))
+        a = raw_weights(frame([[0, 0], [1, 0], [0, 1]]))
         assert a[0, 1] == pytest.approx(1.0)
         assert a[0, 2] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(1 / np.sqrt(2))
 
     def test_colocated_guard(self):
-        a = graph.kernel_adjacency(np.array([[0, 0], [0, 0]], float))
-        assert np.all(a == 0)
+        # weight 0 between co-located agents: only the self-loops remain
+        a = frame([[0, 0], [0, 0]])
         assert np.all(np.isfinite(a))
+        np.testing.assert_array_equal(a, np.eye(2))
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(-3, 3, (5, 2))
-        a1 = graph.kernel_adjacency(p)
-        a2 = graph.kernel_adjacency(2.5 * p)
+        a1 = raw_weights(frame(p))
+        a2 = raw_weights(frame(2.5 * p))
         np.testing.assert_allclose(a2, a1 / 2.5, atol=1e-12)
 
 
 class TestNormalize:
     def test_single_agent_is_one(self):
-        series = graph.AdjacencySeries(np.zeros((1, 1, 1)))
-        out = graph.normalize(series)
-        np.testing.assert_allclose(out.matrices, [[[1.0]]])
-        assert out.normalized
+        out = graph.normalized_adjacency(np.zeros((3, 1, 2)))
+        np.testing.assert_array_equal(out, np.ones((3, 1, 1)))
 
     def test_two_agent_hand_case(self):
         # a12 = 1: A+I = [[1,1],[1,1]], degrees 2 -> all entries 0.5
-        a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        out = graph.normalize(graph.AdjacencySeries(a))
-        np.testing.assert_allclose(out.matrices[0], 0.5)
+        np.testing.assert_allclose(frame([[0.0, 0.0], [0.0, 1.0]]), 0.5)
 
     def test_spectral_radius_bounded(self):
         rng = np.random.default_rng(1)
@@ -76,16 +90,18 @@ class TestNormalize:
         np.testing.assert_allclose(direct, permuted, atol=1e-12)
 
 
-def per_frame_adjacency(positions):
-    """The per-frame loop adjacency_series replaced: one kernel_adjacency
-    computation per frame, written out as it was."""
+def per_frame_reference(positions):
+    """The per-frame construction normalized_adjacency replaced: the raw
+    inverse-distance frame, then its normalization, one frame at a time."""
     mats = []
     for p in positions:
         dist = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
         with np.errstate(divide="ignore"):
             a = np.where(dist > graph.CO_LOCATION_EPS, 1.0 / dist, 0.0)
         np.fill_diagonal(a, 0.0)
-        mats.append(a)
+        a_hat = a + np.eye(len(a))
+        inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=-1))
+        mats.append(a_hat * inv_sqrt[:, None] * inv_sqrt[None, :])
     return np.stack(mats)
 
 
@@ -98,8 +114,8 @@ class TestAdjacencySeries:
             if trial % 2:  # co-located pairs and exact integer distances
                 pos[:, 0] = pos[:, -1]
                 pos = np.round(pos)
-            got = graph.adjacency_series(pos).matrices
-            assert got.tobytes() == per_frame_adjacency(pos).tobytes()
+            got = graph.normalized_adjacency(pos)
+            assert got.tobytes() == per_frame_reference(pos).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

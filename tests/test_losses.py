@@ -59,15 +59,6 @@ class TestBivariateNll:
             assert ours == pytest.approx(dense_nll_oracle(raw, target),
                                          abs=1e-10)
 
-    def test_frame_slice(self):
-        rng = np.random.default_rng(1)
-        raw = rng.uniform(-1, 1, (5, 20, 2))
-        target = rng.uniform(-1, 1, (2, 20, 2))
-        sliced = float(losses.bivariate_nll(
-            BivariateGaussianSeq(ad.leaf(raw)), target, slice(8, 20)).data)
-        oracle = dense_nll_oracle(raw[:, 8:20], target[:, 8:20])
-        assert sliced == pytest.approx(oracle, abs=1e-10)
-
     def test_degenerate_channels_are_clamped(self):
         # raw s far below the floor / raw r far past the cap should behave
         # exactly like the clamped values: the oracle sees the clipped raw

@@ -269,6 +269,41 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model.load_params(p)
 
+    @staticmethod
+    def tiny_checkpoint(path):
+        store = model.ParamStore()
+        store.add("a", np.arange(6.0).reshape(2, 3))
+        store.add("scalar", np.array(1.5))
+        store.add("ünï", np.ones(1))
+        model.save_params(path, store)
+        return path.read_bytes()
+
+    def test_truncated_at_every_byte(self, tmp_path):
+        p = tmp_path / "x.stgc"
+        blob = self.tiny_checkpoint(p)
+        model.load_params(p)
+        for cut in range(len(blob)):
+            p.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                model.load_params(p)
+
+    def test_trailing_byte(self, tmp_path):
+        p = tmp_path / "x.stgc"
+        p.write_bytes(self.tiny_checkpoint(p) + b"\0")
+        with pytest.raises(FormatError, match="x.stgc: 1 bytes after"):
+            model.load_params(p)
+
+    def test_repeated_name(self, tmp_path):
+        store = model.ParamStore()
+        store.add("a", np.zeros(2))
+        store.add("b", np.ones(2))
+        p = tmp_path / "x.stgc"
+        model.save_params(p, store)
+        # rename entry b to a: name length (u16) then the name
+        p.write_bytes(p.read_bytes().replace(b"\x01\x00b", b"\x01\x00a"))
+        with pytest.raises(FormatError, match="x.stgc: parameter a appears"):
+            model.load_params(p)
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
                                                     monkeypatch):
         old = model.init_params(SMALL, np.random.default_rng(0))
@@ -294,3 +329,54 @@ class TestCheckpoint:
         assert meta["epoch"] == "1"
         for n in old.names():
             np.testing.assert_array_equal(loaded[n], old[n])
+
+
+class TestLoadModel:
+    META = {"latent_len": 3, "embed_channels": 4, "epoch": 7}
+
+    def save(self, tmp_path, store=None, **meta):
+        store = store or model.init_params(SMALL, np.random.default_rng(0))
+        path = tmp_path / "model.stgc"
+        model.save_params(path, store, metadata={**self.META, **meta},
+                          dtype="f8")
+        return path, store
+
+    def test_roundtrip(self, tmp_path):
+        path, store = self.save(tmp_path)
+        m, meta = model.load_model(path)
+        assert m.config == SMALL and meta["epoch"] == "7"
+        assert m.params.names() == store.names()
+        for n in store.names():
+            np.testing.assert_array_equal(m.params[n], store[n])
+
+    def test_entry_count_one_short(self, tmp_path):
+        path, _ = self.save(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[5] -= 1  # little-endian entry count
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="model.stgc: .*after the last"):
+            model.load_model(path)
+
+    def test_missing_parameter_named(self, tmp_path):
+        full = model.init_params(SMALL, np.random.default_rng(0))
+        store = model.ParamStore()
+        for name, v in list(full.items())[:-1]:
+            store.add(name, v)
+        path, _ = self.save(tmp_path, store)
+        with pytest.raises(FormatError,
+                           match=r"model\.stgc: parameter dec\.out\.b: absent"):
+            model.load_model(path)
+
+    def test_extra_parameter_named(self, tmp_path):
+        store = model.init_params(SMALL, np.random.default_rng(0))
+        store.add("stray", np.zeros(2))
+        path, _ = self.save(tmp_path, store)
+        with pytest.raises(FormatError, match="parameter stray: "):
+            model.load_model(path)
+
+    def test_sidecar_latent_len_mismatch(self, tmp_path):
+        path, _ = self.save(tmp_path, latent_len=5)
+        with pytest.raises(FormatError,
+                           match=r"parameter prior\.head\.mu\.w: \(3, 4, 1\) "
+                                 r"in the file, \(5, 4, 1\)"):
+            model.load_model(path)

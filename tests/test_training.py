@@ -191,6 +191,28 @@ class TestTrainEpoch:
                 np.errstate(invalid="ignore", over="ignore"):
             training.train_epoch(state, m, windows, cfg)
 
+    def test_window_gradients_names_non_finite_parameter(self):
+        m, _, windows = small_setup(n_windows=1)
+        bad = m.params["recog.head.mu.b"].copy()
+        bad[0] = np.nan
+        m.params["recog.head.mu.b"] = bad
+        with pytest.raises(DivergenceError, match=r"recog\.head\.mu\.b"), \
+                np.errstate(invalid="ignore", over="ignore"):
+            training.window_gradients(m, windows[0], 0,
+                                      np.random.default_rng(0))
+
+    @pytest.mark.parametrize("agents", [1, 3])
+    def test_gradients_are_c_contiguous(self, agents):
+        # the next VJP's BLAS bits depend on the layout of its gradient
+        m, _, _ = small_setup()
+        window = synthetic.make_window("turn", agents,
+                                       np.random.default_rng(agents))
+        grads, _ = training.window_gradients(m, window, 0,
+                                             np.random.default_rng(1))
+        norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+        assert norm < training.CLIP_NORM  # as backward returned them
+        assert all(g.flags.c_contiguous for g in grads.values())
+
     def test_gradient_norm_is_clipped(self, monkeypatch):
         monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
         m, _, windows = small_setup(n_windows=1)
@@ -260,6 +282,17 @@ class TestCheckpointResume:
         training.checkpoint(state, m, path)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(FormatError):
+            training.restore(path)
+
+    def test_sidecar_config_must_match_parameters(self, tmp_path):
+        m, state, _ = small_setup()
+        path = tmp_path / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        meta = Path(f"{path}.meta")
+        meta.write_text(meta.read_text().replace("latent_len=4",
+                                                 "latent_len=5"))
+        with pytest.raises(FormatError,
+                           match=r"ckpt\.stgc: parameter prior\.head\.mu\.w"):
             training.restore(path)
 
     @pytest.mark.parametrize("field, bad", [
