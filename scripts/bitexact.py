@@ -13,8 +13,9 @@ writes every resulting array to OUT.npz:
 - best-of-20 `sample_futures` in `latent` and `full` mode at the same N;
 - the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows.
 
-`compare` prints how many arrays differ in shape, dtype or bytes (and which
-names only one side has) and exits 1 if any do. Dump the parent and the
+`compare` prints how many arrays differ in shape, dtype or bytes, each
+one's maximum relative difference (and the largest), and which names only
+one side has; it exits 1 if any array differs. Dump the parent and the
 change with the same numpy build; across builds the bits may differ.
 Needs numpy only; a dump takes a few seconds.
 """
@@ -74,13 +75,28 @@ def compare(a_path, b_path) -> int:
     differ = [k for k in sorted(set(a.files) & set(b.files))
               if a[k].shape != b[k].shape or a[k].dtype != b[k].dtype
               or a[k].tobytes() != b[k].tobytes()]
+    rel = {k: relative_difference(a[k], b[k]) for k in differ}
     for k in differ[:20]:
-        print(f"differs: {k}")
+        print(f"differs: {k} (max relative difference {rel[k]:.3g})")
     for k in only[:20]:
         print(f"only in one file: {k}")
+    worst = f"; max relative difference {max(rel.values()):.3g}" if rel \
+        else ""
     print(f"{len(differ)} of {len(set(a.files) & set(b.files))} arrays "
-          f"differ; {len(only)} names in only one file")
+          f"differ{worst}; {len(only)} names in only one file")
     return 1 if differ or only else 0
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max(|a|, |b|) over the entries, 0 where they are
+    equal (or both NaN); inf for arrays of different shapes."""
+    if a.shape != b.shape:
+        return float("inf")
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.where(same, 0.0, rel), initial=0.0))
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data, evaluation, losses, model, synthetic, training
-from .errors import StgcvaeError
+from .errors import ParameterError, StgcvaeError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +168,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    for flag in ("agents", "reps"):
+        if getattr(args, flag) < 1:
+            raise ParameterError(
+                f"--{flag} must be >= 1, got {getattr(args, flag)}")
     m, _ = model.load_model(args.ckpt)
     rng = np.random.default_rng(0)
     window = synthetic.make_window("const-velocity", args.agents, rng)

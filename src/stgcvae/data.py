@@ -255,7 +255,8 @@ def to_displacements(positions: np.ndarray) -> DisplacementTensor:
 
 
 def to_absolute(disp: DisplacementTensor) -> np.ndarray:
-    """Exact inverse of to_displacements: cumulative sum from the origin."""
+    """Inverse of to_displacements, up to the rounding of the cumulative
+    sum from the origin."""
     steps = np.transpose(disp.values, (1, 2, 0))  # (T, N, 2)
     return disp.origin[None, :, :] + np.cumsum(steps, axis=0)
 

@@ -41,5 +41,10 @@ class MissingTruthError(StgcvaeError):
     future frames of an infer-mode cache; the message names the window."""
 
 
+class EmptyWindowError(StgcvaeError):
+    """A window to be sampled or scored holds no agents; the message names
+    the window."""
+
+
 class IntegrityError(StgcvaeError):
     """Input data violates a structural invariant (e.g. duplicate rows)."""

@@ -11,7 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from . import graph
 from .data import SequenceWindow, to_displacements
-from .errors import DimensionError, MissingTruthError, ParameterError
+from .errors import (DimensionError, EmptyWindowError, MissingTruthError,
+                     ParameterError)
 from .model import TrajCvae
 
 
@@ -98,6 +99,8 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
         raise ParameterError(f"unknown sample mode {sample_mode!r}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    if window.n_agents == 0:
+        raise EmptyWindowError("sample_futures: the window has no agents")
     cfg = model.config
     obs_len, pred_len = cfg.obs_len, cfg.seq_len - cfg.obs_len
     obs_pos = window.positions[:obs_len]
@@ -213,13 +216,15 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
                      with_latency: bool = False) -> EvalReport:
     """Mean per-window best-of-k ADE/FDE with a per-scene breakdown.
 
-    Every window must hold finite positions at all its frames, or
+    Every window must hold at least one agent, or EmptyWindowError names
+    the first that does not, and finite positions at all its frames, or
     MissingTruthError names the first that does not. Each window gets its
     own rng stream derived from (seed, index), so the report is
     reproducible regardless of evaluation order (unless with_latency).
     """
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")
+    _require_agents(windows)
     bad = next((i for i, w in enumerate(windows)
                 if not np.all(np.isfinite(w.positions))), None)
     if bad is not None:
@@ -250,11 +255,21 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         param_count=model.count_params())
 
 
+def _require_agents(windows: list[SequenceWindow]) -> None:
+    empty = next((i for i, w in enumerate(windows) if w.n_agents == 0), None)
+    if empty is not None:
+        raise EmptyWindowError(
+            f"window {empty} (scene {windows[empty].scene!r}) has no agents, "
+            "so there is nothing to sample")
+
+
 def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
                        k: int = 20, seed: int = 0,
                        sample_mode: str = "latent") -> None:
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
-    per window: window_id,agent_id,frame,sample_id,x,y."""
+    per window: window_id,agent_id,frame,sample_id,x,y. A window without
+    agents raises EmptyWindowError naming it, before anything is written."""
+    _require_agents(windows)
     obs_len = model.config.obs_len
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     with open(path, "w") as fh:

@@ -102,17 +102,20 @@ def _channel(x: ad.Value, i: int) -> ad.Value:
 def kl_diag_gaussians(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
     """KL(q || p) for diagonal Gaussians, summed over latent channels and
     time, then averaged over agents."""
+    return ad.scale(ad.sum_all(kl_cells(q, p)), 1.0 / q.mu.data.shape[-1])
+
+
+def kl_cells(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
+    """KL(q || p) of each latent entry (L, T, N), for kl_diag_gaussians."""
     if q.mu.data.shape != p.mu.data.shape:
         raise DimensionError(
             f"kl_diag_gaussians: q {q.mu.data.shape} vs p {p.mu.data.shape}")
-    n_agents = q.mu.data.shape[-1]
     var_ratio = ad.exp(ad.sub(q.logvar, p.logvar))
     dmu = ad.sub(q.mu, p.mu)
     mahal = ad.mul(ad.mul(dmu, dmu), ad.exp(ad.neg(p.logvar)))
-    per_elem = ad.scale(
+    return ad.scale(
         ad.sub(ad.add(ad.sub(p.logvar, q.logvar), ad.add(var_ratio, mahal)),
                ad.Value(np.ones_like(q.mu.data))), 0.5)
-    return ad.scale(ad.sum_all(per_elem), 1.0 / n_agents)
 
 
 def anneal_weight(epoch: int, slope: float = ANNEAL_SLOPE,
@@ -139,23 +142,59 @@ def total_loss(pred: BivariateGaussianSeq, target: np.ndarray,
     training signal is the KL at weight w_kl <= 0.005, so under plain SGD
     it stays near its initialization, and best-of-K evaluation samples an
     untrained distribution.
+
+    This is the one-window case of window_losses.
     """
+    agents = pred.data.shape[2] - prior_samples
+    objective, (report,) = window_losses(pred, target, q, p, epoch, [agents],
+                                         prior_samples)
+    report.total_value = objective
+    return report
+
+
+def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
+                  q: LatentGaussian, p: LatentGaussian, epoch: int,
+                  agents: list[int], prior_samples: int = 0
+                  ) -> tuple[ad.Value, list[LossReport]]:
+    """total_loss of several windows stacked along the agent axis.
+
+    Window w has agents[w] latent columns in q and p, and agents[w] +
+    prior_samples columns in pred and target, laid out as total_loss
+    expects; each window's columns follow the previous window's. Returns
+    the traced sum of the windows' objectives (whose gradient is the sum of
+    their gradients, since the columns of different windows do not
+    interact) and one report per window, without total_value.
+    """
+    if sum(agents) != q.mu.data.shape[2] or \
+            sum(agents) + len(agents) * prior_samples != pred.data.shape[2]:
+        raise DimensionError(
+            f"window_losses: {agents} agents and {prior_samples} prior "
+            f"samples per window vs {q.mu.data.shape[2]} latent and "
+            f"{pred.data.shape[2]} decoded columns")
     cells, weight = nll_cells(pred, target)
-    t, columns = cells.data.shape[1:]
-    n = columns - prior_samples
-    rec = float(np.sum(cells.data[:, :, :n])) * (1.0 / (t * n))
-    kl = kl_diag_gaussians(q, p)
+    kl = kl_cells(q, p)
+    t = cells.data.shape[1]
     w = anneal_weight(epoch)
     mask = np.zeros(cells.data.shape)
-    mask[:, :, :n] = 1.0 / (t * n)
-    if prior_samples:
-        best = n + int(np.argmin(cells.data[0, :, n:].mean(axis=0)))
-        mask[:, :, best] = 1.0 / t
+    kl_mask = np.zeros(kl.data.shape)
+    reports = []
+    col = row = 0  # first column of the window in pred and in q
+    for n in agents:
+        rec = float(np.sum(cells.data[:, :, col:col + n])) * (1.0 / (t * n))
+        kl_w = float(np.sum(kl.data[:, :, row:row + n])) * (1.0 / n)
+        mask[:, :, col:col + n] = 1.0 / (t * n)
+        kl_mask[:, :, row:row + n] = w * (1.0 / n)
+        if prior_samples:
+            samples = cells.data[0, :, col + n:col + n + prior_samples]
+            best = col + n + int(np.argmin(samples.mean(axis=0)))
+            mask[:, :, best] = 1.0 / t
+        reports.append(LossReport(total=rec + w * kl_w, rec=rec, kl=kl_w,
+                                  weight=w, epoch=epoch))
+        col += n + prior_samples
+        row += n
     objective = ad.add(ad.sum_all(ad.mul(cells, ad.Value(mask * weight))),
-                       ad.scale(kl, w))
-    return LossReport(total=rec + w * float(kl.data), rec=rec,
-                      kl=float(kl.data), weight=w, epoch=epoch,
-                      total_value=objective)
+                       ad.sum_all(ad.mul(kl, ad.Value(kl_mask))))
+    return objective, reports
 
 
 class MetricsLog:

@@ -210,61 +210,93 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
 # building blocks
 
 
-def _gcn(v, adj, params, name):
+# `segments`, where a function takes it, gives the bounds of each window's
+# agent columns when several windows are stacked along the agent axis, so
+# that every parameter gradient comes out per window (see autodiff's
+# segments); None treats all columns as one window.
+
+
+def _layer(v, params, name, padding=0, segments=None):
+    """Convolution plus bias, with the parameters `name`.w and `name`.b."""
+    return ad.add_bias(ad.conv_time(v, params[name + ".w"], padding=padding,
+                                    segments=segments),
+                       params[name + ".b"], segments)
+
+
+def _gcn(v, adj, params, name, segments=None):
     """Per-frame graph convolution: channel mix, agent mix, prelu."""
-    h = ad.add_bias(ad.conv_time(v, params[name + ".w"]), params[name + ".b"])
-    h = ad.mix_agents(h, adj)
-    return ad.prelu(h, params[name + ".slope"])
+    h = ad.mix_agents(_layer(v, params, name, segments=segments), adj)
+    return ad.prelu(h, params[name + ".slope"], segments)
 
 
-def _tcn(v, params, name, padding):
-    h = ad.add_bias(ad.conv_time(v, params[name + ".w"], padding=padding),
-                    params[name + ".b"])
-    return ad.prelu(h, params[name + ".slope"])
+def _tcn(v, params, name, padding, segments=None):
+    h = _layer(v, params, name, padding, segments)
+    return ad.prelu(h, params[name + ".slope"], segments)
 
 
-def _txp(v, params, name):
+def _txp(v, params, name, segments=None):
     """Time-extrapolating convolution: time treated as the channel axis."""
-    h = ad.transpose_ct(v)
-    h = ad.add_bias(ad.conv_time(h, params[name + ".w"], padding=1),
-                    params[name + ".b"])
-    h = ad.transpose_ct(h)
-    return ad.prelu(h, params[name + ".slope"])
+    h = ad.transpose_ct(_layer(ad.transpose_ct(v), params, name, 1, segments))
+    return ad.prelu(h, params[name + ".slope"], segments)
+
+
+def _block_kernels(blocks: int, tcn_kernel: int,
+                   last_tcn_kernel: int) -> list[tuple[int, int]]:
+    """(width, padding) of each block's TCN in stgcnn_embed. A TCN of width
+    tcn_kernel is padded to keep the frame count (for an odd width)."""
+    widths = [tcn_kernel] * (blocks - 1) + [last_tcn_kernel]
+    return [(w, (tcn_kernel - 1) // 2 if w == tcn_kernel else 0)
+            for w in widths]
 
 
 def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
                  blocks: int, tcn_kernel: int, last_tcn_kernel: int,
-                 dropout_rate: float = 0.0,
-                 rng: np.random.Generator | None = None) -> ad.Value:
+                 dropout=(), segments=None) -> ad.Value:
     """Alternating GCN / TCN blocks with identity residuals.
 
     A residual connects block input to block output whenever shapes match
     (i.e. from the second block on, when the time length is preserved).
+    `dropout` holds each block's dropout factors (see
+    autodiff.dropout_factor), or is empty for no dropout.
     """
     if v.data.shape[1] != adj.shape[0]:
         raise DimensionError(
             f"stgcnn_embed: {v.data.shape[1]} frames vs adjacency "
             f"{adj.shape[0]} frames")
     h = v
-    for i in range(blocks):
+    kernels = _block_kernels(blocks, tcn_kernel, last_tcn_kernel)
+    for i, (_, padding) in enumerate(kernels):
         block_in = h
-        h = _gcn(h, adj, params, f"{prefix}.block{i}.gcn")
-        width = last_tcn_kernel if i == blocks - 1 else tcn_kernel
-        padding = (tcn_kernel - 1) // 2 if width == tcn_kernel else 0
-        h = _tcn(h, params, f"{prefix}.block{i}.tcn", padding)
+        h = _gcn(h, adj, params, f"{prefix}.block{i}.gcn", segments)
+        h = _tcn(h, params, f"{prefix}.block{i}.tcn", padding, segments)
         if h.data.shape == block_in.data.shape:
             h = ad.add(h, block_in)
-        if dropout_rate > 0.0 and rng is not None:
-            h = ad.dropout(h, dropout_rate, rng)
+        if dropout:
+            h = ad.dropout(h, dropout[i])
     return h
 
 
-def _heads(embed, params, prefix):
-    mu = ad.add_bias(ad.conv_time(embed, params[prefix + ".head.mu.w"]),
-                     params[prefix + ".head.mu.b"])
-    logvar = ad.add_bias(ad.conv_time(embed, params[prefix + ".head.logvar.w"]),
-                         params[prefix + ".head.logvar.b"])
+def _heads(embed, params, prefix, segments=None):
+    mu = _layer(embed, params, prefix + ".head.mu", segments=segments)
+    logvar = _layer(embed, params, prefix + ".head.logvar", segments=segments)
     return mu, ad.clamp(logvar, LOGVAR_MIN, LOGVAR_MAX)
+
+
+@dataclass
+class RecogNoise:
+    """The random arrays of a training-mode recognition pass, drawn before
+    it runs: each embedding block's dropout factors (none at dropout 0),
+    then the noise added to the posterior mean. Agent columns last."""
+    dropout: list[np.ndarray]
+    mu: np.ndarray
+
+    @staticmethod
+    def stack(parts: list["RecogNoise"]) -> "RecogNoise":
+        """The noise of windows stacked along the agent axis, in order."""
+        return RecogNoise(
+            [np.concatenate(f, axis=2) for f in zip(*(p.dropout
+                                                      for p in parts))],
+            np.concatenate([p.mu for p in parts], axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +316,23 @@ class TrajCvae:
     def traced_params(self) -> dict[str, ad.Value]:
         return self.params.traced()
 
+    def recog_noise(self, n: int, rng: np.random.Generator) -> RecogNoise:
+        """Draw the noise of a training-mode recognition pass over n agents,
+        in the order the pass applies it."""
+        cfg = self.config
+        t = cfg.seq_len
+        factors = []
+        for width, padding in _block_kernels(
+                cfg.recog_blocks, cfg.tcn_kernel, cfg.reduce_kernel):
+            t += 2 * padding - width + 1
+            if cfg.dropout > 0.0:
+                factors.append(ad.dropout_factor(
+                    (cfg.embed_channels, t, n), cfg.dropout, rng))
+        mu = rng.standard_normal((cfg.latent_len, t, n)) * cfg.noise_std
+        return RecogNoise(factors, mu)
+
     def prior_forward(self, p: dict, v_obs: ad.Value,
-                      a_obs: np.ndarray) -> LatentGaussian:
+                      a_obs: np.ndarray, segments=None) -> LatentGaussian:
         """Latent Gaussian over z given the 8 observed frames.
 
         v_obs: (2, obs_len, N) displacement features, a_obs: (obs_len, N, N).
@@ -296,38 +343,43 @@ class TrajCvae:
                 f"prior_forward: expected {cfg.obs_len} frames, got "
                 f"{v_obs.data.shape[1]}")
         embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks,
-                             cfg.tcn_kernel, cfg.tcn_kernel)
-        return LatentGaussian(*_heads(embed, p, "prior"))
+                             cfg.tcn_kernel, cfg.tcn_kernel,
+                             segments=segments)
+        return LatentGaussian(*_heads(embed, p, "prior", segments))
 
     def recog_forward(self, p: dict, v_full: ad.Value, a_full: np.ndarray,
                       train: bool = False,
-                      rng: np.random.Generator | None = None) -> LatentGaussian:
+                      rng: np.random.Generator | None = None,
+                      noise: RecogNoise | None = None,
+                      segments=None) -> LatentGaussian:
         """Approximate posterior over z from all 20 frames.
 
         The final TCN uses a stride-free kernel of length seq-obs+1, so
         the latent lands on the same 8-frame grid as the prior. In train
         mode dropout acts inside the embedding and small Gaussian noise
-        is added to mu.
+        is added to mu: `noise`, or drawn from `rng` by recog_noise.
         """
         cfg = self.config
         if v_full.data.shape[1] != cfg.seq_len:
             raise DimensionError(
                 f"recog_forward: expected {cfg.seq_len} frames, got "
                 f"{v_full.data.shape[1]}")
-        if train and rng is None:
-            raise ConfigError("recog_forward: train mode needs an rng")
+        if train and noise is None:
+            if rng is None:
+                raise ConfigError("recog_forward: train mode needs an rng")
+            noise = self.recog_noise(v_full.data.shape[2], rng)
         embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks,
                              cfg.tcn_kernel, cfg.reduce_kernel,
-                             dropout_rate=cfg.dropout if train else 0.0,
-                             rng=rng)
-        mu, logvar = _heads(embed, p, "recog")
+                             dropout=noise.dropout if train else (),
+                             segments=segments)
+        mu, logvar = _heads(embed, p, "recog", segments)
         if train:
-            noise = rng.standard_normal(mu.data.shape) * cfg.noise_std
-            mu = ad.add(mu, ad.Value(noise))
+            mu = ad.add(mu, ad.Value(noise.mu))
         return LatentGaussian(mu, logvar)
 
     def decode(self, p: dict, z: ad.Value, v_obs: ad.Value,
-               a_obs: np.ndarray, agents=None) -> BivariateGaussianSeq:
+               a_obs: np.ndarray, agents=None,
+               segments=None) -> BivariateGaussianSeq:
         """Cascade-fuse the observed graph with the latent transition and
         extrapolate to the full 20-frame bivariate Gaussian sequence.
 
@@ -339,7 +391,9 @@ class TrajCvae:
         j belongs to agent agents[j] and the output has one column per
         latent column. Only the observed branch mixes agents; it is computed
         once and gathered, so several latent samples of the same agents
-        decode in one pass, each exactly as it would alone.
+        decode in one pass, each exactly as it would alone. `segments`, if
+        given, is a pair: the segments of the observation's columns, then
+        of z's.
         """
         cfg = self.config
         n = v_obs.data.shape[2]
@@ -355,30 +409,22 @@ class TrajCvae:
                 f"decode: z shape {z.data.shape} != "
                 f"({cfg.latent_len}, {cfg.obs_len}, N)")
 
-        obs = ad.add_bias(ad.conv_time(v_obs, p["dec.obs_embed.w"]),
-                          p["dec.obs_embed.b"])
-        obs = ad.mix_agents(obs, a_obs)
-        obs = ad.prelu(obs, p["dec.obs_embed.slope"])
+        obs_seg, z_seg = segments or (None, None)
+        obs = _gcn(v_obs, a_obs, p, "dec.obs_embed", obs_seg)
         if agents is not None:
             obs = ad.take_agents(obs, cols)
 
-        zre = ad.add_bias(ad.conv_time(z, p["dec.z_embed.w"], padding=1),
-                          p["dec.z_embed.b"])
-        zre = ad.prelu(zre, p["dec.z_embed.slope"])
+        zre = _tcn(z, p, "dec.z_embed", 1, z_seg)
+        fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0, z_seg)
 
-        fused = ad.concat_channels(obs, zre)
-        fused = ad.add_bias(ad.conv_time(fused, p["dec.fuse.w"]),
-                            p["dec.fuse.b"])
-        fused = ad.prelu(fused, p["dec.fuse.slope"])
-
-        h = _txp(fused, p, "dec.txp1")            # time obs_len -> seq_len
-        z_skip = _txp(zre, p, "dec.txp1")         # same extrapolation kernel
+        h = _txp(fused, p, "dec.txp1", z_seg)     # time obs_len -> seq_len
+        z_skip = _txp(zre, p, "dec.txp1", z_seg)  # same extrapolation kernel
         h = ad.add(h, z_skip)
 
-        h2 = _txp(h, p, "dec.txp2")               # refine at seq_len
+        h2 = _txp(h, p, "dec.txp2", z_seg)        # refine at seq_len
         h = ad.add(h2, h)
 
-        raw = ad.add_bias(ad.conv_time(h, p["dec.out.w"]), p["dec.out.b"])
+        raw = _layer(h, p, "dec.out", segments=z_seg)
         return BivariateGaussianSeq(raw)
 
     def count_params(self) -> int:

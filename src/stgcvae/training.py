@@ -12,8 +12,8 @@ from . import autodiff as ad
 from . import graph, losses
 from .data import SequenceWindow, to_displacements
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
-from .model import (ModelConfig, ParamStore, TrajCvae, build_config,
-                    load_model, read_key_values, save_params)
+from .model import (ModelConfig, ParamStore, RecogNoise, TrajCvae,
+                    build_config, load_model, read_key_values, save_params)
 
 
 @dataclass
@@ -73,57 +73,144 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 PRIOR_SAMPLES = 8   # best-of-k prior decodes per window
 CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
+# Decoded columns per training pass: windows share one computation record
+# while their sum of n + PRIOR_SAMPLES stays within this (see train_epoch).
+# The record takes about 0.2 MiB per column. A pass costs about the same
+# for 1 to 6 agents, so wider chunks train faster, but the record sets the
+# train job's peak memory: over 8 rounds of the benchmark's train-small
+# jobs (1-6 agents) in one process, 32, 36 and 40 columns reached 46.7,
+# 47.2 and 48.1 MiB of peak RSS, and one window per pass 48.1 MiB (numpy
+# 2.4.6). Every window adds at least 9 columns, so a window of 20 or more
+# agents always runs alone.
+TRAIN_COLUMNS = 36
 
 
 def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
                      rng: np.random.Generator
                      ) -> tuple[dict, losses.LossReport]:
-    """One forward/backward pass over a single training window.
-
-    The posterior sample of every agent and PRIOR_SAMPLES prior samples of
-    one randomly chosen agent are decoded in a single pass (see
-    TrajCvae.decode) and scored together by losses.total_loss, whose
-    best-of-k term trains the prior. Decoded columns do not interact, so
-    one agent's samples cost the same at any crowd size. If the gradient's
-    global norm exceeds CLIP_NORM it is scaled down to it. A non-finite loss
-    or norm raises DivergenceError naming the first parameter whose value is
-    not finite (or, if every value is, the first whose gradient is not).
+    """One forward/backward pass over a single training window: the
+    one-window case of chunk_gradients.
 
     Returns (gradients by parameter name, loss report).
     """
-    disp = to_displacements(window.positions)
-    adj = graph.normalized_adjacency(window.positions)
-    obs = model.config.obs_len
-    scaled = disp.values * model.config.feature_scale
-    n = window.n_agents
+    return chunk_gradients(model, [window], epoch, rng)[0]
 
+
+def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
+                    epoch: int, rng: np.random.Generator, labels=None
+                    ) -> list[tuple[dict, losses.LossReport]]:
+    """One forward/backward pass over windows stacked along the agent axis;
+    (gradients by parameter name, loss report) of each window, in order.
+
+    The posterior sample of every agent and PRIOR_SAMPLES prior samples of
+    one randomly chosen agent are decoded in a single pass (see
+    TrajCvae.decode) and scored together by losses.window_losses, whose
+    best-of-k term trains the prior. Decoded columns do not interact, so
+    one agent's samples cost the same at any crowd size. Windows interact
+    only through the block-diagonal adjacency, i.e. not at all, and every
+    parameter gradient is taken per window (autodiff's segments). A
+    one-window chunk passes no segments, and so runs the same ops as the
+    model's single-window API.
+
+    Each window draws its random arrays before the pass, in the order of
+    passes over one window at a time: recognition dropout and noise
+    (TrajCvae.recog_noise), the picked agent, then the latent noise. So a
+    chunk gives each window's gradient as its own pass would, up to
+    rounding, and a one-window chunk gives it with the same bits.
+
+    A window whose gradient has a global norm above CLIP_NORM is scaled
+    down to it. A non-finite loss or norm raises DivergenceError naming the
+    window (as `window {labels[i]}: `, given labels) and the first parameter
+    whose value is not finite (or, if every value is, the first whose
+    gradient is not).
+    """
+    draws = []
+    for window in windows:
+        n = window.n_agents
+        noise = model.recog_noise(n, rng)
+        pick = int(rng.integers(n))
+        eps = rng.standard_normal(noise.mu.shape[:2] + (n + PRIOR_SAMPLES,))
+        draws.append((noise, pick, eps))
+    def finite(result):
+        _, report, norm = result
+        return np.isfinite(norm) and np.isfinite(report.total)
+
+    results = _stacked_pass(model, windows, draws, epoch)
+    if len(windows) > 1 and not all(map(finite, results)):
+        # 0 * inf in the block-diagonal adjacency spreads a non-finite value
+        # to the other windows; the passes one at a time find the culprit
+        results = [_stacked_pass(model, [w], [d], epoch)[0]
+                   for w, d in zip(windows, draws)]
+    out = []
+    for i, (grads, report, norm) in enumerate(results):
+        if not finite(results[i]):
+            bad = next((name for name, v in model.params.items()
+                        if not np.all(np.isfinite(v))), None) \
+                or next((name for name, g in grads.items()
+                         if not np.all(np.isfinite(g))), None)
+            raise DivergenceError(
+                ("" if labels is None else f"window {labels[i]}: ")
+                + f"non-finite loss ({report.total!r}) or gradient norm; "
+                f"first non-finite parameter: {bad}")
+        if norm > CLIP_NORM:
+            grads = {name: g * (CLIP_NORM / norm) for name, g in grads.items()}
+        out.append((grads, report))
+    return out
+
+
+def _stacked_pass(model: TrajCvae, windows: list[SequenceWindow], draws,
+                  epoch: int) -> list[tuple[dict, losses.LossReport, float]]:
+    """(unclipped gradients, report, gradient norm) of each window from one
+    pass over the windows stacked along the agent axis, with their random
+    arrays as chunk_gradients draws them."""
+    cfg = model.config
+    obs = cfg.obs_len
+    sizes = [w.n_agents for w in windows]
+    # window bounds of the agent columns, and of the decoded columns
+    agents = tuple(np.cumsum([0] + sizes).tolist())
+    decoded = tuple(np.cumsum([0] + [n + PRIOR_SAMPLES for n in sizes])
+                    .tolist())
+    total = agents[-1]
+    # the segments of autodiff's parameter gradients; none for one window
+    segments = (agents, decoded) if len(windows) > 1 else (None, None)
+    scaled = np.concatenate([to_displacements(w.positions).values
+                             for w in windows], axis=2) * cfg.feature_scale
+    adj = np.zeros((scaled.shape[1], total, total))
+    for w, a, b in zip(windows, agents, agents[1:]):
+        adj[:, a:b, a:b] = graph.normalized_adjacency(w.positions)
+    # per window, the decoded columns are its agents, then PRIOR_SAMPLES
+    # copies of its picked agent; their latents are the agents' posterior,
+    # then the picked agent's prior (past the posterior columns)
+    columns, latents = [], []
+    for a, b, (_, pick, _) in zip(agents, agents[1:], draws):
+        copies = np.full(PRIOR_SAMPLES, a + pick)
+        columns += [np.arange(a, b), copies]
+        latents += [np.arange(a, b), total + copies]
+    columns, latents = np.concatenate(columns), np.concatenate(latents)
     p = model.traced_params()
     v_full = ad.leaf(scaled)
     v_obs = ad.leaf(scaled[:, :obs, :])
-    prior = model.prior_forward(p, v_obs, adj[:obs])
-    post = model.recog_forward(p, v_full, adj, train=True, rng=rng)
-    pick = np.full(PRIOR_SAMPLES, int(rng.integers(n)))
-    mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, pick))
-    logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar, pick))
-    z = ad.reparameterize(mu, logvar, rng)
-    columns = np.concatenate([np.arange(n), pick])
-    pred = model.decode(p, z, v_obs, adj[:obs], columns)
-    report = losses.total_loss(pred, scaled[:, :, columns], post, prior,
-                               epoch, prior_samples=PRIOR_SAMPLES)
-    traced = ad.backward(report.total_value)
-    grads = {name: traced.get(leaf) for name, leaf in p.items()}
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if not (np.isfinite(norm) and np.isfinite(report.total)):
-        bad = next((name for name, v in model.params.items()
-                    if not np.all(np.isfinite(v))), None) \
-            or next((name for name, g in grads.items()
-                     if not np.all(np.isfinite(g))), None)
-        raise DivergenceError(
-            f"non-finite loss ({report.total!r}) or gradient norm; "
-            f"first non-finite parameter: {bad}")
-    if norm > CLIP_NORM:
-        grads = {name: g * (CLIP_NORM / norm) for name, g in grads.items()}
-    return grads, report
+    prior = model.prior_forward(p, v_obs, adj[:obs], segments[0])
+    post = model.recog_forward(p, v_full, adj, train=True,
+                               noise=RecogNoise.stack([d[0] for d in draws]),
+                               segments=segments[0])
+    mu = ad.take_agents(ad.concat_agents(post.mu, prior.mu), latents)
+    logvar = ad.take_agents(ad.concat_agents(post.logvar, prior.logvar),
+                            latents)
+    z = ad.reparameterize(mu, logvar,
+                          np.concatenate([d[2] for d in draws], axis=2))
+    pred = model.decode(p, z, v_obs, adj[:obs], columns, segments)
+    objective, reports = losses.window_losses(
+        pred, scaled[:, :, columns], post, prior, epoch, sizes,
+        PRIOR_SAMPLES)
+    traced = ad.backward(objective)
+    # (windows, *parameter shape) each
+    grads = {name: traced.get(leaf) if segments[0] else traced.get(leaf)[None]
+             for name, leaf in p.items()}
+    norms = np.sqrt(sum(np.sum(g * g, axis=tuple(range(1, g.ndim)))
+                        for g in grads.values()))
+    return [({name: g[i] for name, g in grads.items()}, report, norms[i])
+            for i, report in enumerate(reports)]
 
 
 def train_epoch(state: TrainState, model: TrajCvae,
@@ -134,56 +221,62 @@ def train_epoch(state: TrainState, model: TrajCvae,
     Every batch_size windows (and at the epoch tail) one step
     param <- param - lr * mean(grad) is applied, and `log` gets the mean
     loss report of the step's windows. Windows with zero agents are
-    skipped and counted. state.epoch_report is set to the mean report over
-    the epoch's windows. A diverged window raises DivergenceError naming its
-    index (see window_gradients).
+    skipped and counted. A step's windows go through chunk_gradients in
+    chunks of consecutive windows whose n + PRIOR_SAMPLES sum to at most
+    TRAIN_COLUMNS (a wider window alone); their clipped gradients are
+    summed in window order. state.epoch_report is set to the mean report
+    over the epoch's windows. A diverged window raises DivergenceError
+    naming its index (see chunk_gradients).
     """
     if not windows:
         raise ConfigError("train_epoch: empty window list")
     lr = lr_schedule(state.epoch, config)
     order = state.rng.permutation(len(windows))
+    live = [int(i) for i in order if windows[i].n_agents > 0]
+    state.skipped_windows += len(order) - len(live)
 
-    acc: dict[str, np.ndarray] = {}
-    in_batch = 0
     # (rec, kl) of every window this epoch; floats only, since keeping the
     # reports would keep every window's computation record alive
     parts: list[tuple[float, float]] = []
     weight = losses.anneal_weight(state.epoch)
-
-    def apply_step():
-        nonlocal acc, in_batch
+    for start in range(0, len(live), config.batch_size):
+        step = live[start:start + config.batch_size]
+        acc: dict[str, np.ndarray] = {}
+        for chunk in _chunks(step, windows):
+            for grads, report in chunk_gradients(
+                    model, [windows[i] for i in chunk], state.epoch,
+                    state.rng, labels=chunk):
+                for name, g in grads.items():
+                    acc[name] = acc.get(name, 0.0) + g
+                parts.append((report.rec, report.kl))
         for name in acc:
-            model.params[name] = model.params[name] - lr * acc[name] / in_batch
+            model.params[name] = model.params[name] \
+                - lr * acc[name] / len(step)
         state.step += 1
         if log is not None:
             log.append(state.epoch, state.step,
-                       _mean_report(parts[-in_batch:], weight, state.epoch))
-        acc = {}
-        in_batch = 0
-
-    for idx in order:
-        window = windows[idx]
-        if window.n_agents == 0:
-            state.skipped_windows += 1
-            continue
-        try:
-            grads, report = window_gradients(model, window, state.epoch,
-                                             state.rng)
-        except DivergenceError as exc:
-            raise DivergenceError(f"window {idx}: {exc}") from None
-        for name, g in grads.items():
-            acc[name] = acc.get(name, 0.0) + g
-        parts.append((report.rec, report.kl))
-        in_batch += 1
-        if in_batch == config.batch_size:
-            apply_step()
-    if in_batch:
-        apply_step()
+                       _mean_report(parts[-len(step):], weight, state.epoch))
 
     state.epoch_report = _mean_report(parts, weight, state.epoch) \
         if parts else None
     state.epoch += 1
     return state
+
+
+def _chunks(indices: list[int], windows: list[SequenceWindow]):
+    """Consecutive runs of `indices` whose windows' n + PRIOR_SAMPLES sum to
+    at most TRAIN_COLUMNS; a window wider than that on its own is a run of
+    its own."""
+    chunk, width = [], 0
+    for i in indices:
+        columns = windows[i].n_agents + PRIOR_SAMPLES
+        if chunk and width + columns > TRAIN_COLUMNS:
+            yield chunk
+            chunk, width = [], 0
+        chunk.append(i)
+        width += columns
+    if chunk:
+        yield chunk
 
 
 def _mean_report(parts, weight: float, epoch: int) -> losses.LossReport:

@@ -98,16 +98,20 @@ class TestElementwise:
 
     def test_dropout_rate_zero_identity(self):
         x = rng.uniform(-1, 1, (3, 4))
-        out = ad.dropout(ad.leaf(x), 0.0, np.random.default_rng(0))
+        factor = ad.dropout_factor(x.shape, 0.0, np.random.default_rng(0))
+        out = ad.dropout(ad.leaf(x), factor)
         np.testing.assert_array_equal(out.data, x)
 
     def test_dropout_bad_rate(self):
         with pytest.raises(ParameterError):
-            ad.dropout(ad.leaf(np.zeros(3)), 1.0, np.random.default_rng(0))
+            ad.dropout_factor((3,), 1.0, np.random.default_rng(0))
+        with pytest.raises(DimensionError):
+            ad.dropout(ad.leaf(np.zeros(3)), np.ones(4))
 
     def test_dropout_scaling(self):
         x = np.ones((200, 50))
-        out = ad.dropout(ad.leaf(x), 0.5, np.random.default_rng(3))
+        factor = ad.dropout_factor(x.shape, 0.5, np.random.default_rng(3))
+        out = ad.dropout(ad.leaf(x), factor)
         kept = out.data[out.data != 0]
         assert np.allclose(kept, 2.0)
         assert abs(out.data.mean() - 1.0) < 0.05
@@ -300,9 +304,10 @@ class TestNoRecord:
 
 
 def test_every_op_is_used(monkeypatch):
-    """Every public autodiff function runs in a training step, in best-of-K
-    sampling or in bivariate_nll, so an op the model stops using shows up
-    here (the record-keeping functions leaf, no_record and backward aside)."""
+    """Every public autodiff function runs in a training step (over two
+    stacked windows), in best-of-K sampling or in bivariate_nll, so an op
+    the model stops using shows up here (the record-keeping functions leaf,
+    no_record and backward aside)."""
     calls = collections.Counter()
     ops = [name for name, fn in vars(ad).items() if inspect.isfunction(fn)
            and fn.__module__ == ad.__name__ and not name.startswith("_")]
@@ -314,7 +319,8 @@ def test_every_op_is_used(monkeypatch):
 
     m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(0))
     window = synthetic.make_window("turn", 3, np.random.default_rng(1))
-    training.window_gradients(m, window, 0, np.random.default_rng(2))
+    other = synthetic.make_window("stop", 2, np.random.default_rng(4))
+    training.chunk_gradients(m, [window, other], 0, np.random.default_rng(2))
     evaluation.sample_futures(m, window, np.random.default_rng(3), 2)
     losses.bivariate_nll(model.BivariateGaussianSeq(
         ad.leaf(np.zeros((5, 4, 3)))), np.zeros((2, 4, 3)))
@@ -328,8 +334,10 @@ def test_every_op_is_used(monkeypatch):
 # fixed matmul contractions against the einsum code they replaced
 
 
-def einsum_conv_time(x, kernel, padding=0):
-    """conv_time as written with np.einsum(optimize=True), the reference."""
+def einsum_conv_time(x, kernel, padding=0, segments=None):
+    """conv_time as written with np.einsum(optimize=True), the reference
+    (for one window: segments must be None)."""
+    assert segments is None
     xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
     k = kernel.data.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)

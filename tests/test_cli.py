@@ -116,14 +116,15 @@ class TestTrainCommand:
         data.save_windows(cache, synthetic.make_corpus(
             "turn", 2, 5, seed=2))
         reports = []
-        inner = training.window_gradients
+        inner = training.chunk_gradients
 
-        def counted(*args, **kwargs):
-            grads, report = inner(*args, **kwargs)
-            reports.append(report)
-            return grads, report
+        def counted(model_, windows, *args, **kwargs):
+            results = inner(model_, windows, *args, **kwargs)
+            assert len(results) == len(windows)
+            reports.extend(report for _, report in results)
+            return results
 
-        monkeypatch.setattr(training, "window_gradients", counted)
+        monkeypatch.setattr(training, "chunk_gradients", counted)
         train_once(cache, small_config, tmp_path / "run")
         assert len(reports) == 5 * 3  # windows x epochs, nothing more
 
@@ -285,6 +286,24 @@ class TestEvaluateCommand:
         assert "window 0 " in captured.err and "non-finite" in captured.err
         assert "ade" not in captured.out
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_window_without_agents_exits_1(self, synth_cache, small_config,
+                                           tmp_path, capsys, command):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        cache = tmp_path / "empty.stgw"
+        windows = data.load_windows(synth_cache)
+        windows.insert(1, data.SequenceWindow([], np.zeros((20, 0, 2)),
+                                              scene="void"))
+        data.save_windows(cache, windows)
+        argv = [command, "--ckpt", str(ckpt), "--data", str(cache),
+                "--k", "2"]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "preds.csv")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: window 1 (scene 'void') has no agents" in err
+
     def test_k1_vs_k20_statistical_ordering(self, small_config, tmp_path,
                                             capsys):
         cache = tmp_path / "big.stgw"
@@ -316,6 +335,16 @@ class TestBenchCommand:
         for agents in ("1", "12"):
             assert run(["bench", "--ckpt", str(ckpt), "--agents", agents,
                         "--reps", "5"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--agents", "--reps"])
+    def test_count_below_one_exits_1(self, synth_cache, small_config,
+                                     tmp_path, capsys, flag):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        argv = ["bench", "--ckpt", str(ckpt), "--agents", "3", "--reps", "3"]
+        argv[argv.index(flag) + 1] = "0"
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_latent_sweep_param_ordering(self, synth_cache, tmp_path, capsys):
         counts = {}

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stgcvae import data
 from stgcvae.errors import FormatError, IntegrityError, ParseError
@@ -244,3 +250,60 @@ class TestCache:
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="after the last window"):
             data.load_windows(p)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the window cache and the displacement transform
+
+
+float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def windows(draw):
+    t = draw(st.integers(1, 25))
+    n = draw(st.integers(0, 5))
+    positions = draw(arrays(np.float32, (t, n, 2), elements=float32s
+                            | st.just(np.float32("nan"))))
+    return data.SequenceWindow(
+        draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                      max_size=n)),
+        positions.astype(np.float64),
+        scene=draw(st.text(max_size=12)),
+        robot_index=draw(st.integers(-1, max(n - 1, -1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(windows(), max_size=4))
+def test_window_cache_roundtrip(ws):
+    """Any windows of float32-representable positions (NaN included, as in
+    an infer-mode cache) read back as they were written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.stgw"
+        data.save_windows(path, ws)
+        back = data.load_windows(path)
+    assert len(back) == len(ws)
+    for got, want in zip(back, ws):
+        assert (got.agent_ids, got.scene, got.robot_index) == \
+            (want.agent_ids, want.scene, want.robot_index)
+        assert got.positions.dtype == np.float64
+        np.testing.assert_array_equal(got.positions, want.positions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 25), st.integers(0, 5),
+                                    st.just(2)),
+              elements=st.floats(-1e4, 1e4)))
+def test_displacements_and_absolute_are_inverses(positions):
+    """to_absolute(to_displacements(p)) is p, and to_displacements of
+    to_absolute(d) is d, up to the rounding of a cumulative sum."""
+    disp = data.to_displacements(positions)
+    assert np.all(disp.values[:, 0] == 0)
+    back = data.to_absolute(disp)
+    # each frame's position is the origin plus t rounded differences
+    tol = 4 * np.finfo(float).eps * positions.shape[0] * 2e4
+    np.testing.assert_allclose(back, positions, rtol=0, atol=tol)
+    again = data.to_displacements(back)
+    np.testing.assert_allclose(again.values, disp.values, rtol=0,
+                               atol=2 * tol)
+    np.testing.assert_array_equal(again.origin, disp.origin)

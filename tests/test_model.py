@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stgcvae import autodiff as ad
 from stgcvae import graph, model
@@ -380,3 +386,38 @@ class TestLoadModel:
                            match=r"parameter prior\.head\.mu\.w: \(3, 4, 1\) "
                                  r"in the file, \(5, 4, 1\)"):
             model.load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# property test: the STGC checkpoint
+
+
+@st.composite
+def param_stores(draw):
+    store = model.ParamStore()
+    names = draw(st.lists(st.text(min_size=1, max_size=20), max_size=5,
+                          unique=True))
+    for name in names:
+        shape = draw(st.lists(st.integers(0, 4), max_size=3))
+        store.add(name, draw(arrays(np.float64, tuple(shape),
+                                    elements=st.floats(allow_nan=True))))
+    return store
+
+
+@settings(max_examples=60, deadline=None)
+@given(store=param_stores(), dtype=st.sampled_from(["f4", "f8"]))
+def test_checkpoint_roundtrip(store, dtype):
+    """Any parameters read back with their names, order and shapes; float64
+    files hold the exact values, float32 files the float32-rounded ones."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.stgc"
+        with np.errstate(over="ignore"):  # f4 holds large values as inf
+            model.save_params(path, store, dtype=dtype)
+        back, meta = model.load_params(path)
+    assert meta == {} and back.names() == store.names()
+    for name, want in store.items():
+        if dtype == "f4":
+            with np.errstate(over="ignore"):
+                want = want.astype(np.float32).astype(np.float64)
+        assert back[name].shape == want.shape
+        np.testing.assert_array_equal(back[name], want)

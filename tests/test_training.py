@@ -229,6 +229,151 @@ class TestTrainEpoch:
                                                       lr_switch_epoch=1))
 
 
+def reference_window_gradients(m, window, epoch, rng):
+    """A training pass over one window as written before windows were
+    stacked: unsegmented ops, the random arrays drawn during the forward
+    pass, the latents gathered as concat(posterior, picked prior)."""
+    disp = training.to_displacements(window.positions)
+    adj = training.graph.normalized_adjacency(window.positions)
+    obs = m.config.obs_len
+    scaled = disp.values * m.config.feature_scale
+    n = window.n_agents
+    p = m.traced_params()
+    v_full, v_obs = ad.leaf(scaled), ad.leaf(scaled[:, :obs, :])
+    prior = m.prior_forward(p, v_obs, adj[:obs])
+    post = m.recog_forward(p, v_full, adj, train=True, rng=rng)
+    pick = np.full(training.PRIOR_SAMPLES, int(rng.integers(n)))
+    mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, pick))
+    logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar, pick))
+    z = ad.reparameterize(mu, logvar, rng)
+    columns = np.concatenate([np.arange(n), pick])
+    pred = m.decode(p, z, v_obs, adj[:obs], columns)
+    report = losses.total_loss(pred, scaled[:, :, columns], post, prior,
+                               epoch, prior_samples=training.PRIOR_SAMPLES)
+    traced = ad.backward(report.total_value)
+    grads = {name: traced.get(leaf) for name, leaf in p.items()}
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if norm > training.CLIP_NORM:
+        grads = {k: g * (training.CLIP_NORM / norm) for k, g in grads.items()}
+    return grads, report
+
+
+def mixed_windows(count, seed):
+    """Windows of 1-6 agents, patterns cycled, as in train-small."""
+    rng = np.random.default_rng(seed)
+    return [synthetic.make_window(synthetic.PATTERNS[i % 3], 1 + i % 6, rng)
+            for i in range(count)]
+
+
+class TestChunks:
+    """Windows stacked in one record train as they do one at a time: with
+    the same bits for a one-window chunk, to rtol 1e-10 for larger ones."""
+
+    @pytest.mark.parametrize("agents", [1, 3, 6, 12])
+    @pytest.mark.parametrize("epoch", [0, 50])
+    def test_one_window_chunk_is_byte_equal_to_unstacked_pass(self, agents,
+                                                              epoch):
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        window = synthetic.make_window("turn", agents,
+                                       np.random.default_rng(agents))
+        got, got_report = training.window_gradients(
+            m, window, epoch, np.random.default_rng(7))
+        want, want_report = reference_window_gradients(
+            m, window, epoch, np.random.default_rng(7))
+        for field in ("total", "rec", "kl", "weight"):
+            assert getattr(got_report, field) == getattr(want_report, field)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_chunked_epochs_match_sequential_steps(self, tmp_path,
+                                                   monkeypatch):
+        windows = mixed_windows(32, seed=4)
+        cfg = training.TrainConfig(batch_size=16, epochs=2,
+                                   lr_switch_epoch=1)
+
+        def fresh():
+            m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                               rng=np.random.default_rng(1))
+            return m, training.TrainState(params=m.params,
+                                          rng=np.random.default_rng(2))
+
+        # test-local loop: window_gradients, summed in order, one step per
+        # batch; the same rng stream as train_epoch
+        m_seq, state = fresh()
+        rows = []
+        for epoch in range(cfg.epochs):
+            order = state.rng.permutation(len(windows))
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                acc, parts = {}, []
+                for idx in batch:
+                    grads, report = training.window_gradients(
+                        m_seq, windows[idx], epoch, state.rng)
+                    for name, g in grads.items():
+                        acc[name] = acc.get(name, 0.0) + g
+                    parts.append((report.rec, report.kl))
+                lr = training.lr_schedule(epoch, cfg)
+                for name in acc:
+                    m_seq.params[name] = m_seq.params[name] \
+                        - lr * acc[name] / len(batch)
+                rec, kl = np.mean(parts, axis=0)
+                w = losses.anneal_weight(epoch)
+                rows.append([epoch, len(rows) + 1, rec + w * kl, rec, kl, w])
+
+        sizes = []
+        inner = training.chunk_gradients
+
+        def counted(m_, ws, *args, **kwargs):
+            sizes.append(len(ws))
+            return inner(m_, ws, *args, **kwargs)
+
+        monkeypatch.setattr(training, "chunk_gradients", counted)
+        m_chunk, state = fresh()
+        log = losses.MetricsLog(tmp_path / "metrics.csv")
+        for _ in range(cfg.epochs):
+            training.train_epoch(state, m_chunk, windows, cfg, log=log)
+
+        assert sum(sizes) == 64 and max(sizes) > 1  # windows did stack
+        for name, want in m_seq.params.items():
+            np.testing.assert_allclose(m_chunk.params[name], want,
+                                       rtol=1e-10, err_msg=name)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        got_rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(got_rows) == len(rows) == 4
+        np.testing.assert_allclose(got_rows, rows, rtol=1e-10)
+
+    def test_chunks_respect_the_column_budget(self):
+        windows = mixed_windows(12, seed=0)  # 1, 2, ..., 6, 1, ... agents
+        chunks = list(training._chunks(list(range(12)), windows))
+        assert [i for c in chunks for i in c] == list(range(12))
+        for chunk in chunks:
+            width = sum(windows[i].n_agents + training.PRIOR_SAMPLES
+                        for i in chunk)
+            assert width <= training.TRAIN_COLUMNS
+        # each chunk stopped because the next window did not fit
+        for chunk, nxt in zip(chunks, chunks[1:]):
+            width = sum(windows[i].n_agents + training.PRIOR_SAMPLES
+                        for i in chunk + nxt[:1])
+            assert width > training.TRAIN_COLUMNS
+        wide = [synthetic.make_window("turn", 30, np.random.default_rng(0))]
+        assert list(training._chunks([0], wide)) == [[0]]
+
+    def test_divergence_names_the_window_inside_a_chunk(self):
+        # a NaN position in the second window of a chunk reaches the first
+        # through the block-diagonal adjacency (0 * nan); the window named
+        # is still the second
+        windows = mixed_windows(2, seed=1)
+        windows[1].positions[9, 0, 0] = np.nan
+        m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        with pytest.raises(DivergenceError, match=r"^window b: "), \
+                np.errstate(invalid="ignore"):
+            training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
+                                     labels=["a", "b"])
+
+
 class TestSplit:
     def make_windows(self):
         out = []
