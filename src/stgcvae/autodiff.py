@@ -365,19 +365,17 @@ def mean_all(x: Value) -> Value:
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
 
-def reparameterize(mu: Value, logvar: Value, eps) -> Value:
+def reparameterize(mu: Value, logvar: Value, eps: np.ndarray) -> Value:
     """Pathwise Gaussian sample mu + exp(logvar/2) * eps, eps ~ N(0, I).
 
-    eps is an array of standard-normal draws of mu's shape, or a Generator
-    to draw it from. logvar is clamped to [-10, 10] before exponentiation.
-    Gradients flow to mu and logvar only; eps is a constant of the record.
+    eps holds standard-normal draws of mu's shape. logvar is clamped to
+    [-10, 10] before exponentiation. Gradients flow to mu and logvar only;
+    eps is a constant of the record.
     """
     if mu.data.shape != logvar.data.shape:
         raise DimensionError(
             f"reparameterize: mu {mu.data.shape} vs logvar {logvar.data.shape}")
-    if isinstance(eps, np.random.Generator):
-        eps = eps.standard_normal(mu.data.shape)
-    elif eps.shape != mu.data.shape:
+    if eps.shape != mu.data.shape:
         raise DimensionError(
             f"reparameterize: eps {eps.shape} vs mu {mu.data.shape}")
     sigma = exp(scale(clamp(logvar, LOGVAR_MIN, LOGVAR_MAX), 0.5))

@@ -31,18 +31,12 @@ NLL_REF_VAR = 0.1
 @dataclass
 class LossReport:
     """Loss components for one window; total = rec + weight * kl exactly.
-
-    total_value is the traced training objective, for backward. Its
-    gradient is that of total, except that the NLL is weighted by the
-    predicted variance and a best-of-k prior term is added (see
-    total_loss).
-    """
+    The traced objective that trains it is window_losses'."""
     total: float
     rec: float
     kl: float
     weight: float
     epoch: int
-    total_value: ad.Value = None  # traced node, for backward
 
 
 def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray) -> ad.Value:
@@ -126,44 +120,31 @@ def anneal_weight(epoch: int, slope: float = ANNEAL_SLOPE,
     return slope * min(epoch, cap_epochs)
 
 
-def total_loss(pred: BivariateGaussianSeq, target: np.ndarray,
-               q: LatentGaussian, p: LatentGaussian, epoch: int,
-               prior_samples: int = 0) -> LossReport:
-    """Combined loss over all output frames: rec + w_kl(epoch) * kl.
-
-    pred and target have one column per agent, then prior_samples columns
-    that decode latents drawn from the conditional prior for one agent,
-    whose target columns repeat that agent's. rec covers the agent columns
-    only, and the reported values are exactly rec + w_kl * kl. The traced
-    objective differs in two ways. Its NLL is weighted by the predicted
-    variance (NLL_REF_VAR). And the weighted NLL of the prior sample with
-    the lowest mean NLL is added (best-of-many, Bhattacharyya et al. 2018;
-    the other samples carry no gradient). Otherwise the prior's only
-    training signal is the KL at weight w_kl <= 0.005, so under plain SGD
-    it stays near its initialization, and best-of-K evaluation samples an
-    untrained distribution.
-
-    This is the one-window case of window_losses.
-    """
-    agents = pred.data.shape[2] - prior_samples
-    objective, (report,) = window_losses(pred, target, q, p, epoch, [agents],
-                                         prior_samples)
-    report.total_value = objective
-    return report
-
-
 def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
                   q: LatentGaussian, p: LatentGaussian, epoch: int,
                   agents: list[int], prior_samples: int = 0
                   ) -> tuple[ad.Value, list[LossReport]]:
-    """total_loss of several windows stacked along the agent axis.
+    """Training loss of windows stacked along the agent axis: per window,
+    rec + w_kl(epoch) * kl over all output frames.
 
-    Window w has agents[w] latent columns in q and p, and agents[w] +
-    prior_samples columns in pred and target, laid out as total_loss
-    expects; each window's columns follow the previous window's. Returns
-    the traced sum of the windows' objectives (whose gradient is the sum of
-    their gradients, since the columns of different windows do not
-    interact) and one report per window, without total_value.
+    Window w has agents[w] latent columns in q and p. In pred and target it
+    has agents[w] columns, one per agent, then prior_samples columns that
+    decode latents drawn from the conditional prior for one agent, whose
+    target columns repeat that agent's. Each window's columns follow the
+    previous window's.
+
+    rec covers the agent columns only, and each reported total is exactly
+    rec + w_kl * kl. The traced objective, returned with the reports, is
+    the sum of the windows' objectives; its gradient is the sum of their
+    gradients, since the columns of different windows do not interact. A
+    window's objective differs from its reported total in two ways. Its
+    NLL is weighted by the predicted variance (NLL_REF_VAR). And the
+    weighted NLL of the prior sample with the lowest mean NLL is added
+    (best-of-many, Bhattacharyya et al. 2018; the other samples carry no
+    gradient). Otherwise the prior's only training signal is the KL at
+    weight w_kl <= 0.005, so under plain SGD it stays near its
+    initialization, and best-of-K evaluation samples an untrained
+    distribution.
     """
     if sum(agents) != q.mu.data.shape[2] or \
             sum(agents) + len(agents) * prior_samples != pred.data.shape[2]:

@@ -348,32 +348,26 @@ class TrajCvae:
         return LatentGaussian(*_heads(embed, p, "prior", segments))
 
     def recog_forward(self, p: dict, v_full: ad.Value, a_full: np.ndarray,
-                      train: bool = False,
-                      rng: np.random.Generator | None = None,
                       noise: RecogNoise | None = None,
                       segments=None) -> LatentGaussian:
         """Approximate posterior over z from all 20 frames.
 
         The final TCN uses a stride-free kernel of length seq-obs+1, so
-        the latent lands on the same 8-frame grid as the prior. In train
-        mode dropout acts inside the embedding and small Gaussian noise
-        is added to mu: `noise`, or drawn from `rng` by recog_noise.
+        the latent lands on the same 8-frame grid as the prior. Given
+        `noise` (train mode, see recog_noise), dropout acts inside the
+        embedding and small Gaussian noise is added to mu.
         """
         cfg = self.config
         if v_full.data.shape[1] != cfg.seq_len:
             raise DimensionError(
                 f"recog_forward: expected {cfg.seq_len} frames, got "
                 f"{v_full.data.shape[1]}")
-        if train and noise is None:
-            if rng is None:
-                raise ConfigError("recog_forward: train mode needs an rng")
-            noise = self.recog_noise(v_full.data.shape[2], rng)
         embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks,
                              cfg.tcn_kernel, cfg.reduce_kernel,
-                             dropout=noise.dropout if train else (),
+                             dropout=() if noise is None else noise.dropout,
                              segments=segments)
         mu, logvar = _heads(embed, p, "recog", segments)
-        if train:
+        if noise is not None:
             mu = ad.add(mu, ad.Value(noise.mu))
         return LatentGaussian(mu, logvar)
 

@@ -191,7 +191,7 @@ def _stacked_pass(model: TrajCvae, windows: list[SequenceWindow], draws,
     v_full = ad.leaf(scaled)
     v_obs = ad.leaf(scaled[:, :obs, :])
     prior = model.prior_forward(p, v_obs, adj[:obs], segments[0])
-    post = model.recog_forward(p, v_full, adj, train=True,
+    post = model.recog_forward(p, v_full, adj,
                                noise=RecogNoise.stack([d[0] for d in draws]),
                                segments=segments[0])
     mu = ad.take_agents(ad.concat_agents(post.mu, prior.mu), latents)

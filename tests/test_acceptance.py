@@ -52,7 +52,7 @@ def _toy_loss(m, disp, adj, eps):
     v_full = ad.leaf(disp)
     v_obs = ad.leaf(disp[:, :OBS, :])
     prior = m.prior_forward(p, v_obs, adj[:OBS])
-    post = m.recog_forward(p, v_full, adj, train=False)
+    post = m.recog_forward(p, v_full, adj)
     sigma = ad.exp(ad.scale(post.logvar, 0.5))
     z = ad.add(post.mu, ad.mul(sigma, ad.Value(eps)))
     pred = m.decode(p, z, v_obs, adj[:OBS])
@@ -198,7 +198,7 @@ def test_criterion_4_variable_agents():
         p = m.traced_params()
         v_full, v_obs = ad.leaf(d), ad.leaf(d[:, :OBS, :])
         prior = m.prior_forward(p, v_obs, a[:OBS])
-        post = m.recog_forward(p, v_full, a, train=False)
+        post = m.recog_forward(p, v_full, a)
         pred = m.decode(p, prior.mu, v_obs, a[:OBS])
         return (prior.mu.data, prior.logvar.data, post.mu.data,
                 post.logvar.data, pred.raw.data)

@@ -199,27 +199,33 @@ class TestReparameterize:
     def test_same_seed_same_sample(self):
         mu = ad.leaf(rng.uniform(-1, 1, (4, 3)))
         lv = ad.leaf(rng.uniform(-1, 1, (4, 3)))
-        a = ad.reparameterize(mu, lv, np.random.default_rng(7))
-        b = ad.reparameterize(mu, lv, np.random.default_rng(7))
+        a = ad.reparameterize(mu, lv,
+                              np.random.default_rng(7).standard_normal((4, 3)))
+        b = ad.reparameterize(mu, lv,
+                              np.random.default_rng(7).standard_normal((4, 3)))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_clamp_floor_collapses_to_mu(self):
         mu = np.array([1.0, -2.0])
         out = ad.reparameterize(ad.leaf(mu), ad.leaf(np.full(2, -1e9)),
-                                np.random.default_rng(0))
+                                np.random.default_rng(0).standard_normal(2))
         np.testing.assert_allclose(out.data, mu, atol=1e-2)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             ad.reparameterize(ad.leaf(np.zeros(2)), ad.leaf(np.zeros(3)),
-                              np.random.default_rng(0))
+                              np.zeros(2))
+        with pytest.raises(DimensionError):
+            ad.reparameterize(ad.leaf(np.zeros(2)), ad.leaf(np.zeros(2)),
+                              np.zeros(3))
 
     def test_monte_carlo_mean(self):
         # sample mean over 1e5 draws approaches mu within 3*sigma/sqrt(n)
         mu, lv = 0.7, np.log(0.5 ** 2) * 1.0
         g = np.random.default_rng(11)
         draws = np.array([
-            ad.reparameterize(ad.leaf(mu), ad.leaf(lv), g).data
+            ad.reparameterize(ad.leaf(mu), ad.leaf(lv),
+                              g.standard_normal(())).data
             for _ in range(100)])
         # vectorized equivalent for the bulk of the draws
         eps = g.standard_normal(100_000 - 100)
@@ -233,8 +239,9 @@ class TestReparameterize:
         seed = 5
 
         def build(mu, lv):
-            return ad.mul(ad.reparameterize(mu, lv, np.random.default_rng(seed)),
-                          ad.reparameterize(mu, lv, np.random.default_rng(seed)))
+            eps = np.random.default_rng(seed).standard_normal((3, 2))
+            return ad.mul(ad.reparameterize(mu, lv, eps),
+                          ad.reparameterize(mu, lv, eps))
 
         check_op(build, [mu, lv])
 

@@ -129,7 +129,8 @@ def reference_futures(m, window, rng, k, sample_mode):
         p = m.traced_params()
         v_obs = ad.leaf(to_displacements(obs_pos).values * scale)
         prior = m.prior_forward(p, v_obs, adj)
-        z = ad.reparameterize(prior.mu, prior.logvar, rng)
+        z = ad.reparameterize(prior.mu, prior.logvar,
+                              rng.standard_normal(prior.mu.data.shape))
         out = m.decode(p, z, v_obs, adj).constrained()
         steps = out[0:2, obs_len:, :].copy()
         if sample_mode == "full":

@@ -217,7 +217,7 @@ class TestTotalLoss:
         else:
             p = latent(rng.uniform(-1, 1, (3, 8, 2)),
                        rng.uniform(-1, 1, (3, 8, 2)))
-        return losses.total_loss(pred, target, q, p, epoch)
+        return losses.window_losses(pred, target, q, p, epoch, [2])[1][0]
 
     def test_epoch_zero_total_is_rec(self):
         r = self._parts(0)

@@ -111,10 +111,10 @@ class TestEncoders:
         e1 = m.recog_forward(p, ad.leaf(v), a)
         e2 = m.recog_forward(p, ad.leaf(v), a)
         np.testing.assert_array_equal(e1.mu.data, e2.mu.data)
-        t1 = m.recog_forward(p, ad.leaf(v), a, train=True,
-                             rng=np.random.default_rng(10))
-        t2 = m.recog_forward(p, ad.leaf(v), a, train=True,
-                             rng=np.random.default_rng(11))
+        t1 = m.recog_forward(p, ad.leaf(v), a,
+                             m.recog_noise(3, np.random.default_rng(10)))
+        t2 = m.recog_forward(p, ad.leaf(v), a,
+                             m.recog_noise(3, np.random.default_rng(11)))
         assert not np.array_equal(t1.mu.data, t2.mu.data)
 
     def test_recog_matches_prior_grid(self):
@@ -134,7 +134,9 @@ class TestDecoder:
         m = model.TrajCvae(CFG, rng=rng)
         p = m.traced_params()
         prior = m.prior_forward(p, ad.leaf(v[:, :8, :]), a[:8])
-        z = ad.reparameterize(prior.mu, prior.logvar, np.random.default_rng(0))
+        z = ad.reparameterize(prior.mu, prior.logvar,
+                              np.random.default_rng(0).standard_normal(
+                                  prior.mu.data.shape))
         out = m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
         assert out.data.shape == (5, 20, 3)
 
@@ -188,7 +190,8 @@ class TestDecoder:
 def full_pass(m, p, v, a, z_rng):
     prior = m.prior_forward(p, ad.leaf(v[:, :8, :]), a[:8])
     post = m.recog_forward(p, ad.leaf(v), a)
-    z = ad.reparameterize(post.mu, post.logvar, z_rng)
+    z = ad.reparameterize(post.mu, post.logvar,
+                          z_rng.standard_normal(post.mu.data.shape))
     return prior, post, m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
 
 

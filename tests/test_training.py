@@ -231,26 +231,37 @@ class TestTrainEpoch:
 
 def reference_window_gradients(m, window, epoch, rng):
     """A training pass over one window as written before windows were
-    stacked: unsegmented ops, the random arrays drawn during the forward
-    pass, the latents gathered as concat(posterior, picked prior)."""
+    stacked: unsegmented ops, the random arrays drawn in the order the
+    forward pass used to draw them, the latents gathered as
+    concat(posterior, picked prior)."""
+    cfg = m.config
     disp = training.to_displacements(window.positions)
     adj = training.graph.normalized_adjacency(window.positions)
-    obs = m.config.obs_len
-    scaled = disp.values * m.config.feature_scale
+    obs = cfg.obs_len
+    scaled = disp.values * cfg.feature_scale
     n = window.n_agents
     p = m.traced_params()
     v_full, v_obs = ad.leaf(scaled), ad.leaf(scaled[:, :obs, :])
     prior = m.prior_forward(p, v_obs, adj[:obs])
-    post = m.recog_forward(p, v_full, adj, train=True, rng=rng)
+    # each recognition block's dropout on its output: every block keeps
+    # the seq_len frames but the last, which reduces them to obs_len; then
+    # the posterior-mean noise
+    frames = [cfg.seq_len] * (cfg.recog_blocks - 1) + [obs]
+    factors = [ad.dropout_factor((cfg.embed_channels, t, n), cfg.dropout, rng)
+               for t in frames]
+    mu_noise = rng.standard_normal((cfg.latent_len, obs, n)) * cfg.noise_std
+    post = m.recog_forward(p, v_full, adj,
+                           model.RecogNoise(factors, mu_noise))
     pick = np.full(training.PRIOR_SAMPLES, int(rng.integers(n)))
     mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, pick))
     logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar, pick))
-    z = ad.reparameterize(mu, logvar, rng)
+    z = ad.reparameterize(mu, logvar, rng.standard_normal(mu.data.shape))
     columns = np.concatenate([np.arange(n), pick])
     pred = m.decode(p, z, v_obs, adj[:obs], columns)
-    report = losses.total_loss(pred, scaled[:, :, columns], post, prior,
-                               epoch, prior_samples=training.PRIOR_SAMPLES)
-    traced = ad.backward(report.total_value)
+    objective, (report,) = losses.window_losses(
+        pred, scaled[:, :, columns], post, prior, epoch, [n],
+        training.PRIOR_SAMPLES)
+    traced = ad.backward(objective)
     grads = {name: traced.get(leaf) for name, leaf in p.items()}
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if norm > training.CLIP_NORM:
@@ -497,9 +508,10 @@ class TestPriorTraining:
                 prior = m.prior_forward(p, ad.leaf(d[:, :8]), a[:8])
                 for i in range(d.shape[2]):
                     pick = np.full(8, i)
-                    z = ad.reparameterize(ad.take_agents(prior.mu, pick),
-                                          ad.take_agents(prior.logvar, pick),
-                                          rng)
+                    z = ad.reparameterize(
+                        ad.take_agents(prior.mu, pick),
+                        ad.take_agents(prior.logvar, pick),
+                        rng.standard_normal(prior.mu.data.shape[:2] + (8,)))
                     pred = m.decode(p, z, ad.leaf(d[:, :8]), a[:8], pick)
                     cells, _ = losses.nll_cells(pred, d[:, :, pick])
                     total += cells.data[0].mean(axis=0).min()
@@ -520,16 +532,16 @@ class TestPriorTraining:
         leaf = ad.leaf(raw)
         q = model.LatentGaussian(ad.leaf(np.zeros((3, 8, 1))),
                                  ad.leaf(np.zeros((3, 8, 1))))
-        report = losses.total_loss(model.BivariateGaussianSeq(leaf), target,
-                                   q, q, 0, prior_samples=4)
+        objective, (report,) = losses.window_losses(
+            model.BivariateGaussianSeq(leaf), target, q, q, 0, [1], 4)
         cells, weight = losses.nll_cells(model.BivariateGaussianSeq(leaf),
                                          target)
         per_column = (cells.data * weight)[0].mean(axis=0)
-        assert float(report.total_value.data) == pytest.approx(
+        assert float(objective.data) == pytest.approx(
             per_column[0] + per_column[3], abs=1e-12)
         assert report.rec == pytest.approx(cells.data[0, :, 0].mean(),
                                            abs=1e-12)
-        g = ad.backward(report.total_value).get(leaf)
+        g = ad.backward(objective).get(leaf)
         assert np.all(g[:, :, [1, 2, 4]] == 0)
         assert np.any(g[:, :, 0] != 0) and np.any(g[:, :, 3] != 0)
 
@@ -548,11 +560,11 @@ class TestVarianceWeightedObjective:
         leaf = ad.leaf(raw)
         q = model.LatentGaussian(ad.leaf(np.zeros((3, 8, 2))),
                                  ad.leaf(np.zeros((3, 8, 2))))
-        report = losses.total_loss(model.BivariateGaussianSeq(leaf), target,
-                                   q, q, 0)
+        objective, _ = losses.window_losses(model.BivariateGaussianSeq(leaf),
+                                            target, q, q, 0, [2])
         plain = ad.backward(losses.bivariate_nll(
             model.BivariateGaussianSeq(leaf), target)).get(leaf)
-        return ad.backward(report.total_value).get(leaf)[0:2], plain[0:2]
+        return ad.backward(objective).get(leaf)[0:2], plain[0:2]
 
     def test_mean_gradient_independent_of_sigma(self):
         broad, plain_broad = self.mean_gradient(0.0)
