@@ -142,37 +142,55 @@ def clamp(x: Value, lo=None, hi=None) -> Value:
     return Value(out, (x,), lambda g: (g * inside,))
 
 
-# Segments: when several windows are stacked along the agent axis of
-# (C, T, N) tensors, `segments` gives the bounds (0, n_1, n_1 + n_2, ..., N)
-# of each window's agent columns, and the parameter gradients of conv_time,
-# add_bias and prelu come out per segment, stacked along a new leading axis
-# of length S. This is how each window's gradient stays its own (for
-# per-window clipping) while all windows share one record. Without segments
-# the gradient is the parameter's shape, summed over all columns.
+# Segments: windows stacked along the agent axis of (C, T, N) tensors share
+# one record, and `segments`, the bounds (0, n_1, ..., N) of their agent
+# columns, keeps them apart. mix_agents takes one adjacency block per
+# segment. conv_time, add_bias and prelu give their parameter's gradient per
+# segment along a new leading axis, reducing each segment as the whole array
+# is reduced for segments=None: the single segment (0, N), with the
+# parameter's own shape and the same bits.
 
 
-def _segment_sums(a: np.ndarray, segments) -> np.ndarray:
-    """(S, C) sums of a (C, T, N) array over time and each segment's
-    columns."""
-    return np.add.reduceat(a.sum(axis=1), segments[:-1], axis=1).T
+def _columns(segments, n: int) -> list[slice]:
+    """The agent-column slice of each segment of n columns."""
+    bounds = segments or (0, n)
+    cols = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    if bounds[0] != 0 or bounds[-1] != n or len(cols) != len(bounds) - 1:
+        raise DimensionError(
+            f"segments {segments} do not split {n} agent columns")
+    return cols
+
+
+def _segment_grads(segments, n: int, shape: tuple):
+    """Each segment's agent-column slice paired with an empty gradient of
+    `shape` to fill with `out=`, and all the gradients as returned:
+    (S, *shape), or `shape` for segments=None."""
+    cols = _columns(segments, n)
+    grads = np.empty((len(cols),) + shape)
+    return zip(cols, grads), grads if segments else grads[0]
+
+
+def _check_channels(x: Value, v: Value, opname: str, what: str):
+    if x.data.ndim != 3 or v.data.shape != (x.data.shape[0],):
+        raise DimensionError(
+            f"{opname}: {what} {v.data.shape} does not match the channels "
+            f"of a (C, T, N) input, got {x.data.shape}")
 
 
 def prelu(x: Value, slope: Value, segments=None) -> Value:
-    """Parametric ReLU with a per-channel slope vector matching the leading
-    axis of `x`. With `segments`, the slope's gradient is per segment."""
-    if slope.data.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"prelu: slope shape {slope.data.shape} incompatible with input "
-            f"{x.data.shape}")
-    s = slope.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
+    """Parametric ReLU of a (C, T, N) tensor with a per-channel slope
+    vector; the slope's gradient is per segment."""
+    _check_channels(x, slope, "prelu", "slope")
+    s = slope.data.reshape(-1, 1, 1)
     # multiplies by 1 or s instead of np.where, which costs ten times more
     pos = x.data > 0
     out = x.data * (s * ~pos + pos)
 
     def vjp(g):
         gs_full = g * x.data * ~pos
-        gs = np.sum(gs_full, axis=tuple(range(1, x.data.ndim))) \
-            if segments is None else _segment_sums(gs_full, segments)
+        parts, gs = _segment_grads(segments, g.shape[2], slope.data.shape)
+        for c, gs_seg in parts:
+            gs_full[:, :, c].sum(axis=(1, 2), out=gs_seg)
         return g * (s * ~pos + pos), gs
 
     return Value(out, (x, slope), vjp)
@@ -227,8 +245,7 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
     """1-D convolution along the time axis, independent per agent column.
 
     x: (C_in, T, N), kernel: (C_out, C_in, K) -> (C_out, T + 2*padding - K + 1, N)
-    with zero padding. With `segments`, the kernel's gradient is per
-    segment.
+    with zero padding. The kernel's gradient is per segment.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise DimensionError(
@@ -256,19 +273,12 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
         # rebuilt from x, which the record keeps anyway, so the record does
         # not hold a padded copy of every convolution input
         xp, win = _padded_windows(x.data, padding, k)
-        if segments is None:
-            g_rows = g.transpose(1, 2, 0).reshape(t_out * n, c_out)
-            gk = win.transpose(0, 3, 1, 2).reshape(c_in * k, t_out * n) \
-                @ g_rows
-            gk = gk.reshape(c_in, k, c_out).transpose(2, 0, 1)
-        else:
-            # rows ordered (agent, frame), so each segment's are one block
-            cols = win.transpose(2, 1, 0, 3).reshape(n * t_out, c_in * k)
-            g_rows = g.transpose(2, 1, 0).reshape(n * t_out, c_out)
-            gk = np.stack([
-                cols[a * t_out:b * t_out].T @ g_rows[a * t_out:b * t_out]
-                for a, b in zip(segments[:-1], segments[1:])])
-            gk = gk.reshape(-1, c_in, k, c_out).transpose(0, 3, 1, 2)
+        # per segment, kernel columns ordered (frame, agent)
+        parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
+        for c, gk_seg in parts:
+            np.matmul(win[:, :, c].transpose(0, 3, 1, 2).reshape(c_in * k, -1),
+                      g[:, :, c].transpose(1, 2, 0).reshape(-1, c_out),
+                      out=gk_seg)
         g_cols = g.reshape(c_out, t_out * n)
         gxp = np.zeros_like(xp)
         # one product per tap: a single transposed-convolution GEMM would
@@ -277,41 +287,56 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
             gxp[:, j:j + t_out, :] += (kernel.data[:, :, j].T @ g_cols
                                        ).reshape(c_in, t_out, n)
         gx = gxp[:, padding:padding + t, :] if padding else gxp
-        return gx, gk
+        # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
+        gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
+        return gx, gk.swapaxes(-1, -2).swapaxes(-2, -3)
 
     return Value(out, (x, kernel), vjp)
 
 
 def add_bias(x: Value, b: Value, segments=None) -> Value:
-    """Add a per-channel bias vector to a (C, ...) tensor, (C, T, N) with
-    `segments`, when the bias's gradient is per segment."""
-    if b.data.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"add_bias: bias {b.data.shape} does not match channels of "
-            f"{x.data.shape}")
-    bcast = b.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    axes = tuple(range(1, x.data.ndim))
-    return Value(x.data + bcast, (x, b), lambda g: (
-        g, g.sum(axis=axes) if segments is None
-        else _segment_sums(g, segments)))
+    """Add a per-channel bias vector to a (C, T, N) tensor; the bias's
+    gradient is per segment."""
+    _check_channels(x, b, "add_bias", "bias")
+
+    def vjp(g):
+        parts, gb = _segment_grads(segments, g.shape[2], b.data.shape)
+        for c, gb_seg in parts:
+            g[:, :, c].sum(axis=(1, 2), out=gb_seg)
+        return g, gb
+
+    return Value(x.data + b.data.reshape(-1, 1, 1), (x, b), vjp)
 
 
-def mix_agents(x: Value, adj: np.ndarray) -> Value:
-    """Per-frame mixing against a constant adjacency stack.
-
-    x: (C, T, N), adj: (T, N, N) -> out[c,t,n] = sum_m x[c,t,m] * adj[t,m,n].
+def mix_agents(x: Value, adj, segments=None) -> Value:
+    """Per-frame mixing of a (C, T, N) tensor against constant adjacency:
+    a list of one (T, n, n) block per segment of n columns, or for
+    segments=None one (T, N, N) array. In the segment at column a,
+    out[c,t,a+j] = sum_i x[c,t,a+i] * block[t,i,j]; segments do not mix.
     Adjacency is data-derived, not learned, so it carries no gradient.
     """
-    adj = np.asarray(adj, dtype=np.float64)
-    if x.data.ndim != 3 or adj.ndim != 3 or adj.shape[0] != x.data.shape[1] \
-            or adj.shape[1] != adj.shape[2] or adj.shape[1] != x.data.shape[2]:
+    blocks = adj if segments else [adj]
+    cols = _columns(segments, x.data.shape[-1])
+    if x.data.ndim != 3 or [a.shape for a in blocks] != [
+            (x.data.shape[1], c.stop - c.start, c.stop - c.start)
+            for c in cols]:
         raise DimensionError(
-            f"mix_agents: input {x.data.shape} vs adjacency {adj.shape}")
-    # one (N, N) @ (N, C) product per frame, laid out as the planner lays
-    # it out (see conv_time)
-    out = adj.transpose(0, 2, 1) @ x.data.transpose(1, 2, 0)
-    return Value(out.transpose(2, 0, 1), (x,),
-                 lambda g: ((adj @ g.transpose(1, 2, 0)).transpose(2, 0, 1),))
+            f"mix_agents: input {x.data.shape}, segments {segments} vs "
+            f"adjacency {[a.shape for a in blocks]}")
+    # one (n, n) @ (n, C) product per frame and block, laid out as the
+    # planner lays it out (see conv_time)
+    out = np.empty(x.data.shape[1:] + x.data.shape[:1])
+    for a, c in zip(blocks, cols):
+        np.matmul(a.transpose(0, 2, 1), x.data[:, :, c].transpose(1, 2, 0),
+                  out=out[:, c])
+
+    def vjp(g):
+        gx = np.empty_like(out)
+        for a, c in zip(blocks, cols):
+            np.matmul(a, g[:, :, c].transpose(1, 2, 0), out=gx[:, c])
+        return (gx.transpose(2, 0, 1),)
+
+    return Value(out.transpose(2, 0, 1), (x,), vjp)
 
 
 def transpose_ct(x: Value) -> Value:

@@ -114,6 +114,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     windows = data.load_windows(args.data)
+    evaluation.require_truth(windows)
     mcfg, cfg = training.read_config(args.config) if args.config \
         else (model.ModelConfig(), training.TrainConfig())
     if args.seed is not None:

@@ -37,8 +37,8 @@ class ParseError(StgcvaeError):
 
 
 class MissingTruthError(StgcvaeError):
-    """A window to be scored has non-finite positions, such as the NaN
-    future frames of an infer-mode cache; the message names the window."""
+    """A window to be trained or scored has non-finite positions, such as the
+    NaN future frames of an infer-mode cache; the message names the window."""
 
 
 class EmptyWindowError(StgcvaeError):

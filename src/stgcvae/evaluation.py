@@ -225,13 +225,7 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")
     _require_agents(windows)
-    bad = next((i for i, w in enumerate(windows)
-                if not np.all(np.isfinite(w.positions))), None)
-    if bad is not None:
-        raise MissingTruthError(
-            f"window {bad} (scene {windows[bad].scene!r}) has non-finite "
-            "positions; only windows with all frames observed can be "
-            "scored (an infer-mode cache has NaN future frames)")
+    require_truth(windows)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     rows = []
     for window, ss in zip(windows, streams):
@@ -253,6 +247,16 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         fde=float(np.mean([r[2] for r in rows])),
         k=k, windows=len(windows), per_scene=per_scene, latency=latency,
         param_count=model.count_params())
+
+
+def require_truth(windows: list[SequenceWindow]) -> None:
+    """MissingTruthError naming the first window with a non-finite position."""
+    for i, w in enumerate(windows):
+        if not np.all(np.isfinite(w.positions)):
+            raise MissingTruthError(
+                f"window {i} (scene {w.scene!r}) has non-finite positions; "
+                "only windows with all frames observed can be trained or "
+                "scored (an infer-mode cache has NaN future frames)")
 
 
 def _require_agents(windows: list[SequenceWindow]) -> None:

@@ -211,9 +211,9 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
 
 
 # `segments`, where a function takes it, gives the bounds of each window's
-# agent columns when several windows are stacked along the agent axis, so
-# that every parameter gradient comes out per window (see autodiff's
-# segments); None treats all columns as one window.
+# agent columns when several windows are stacked along the agent axis: the
+# adjacency is then a list of per-window blocks, and every parameter
+# gradient comes out per window (see autodiff's segments).
 
 
 def _layer(v, params, name, padding=0, segments=None):
@@ -225,7 +225,8 @@ def _layer(v, params, name, padding=0, segments=None):
 
 def _gcn(v, adj, params, name, segments=None):
     """Per-frame graph convolution: channel mix, agent mix, prelu."""
-    h = ad.mix_agents(_layer(v, params, name, segments=segments), adj)
+    h = ad.mix_agents(_layer(v, params, name, segments=segments), adj,
+                      segments)
     return ad.prelu(h, params[name + ".slope"], segments)
 
 
@@ -259,10 +260,6 @@ def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
     `dropout` holds each block's dropout factors (see
     autodiff.dropout_factor), or is empty for no dropout.
     """
-    if v.data.shape[1] != adj.shape[0]:
-        raise DimensionError(
-            f"stgcnn_embed: {v.data.shape[1]} frames vs adjacency "
-            f"{adj.shape[0]} frames")
     h = v
     kernels = _block_kernels(blocks, tcn_kernel, last_tcn_kernel)
     for i, (_, padding) in enumerate(kernels):

@@ -30,10 +30,13 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("lr_initial", "lr_after"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         if self.lr_switch_epoch is None:
             self.lr_switch_epoch = self.epochs * 3 // 5
-        elif self.lr_switch_epoch >= self.epochs:
-            raise ConfigError("lr_switch_epoch must be < epochs")
+        elif not 0 <= self.lr_switch_epoch < self.epochs:
+            raise ConfigError("lr_switch_epoch must be in [0, epochs)")
 
 
 def read_config(path) -> tuple[ModelConfig, TrainConfig]:
@@ -89,7 +92,7 @@ def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
                      rng: np.random.Generator
                      ) -> tuple[dict, losses.LossReport]:
     """One forward/backward pass over a single training window: the
-    one-window case of chunk_gradients.
+    one-window chunk of chunk_gradients.
 
     Returns (gradients by parameter name, loss report).
     """
@@ -105,18 +108,17 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     The posterior sample of every agent and PRIOR_SAMPLES prior samples of
     one randomly chosen agent are decoded in a single pass (see
     TrajCvae.decode) and scored together by losses.window_losses, whose
-    best-of-k term trains the prior. Decoded columns do not interact, so
-    one agent's samples cost the same at any crowd size. Windows interact
-    only through the block-diagonal adjacency, i.e. not at all, and every
-    parameter gradient is taken per window (autodiff's segments). A
-    one-window chunk passes no segments, and so runs the same ops as the
+    best-of-k term trains the prior. Every window is one of autodiff's
+    segments: its agents mix only through its own adjacency block, so no
+    value, finite or not, reaches another window, and every parameter
+    gradient is taken per window. A one-window chunk gives the bits of the
     model's single-window API.
 
     Each window draws its random arrays before the pass, in the order of
     passes over one window at a time: recognition dropout and noise
     (TrajCvae.recog_noise), the picked agent, then the latent noise. So a
     chunk gives each window's gradient as its own pass would, up to
-    rounding, and a one-window chunk gives it with the same bits.
+    rounding.
 
     A window whose gradient has a global norm above CLIP_NORM is scaled
     down to it. A non-finite loss or norm raises DivergenceError naming the
@@ -124,93 +126,64 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     whose value is not finite (or, if every value is, the first whose
     gradient is not).
     """
-    draws = []
-    for window in windows:
-        n = window.n_agents
-        noise = model.recog_noise(n, rng)
-        pick = int(rng.integers(n))
-        eps = rng.standard_normal(noise.mu.shape[:2] + (n + PRIOR_SAMPLES,))
-        draws.append((noise, pick, eps))
-    def finite(result):
-        _, report, norm = result
-        return np.isfinite(norm) and np.isfinite(report.total)
-
-    results = _stacked_pass(model, windows, draws, epoch)
-    if len(windows) > 1 and not all(map(finite, results)):
-        # 0 * inf in the block-diagonal adjacency spreads a non-finite value
-        # to the other windows; the passes one at a time find the culprit
-        results = [_stacked_pass(model, [w], [d], epoch)[0]
-                   for w, d in zip(windows, draws)]
-    out = []
-    for i, (grads, report, norm) in enumerate(results):
-        if not finite(results[i]):
-            bad = next((name for name, v in model.params.items()
-                        if not np.all(np.isfinite(v))), None) \
-                or next((name for name, g in grads.items()
-                         if not np.all(np.isfinite(g))), None)
-            raise DivergenceError(
-                ("" if labels is None else f"window {labels[i]}: ")
-                + f"non-finite loss ({report.total!r}) or gradient norm; "
-                f"first non-finite parameter: {bad}")
-        if norm > CLIP_NORM:
-            grads = {name: g * (CLIP_NORM / norm) for name, g in grads.items()}
-        out.append((grads, report))
-    return out
-
-
-def _stacked_pass(model: TrajCvae, windows: list[SequenceWindow], draws,
-                  epoch: int) -> list[tuple[dict, losses.LossReport, float]]:
-    """(unclipped gradients, report, gradient norm) of each window from one
-    pass over the windows stacked along the agent axis, with their random
-    arrays as chunk_gradients draws them."""
-    cfg = model.config
-    obs = cfg.obs_len
+    obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
     # window bounds of the agent columns, and of the decoded columns
     agents = tuple(np.cumsum([0] + sizes).tolist())
-    decoded = tuple(np.cumsum([0] + [n + PRIOR_SAMPLES for n in sizes])
-                    .tolist())
-    total = agents[-1]
-    # the segments of autodiff's parameter gradients; none for one window
-    segments = (agents, decoded) if len(windows) > 1 else (None, None)
-    scaled = np.concatenate([to_displacements(w.positions).values
-                             for w in windows], axis=2) * cfg.feature_scale
-    adj = np.zeros((scaled.shape[1], total, total))
-    for w, a, b in zip(windows, agents, agents[1:]):
-        adj[:, a:b, a:b] = graph.normalized_adjacency(w.positions)
+    decoded = tuple(a + i * PRIOR_SAMPLES for i, a in enumerate(agents))
     # per window, the decoded columns are its agents, then PRIOR_SAMPLES
     # copies of its picked agent; their latents are the agents' posterior,
     # then the picked agent's prior (past the posterior columns)
-    columns, latents = [], []
-    for a, b, (_, pick, _) in zip(agents, agents[1:], draws):
-        copies = np.full(PRIOR_SAMPLES, a + pick)
-        columns += [np.arange(a, b), copies]
-        latents += [np.arange(a, b), total + copies]
+    noises, eps, columns, latents = [], [], [], []
+    for a, n in zip(agents, sizes):
+        noises.append(model.recog_noise(n, rng))
+        copies = np.full(PRIOR_SAMPLES, a + int(rng.integers(n)))
+        eps.append(rng.standard_normal(noises[-1].mu.shape[:2]
+                                       + (n + PRIOR_SAMPLES,)))
+        columns += [np.arange(a, a + n), copies]
+        latents += [np.arange(a, a + n), agents[-1] + copies]
     columns, latents = np.concatenate(columns), np.concatenate(latents)
+    scaled = model.config.feature_scale * np.concatenate(
+        [to_displacements(w.positions).values for w in windows], axis=2)
+    adj = [graph.normalized_adjacency(w.positions) for w in windows]
+    adj_obs = [a[:obs] for a in adj]
+
     p = model.traced_params()
-    v_full = ad.leaf(scaled)
     v_obs = ad.leaf(scaled[:, :obs, :])
-    prior = model.prior_forward(p, v_obs, adj[:obs], segments[0])
-    post = model.recog_forward(p, v_full, adj,
-                               noise=RecogNoise.stack([d[0] for d in draws]),
-                               segments=segments[0])
+    prior = model.prior_forward(p, v_obs, adj_obs, agents)
+    post = model.recog_forward(p, ad.leaf(scaled), adj,
+                               RecogNoise.stack(noises), agents)
     mu = ad.take_agents(ad.concat_agents(post.mu, prior.mu), latents)
     logvar = ad.take_agents(ad.concat_agents(post.logvar, prior.logvar),
                             latents)
-    z = ad.reparameterize(mu, logvar,
-                          np.concatenate([d[2] for d in draws], axis=2))
-    pred = model.decode(p, z, v_obs, adj[:obs], columns, segments)
+    z = ad.reparameterize(mu, logvar, np.concatenate(eps, axis=2))
+    pred = model.decode(p, z, v_obs, adj_obs, columns, (agents, decoded))
     objective, reports = losses.window_losses(
         pred, scaled[:, :, columns], post, prior, epoch, sizes,
         PRIOR_SAMPLES)
     traced = ad.backward(objective)
     # (windows, *parameter shape) each
-    grads = {name: traced.get(leaf) if segments[0] else traced.get(leaf)[None]
-             for name, leaf in p.items()}
+    grads = {name: traced.get(leaf) for name, leaf in p.items()}
     norms = np.sqrt(sum(np.sum(g * g, axis=tuple(range(1, g.ndim)))
                         for g in grads.values()))
-    return [({name: g[i] for name, g in grads.items()}, report, norms[i])
-            for i, report in enumerate(reports)]
+
+    out = []
+    for i, (report, norm) in enumerate(zip(reports, norms)):
+        if not (np.isfinite(norm) and np.isfinite(report.total)):
+            bad = next((name for name, v in model.params.items()
+                        if not np.all(np.isfinite(v))), None) \
+                or next((name for name, g in grads.items()
+                         if not np.all(np.isfinite(g[i]))), None)
+            raise DivergenceError(
+                ("" if labels is None else f"window {labels[i]}: ")
+                + f"non-finite loss ({report.total!r}) or gradient norm; "
+                f"first non-finite parameter: {bad}")
+        window = {name: g[i] for name, g in grads.items()}
+        if norm > CLIP_NORM:
+            window = {name: g * (CLIP_NORM / norm)
+                      for name, g in window.items()}
+        out.append((window, report))
+    return out
 
 
 def train_epoch(state: TrainState, model: TrajCvae,

@@ -93,8 +93,9 @@ class TestConvTime:
 
 class TestElementwise:
     def test_prelu_negative(self):
-        out = ad.prelu(ad.leaf([-2.0, 2.0]), ad.leaf([0.25, 0.5]))
-        np.testing.assert_array_equal(out.data, [-0.5, 2.0])
+        x = np.array([-2.0, 2.0]).reshape(2, 1, 1)
+        out = ad.prelu(ad.leaf(x), ad.leaf([0.25, 0.5]))
+        np.testing.assert_array_equal(out.data.ravel(), [-0.5, 2.0])
 
     def test_dropout_rate_zero_identity(self):
         x = rng.uniform(-1, 1, (3, 4))
@@ -135,18 +136,18 @@ class TestElementwise:
 
     def test_prelu_scalar_slope_rejected(self):
         with pytest.raises(DimensionError, match="slope"):
-            ad.prelu(ad.leaf(np.zeros((3, 4))), ad.leaf(0.25))
+            ad.prelu(ad.leaf(np.zeros((3, 4, 2))), ad.leaf(0.25))
 
     @pytest.mark.parametrize("build", [
         lambda x: ad.tanh(x),
         lambda x: ad.exp(ad.scale(x, 0.5)),
         lambda x: ad.mul(x, x),
         lambda x: ad.prelu(x, ad.leaf(np.full(3, 0.25))),
-        lambda x: ad.reciprocal(ad.add(x, ad.leaf(np.full((3, 4), 3.0)))),
-        lambda x: ad.log(ad.add(ad.mul(x, x), ad.leaf(np.ones((3, 4))))),
+        lambda x: ad.reciprocal(ad.add(x, ad.leaf(np.full((3, 4, 2), 3.0)))),
+        lambda x: ad.log(ad.add(ad.mul(x, x), ad.leaf(np.ones((3, 4, 2))))),
     ])
     def test_gradients_vs_finite_diff(self, build):
-        x = rng.uniform(-1, 1, (3, 4))
+        x = rng.uniform(-1, 1, (3, 4, 2))
         check_op(build, [x])
 
     def test_prelu_channel_slope_gradient(self):
@@ -193,6 +194,93 @@ class TestStructuralOps:
         x = rng.uniform(-1, 1, (3, 4, 2))
         b = rng.uniform(-1, 1, 3)
         check_op(ad.add_bias, [x, b])
+
+
+def symmetric_adjacency(t, n):
+    adj = rng.uniform(0, 1, (t, n, n))
+    return (adj + adj.swapaxes(1, 2)) / 2
+
+
+class TestSegments:
+    """Per-segment parameter gradients and per-segment adjacency blocks."""
+
+    N = 5
+    OPS = {
+        "conv_time": (lambda x, seg: ad.conv_time(
+            x, ad.leaf(np.linspace(-1, 1, 18).reshape(3, 2, 3)), 1, seg)),
+        "add_bias": lambda x, seg: ad.add_bias(x, ad.leaf([0.5, -1.0]), seg),
+        "prelu": lambda x, seg: ad.prelu(x, ad.leaf([0.25, 0.5]), seg),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_one_segment_is_byte_equal_to_none(self, op):
+        x = ad.leaf(rng.uniform(-1, 1, (2, 6, self.N)))
+        plain = self.OPS[op](x, None)
+        whole = self.OPS[op](x, (0, self.N))
+        assert plain.data.tobytes() == whole.data.tobytes()
+        g = rng.uniform(-1, 1, plain.shape)
+        (gx, gp), (gx1, gp1) = plain.vjp(g), whole.vjp(g)
+        assert gx.tobytes() == gx1.tobytes()
+        assert gp1.shape == (1,) + gp.shape
+        assert gp1[0].tobytes() == gp.tobytes()
+
+    def test_mix_agents_one_block_is_byte_equal_to_none(self):
+        x = ad.leaf(rng.uniform(-1, 1, (2, 6, self.N)))
+        adj = symmetric_adjacency(6, self.N)
+        plain = ad.mix_agents(x, adj)
+        whole = ad.mix_agents(x, [adj], (0, self.N))
+        assert plain.data.tobytes() == whole.data.tobytes()
+        g = rng.uniform(-1, 1, plain.shape)
+        assert plain.vjp(g)[0].tobytes() == whole.vjp(g)[0].tobytes()
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_segment_gradients_are_each_segments_own(self, op):
+        x = rng.uniform(-1, 1, (2, 6, self.N))
+        g = rng.uniform(-1, 1, (3 if op == "conv_time" else 2, 6, self.N))
+        _, per_segment = self.OPS[op](ad.leaf(x), (0, 2, self.N)).vjp(g)
+        for i, c in enumerate((slice(0, 2), slice(2, self.N))):
+            _, alone = self.OPS[op](ad.leaf(x[:, :, c]), None).vjp(
+                np.ascontiguousarray(g[:, :, c]))
+            np.testing.assert_allclose(per_segment[i], alone, rtol=1e-12)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("segments", [(0, 4), (1, 5), (0, 3, 2, 5)])
+    def test_gradient_rejects_segments_not_splitting_n(self, op, segments):
+        out = self.OPS[op](ad.leaf(np.ones((2, 6, self.N))), segments)
+        with pytest.raises(DimensionError, match="do not split 5"):
+            out.vjp(np.ones(out.shape))
+
+    def test_two_block_mix_agents_gradient(self):
+        x = rng.uniform(-1, 1, (2, 4, self.N))
+        blocks = [symmetric_adjacency(4, 2), symmetric_adjacency(4, 3)]
+        check_op(lambda x: ad.mix_agents(x, blocks, (0, 2, self.N)), [x])
+        out = ad.mix_agents(ad.leaf(x), blocks, (0, 2, self.N)).data
+        for block, c in zip(blocks, (slice(0, 2), slice(2, self.N))):
+            alone = ad.mix_agents(ad.leaf(x[:, :, c]), block).data
+            np.testing.assert_allclose(out[:, :, c], alone, rtol=1e-12)
+
+    @pytest.mark.parametrize("blocks, segments", [
+        ([(4, 2, 2)], (0, 2, 5)),             # a block missing
+        ([(4, 2, 2), (4, 2, 2)], (0, 2, 5)),  # a block of the wrong size
+        ([(3, 2, 2), (4, 3, 3)], (0, 2, 5)),  # wrong frame count
+        ([(4, 5, 5)], (0, 4)),                # segments short of N
+    ])
+    def test_blocks_must_match_segments(self, blocks, segments):
+        x = ad.leaf(np.zeros((2, 4, 5)))
+        with pytest.raises(DimensionError):
+            ad.mix_agents(x, [np.zeros(b) for b in blocks], segments)
+
+    def test_whole_array_with_segments_rejected(self):
+        # with segments, adj is a list of blocks, not one (T, N, N) array
+        with pytest.raises(DimensionError):
+            ad.mix_agents(ad.leaf(np.zeros((2, 4, 5))), np.zeros((4, 5, 5)),
+                          (0, 5))
+
+    @pytest.mark.parametrize("op", ["add_bias", "prelu"])
+    @pytest.mark.parametrize("shape", [(2,), (2, 4), (2, 4, 3, 1)])
+    def test_channel_ops_need_3d_input(self, op, shape):
+        with pytest.raises(DimensionError):
+            getattr(ad, op)(ad.leaf(np.zeros(shape)), ad.leaf(np.ones(2)))
 
 
 class TestReparameterize:
@@ -343,8 +431,8 @@ def test_every_op_is_used(monkeypatch):
 
 def einsum_conv_time(x, kernel, padding=0, segments=None):
     """conv_time as written with np.einsum(optimize=True), the reference
-    (for one window: segments must be None)."""
-    assert segments is None
+    (for one window: segments must be None or the whole (0, N))."""
+    assert segments in (None, (0, x.data.shape[2]))
     xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
     k = kernel.data.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
@@ -357,13 +445,18 @@ def einsum_conv_time(x, kernel, padding=0, segments=None):
         for j in range(k):
             gxp[:, j:j + t_out, :] += np.einsum(
                 "otn,oi->itn", g, kernel.data[:, :, j], optimize=True)
-        return (gxp[:, padding:padding + t, :] if padding else gxp), gk
+        return ((gxp[:, padding:padding + t, :] if padding else gxp),
+                gk if segments is None else gk[None])
 
     return ad.Value(out, (x, kernel), vjp)
 
 
-def einsum_mix_agents(x, adj):
-    """mix_agents as written with np.einsum(optimize=True), the reference."""
+def einsum_mix_agents(x, adj, segments=None):
+    """mix_agents as written with np.einsum(optimize=True), the reference
+    (for one window: segments must be None, or the whole (0, N) with a
+    one-block list)."""
+    assert segments in (None, (0, x.data.shape[2]))
+    adj = adj if segments is None else adj[0]
     out = np.einsum("ctm,tmn->ctn", x.data, adj, optimize=True)
     return ad.Value(out, (x,), lambda g: (
         np.einsum("ctn,tmn->ctm", g, adj, optimize=True),))

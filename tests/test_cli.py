@@ -148,6 +148,21 @@ class TestTrainCommand:
         assert rec == pytest.approx(np.mean([r.rec for r in reports[10:]]),
                                     abs=1e-4)
 
+    def test_non_finite_cache_rejected_before_training(
+            self, synth_cache, small_config, tmp_path, capsys):
+        # an unobserved future frame, as an infer-mode cache holds it
+        windows = data.load_windows(synth_cache)
+        windows[1].positions[15, 0] = np.nan
+        cache = tmp_path / "gaps.stgw"
+        data.save_windows(cache, windows)
+        assert run(["train", "--data", str(cache), "--config",
+                    str(small_config), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "window 1 (scene 'const-velocity') has non-finite positions" \
+            in captured.err
+        assert "epoch" not in captured.out
+        assert not (tmp_path / "o" / "final.stgc").exists()
+
     def test_missing_cache(self, small_config, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.stgw"),
                     "--config", str(small_config),
@@ -171,6 +186,9 @@ class TestTrainConfigFile:
         ("val_every=0", "val_every must be >= 1"),
         ("dropout=-0.5", "dropout must be in [0, 1)"),
         ("dropout=1.0", "dropout must be in [0, 1)"),
+        ("lr_initial=-0.01", "lr_initial must be positive"),
+        ("lr_after=0", "lr_after must be positive"),
+        ("lr_switch_epoch=-3", "lr_switch_epoch must be in [0, epochs)"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):

@@ -114,6 +114,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
             training.TrainConfig(**{field: 0})
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("lr_initial", -0.01, "lr_initial must be positive"),
+        ("lr_initial", float("nan"), "lr_initial must be positive"),
+        ("lr_after", 0.0, "lr_after must be positive"),
+        ("lr_switch_epoch", -3, r"lr_switch_epoch must be in \[0, epochs\)"),
+    ])
+    def test_learning_rate_schedule_out_of_range(self, field, value, named):
+        with pytest.raises(ConfigError, match=named):
+            training.TrainConfig(**{field: value})
+
     def test_lr_switch_default_is_three_fifths_of_epochs(self):
         assert training.TrainConfig().lr_switch_epoch == 150
         assert training.TrainConfig(epochs=10).lr_switch_epoch == 6
@@ -372,17 +382,22 @@ class TestChunks:
         wide = [synthetic.make_window("turn", 30, np.random.default_rng(0))]
         assert list(training._chunks([0], wide)) == [[0]]
 
-    def test_divergence_names_the_window_inside_a_chunk(self):
-        # a NaN position in the second window of a chunk reaches the first
-        # through the block-diagonal adjacency (0 * nan); the window named
-        # is still the second
+    def test_divergence_names_the_window_inside_a_chunk(self, monkeypatch):
+        # a NaN position in the second window of a chunk stays in that
+        # window's own adjacency block and columns, so one pass finds it:
+        # the window named is the second
         windows = mixed_windows(2, seed=1)
         windows[1].positions[9, 0, 0] = np.nan
         m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        passes = []
+        inner = ad.backward
+        monkeypatch.setattr(ad, "backward",
+                            lambda loss: passes.append(1) or inner(loss))
         with pytest.raises(DivergenceError, match=r"^window b: "), \
                 np.errstate(invalid="ignore"):
             training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
                                      labels=["a", "b"])
+        assert len(passes) == 1
 
 
 class TestSplit:
@@ -605,8 +620,8 @@ def train_configs(draw):
     return training.TrainConfig(
         epochs=epochs,
         batch_size=draw(st.integers(1, 10 ** 4)),
-        lr_initial=draw(st.floats(-1e3, 1e3)),
-        lr_after=draw(st.floats(-1e3, 1e3)),
+        lr_initial=draw(st.floats(0.0, 1e3, exclude_min=True)),
+        lr_after=draw(st.floats(0.0, 1e3, exclude_min=True)),
         lr_switch_epoch=draw(st.integers(0, epochs - 1)),
         seed=draw(st.integers(0, 2 ** 63)),
         val_every=draw(st.integers(1, 10 ** 4)))
