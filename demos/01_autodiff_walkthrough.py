@@ -13,13 +13,14 @@ from stgcvae import autodiff as ad  # noqa: E402
 
 rng = np.random.default_rng(0)
 
-# a small "network": y = mean( prelu(conv_time(x, w) + b) ** 2 )
+# a small "network": y = mean( prelu(conv_time(x, w, b)) ** 2 ), where
+# conv_time adds the bias b to each output channel
 x = ad.leaf(rng.normal(size=(3, 10, 2)))       # (channels, time, agents)
 w = ad.leaf(rng.normal(size=(4, 3, 3)) * 0.3)  # (out, in, kernel)
 b = ad.leaf(rng.normal(size=4) * 0.1)
 slope = ad.leaf(np.full(4, 0.25))
 
-h = ad.prelu(ad.add_bias(ad.conv_time(x, w, padding=1), b), slope)
+h = ad.prelu(ad.conv_time(x, w, b, padding=1), slope)
 y = ad.mean_all(ad.mul(h, h))
 print(f"y = {float(y.data):.6f}")
 
@@ -33,8 +34,7 @@ for idx in [(0, 0, 0), (3, 2, 1)]:
     def f(delta, idx=idx):
         w2 = w.data.copy()
         w2[idx] += delta
-        h2 = ad.prelu(ad.add_bias(ad.conv_time(x, ad.leaf(w2), padding=1),
-                                  b), slope)
+        h2 = ad.prelu(ad.conv_time(x, ad.leaf(w2), b, padding=1), slope)
         return float(ad.mean_all(ad.mul(h2, h2)).data)
     fd = (f(eps) - f(-eps)) / (2 * eps)
     print(f"w{idx}: analytic {gw[idx]: .8f}  fd {fd: .8f}")

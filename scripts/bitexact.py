@@ -70,9 +70,10 @@ def grid() -> dict:
 
 
 def compare(a_path, b_path) -> int:
-    a, b = np.load(a_path), np.load(b_path)
-    only = sorted(set(a.files) ^ set(b.files))
-    differ = [k for k in sorted(set(a.files) & set(b.files))
+    # read each file once: an NpzFile reads an array again at every lookup
+    a, b = dict(np.load(a_path)), dict(np.load(b_path))
+    only = sorted(set(a) ^ set(b))
+    differ = [k for k in sorted(set(a) & set(b))
               if a[k].shape != b[k].shape or a[k].dtype != b[k].dtype
               or a[k].tobytes() != b[k].tobytes()]
     rel = {k: relative_difference(a[k], b[k]) for k in differ}
@@ -82,7 +83,7 @@ def compare(a_path, b_path) -> int:
         print(f"only in one file: {k}")
     worst = f"; max relative difference {max(rel.values()):.3g}" if rel \
         else ""
-    print(f"{len(differ)} of {len(set(a.files) & set(b.files))} arrays "
+    print(f"{len(differ)} of {len(set(a) & set(b))} arrays "
           f"differ{worst}; {len(only)} names in only one file")
     return 1 if differ or only else 0
 

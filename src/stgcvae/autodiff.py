@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is exactly what the trajectory model needs: 1-D convolution
+The op set is exactly what the trajectory model needs: biased 1-D convolution
 along the time axis, per-frame agent mixing against a constant adjacency
 stack, a small elementwise suite on equal-shape operands, and the Gaussian
 reparameterization trick. The computation record is define-by-run: every
@@ -145,9 +145,9 @@ def clamp(x: Value, lo=None, hi=None) -> Value:
 # Segments: windows stacked along the agent axis of (C, T, N) tensors share
 # one record, and `segments`, the bounds (0, n_1, ..., N) of their agent
 # columns, keeps them apart. mix_agents takes one adjacency block per
-# segment. conv_time, add_bias and prelu give their parameter's gradient per
-# segment along a new leading axis, reducing each segment as the whole array
-# is reduced for segments=None: the single segment (0, N), with the
+# segment. conv_time and prelu give their parameters' gradients per segment
+# along a new leading axis, reducing each segment as the whole array is
+# reduced for segments=None: the single segment (0, N), with the
 # parameter's own shape and the same bits.
 
 
@@ -170,17 +170,13 @@ def _segment_grads(segments, n: int, shape: tuple):
     return zip(cols, grads), grads if segments else grads[0]
 
 
-def _check_channels(x: Value, v: Value, opname: str, what: str):
-    if x.data.ndim != 3 or v.data.shape != (x.data.shape[0],):
-        raise DimensionError(
-            f"{opname}: {what} {v.data.shape} does not match the channels "
-            f"of a (C, T, N) input, got {x.data.shape}")
-
-
 def prelu(x: Value, slope: Value, segments=None) -> Value:
     """Parametric ReLU of a (C, T, N) tensor with a per-channel slope
     vector; the slope's gradient is per segment."""
-    _check_channels(x, slope, "prelu", "slope")
+    if x.data.ndim != 3 or slope.data.shape != (x.data.shape[0],):
+        raise DimensionError(
+            f"prelu: slope {slope.data.shape} does not match the channels "
+            f"of a (C, T, N) input, got {x.data.shape}")
     s = slope.data.reshape(-1, 1, 1)
     # multiplies by 1 or s instead of np.where, which costs ten times more
     pos = x.data > 0
@@ -240,12 +236,14 @@ def _padded_windows(x: np.ndarray, padding: int, k: int):
     return xp, win
 
 
-def conv_time(x: Value, kernel: Value, padding: int = 0,
+def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
               segments=None) -> Value:
-    """1-D convolution along the time axis, independent per agent column.
+    """1-D convolution along the time axis, independent per agent column,
+    plus a per-channel bias.
 
-    x: (C_in, T, N), kernel: (C_out, C_in, K) -> (C_out, T + 2*padding - K + 1, N)
-    with zero padding. The kernel's gradient is per segment.
+    x: (C_in, T, N), kernel: (C_out, C_in, K), bias: (C_out,)
+    -> (C_out, T + 2*padding - K + 1, N) with zero padding. The kernel's
+    and the bias's gradients are per segment.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise DimensionError(
@@ -256,6 +254,10 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
     if kc_in != c_in:
         raise DimensionError(
             f"conv_time: kernel input channels {kc_in} != input channels {c_in}")
+    if bias.data.shape != (c_out,):
+        raise DimensionError(
+            f"conv_time: bias {bias.data.shape} does not match the kernel's "
+            f"{c_out} output channels")
     if k > t + 2 * padding:
         raise DimensionError(
             f"conv_time: kernel length {k} exceeds padded input length "
@@ -267,7 +269,8 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
     _, win = _padded_windows(x.data, padding, k)
     cols = win.transpose(1, 2, 0, 3).reshape(t_out * n, c_in * k)
     taps = kernel.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
-    out = (cols @ taps).reshape(t_out, n, c_out).transpose(2, 0, 1)
+    out = (cols @ taps).reshape(t_out, n, c_out).transpose(2, 0, 1) \
+        + bias.data.reshape(-1, 1, 1)
 
     def vjp(g):
         # rebuilt from x, which the record keeps anyway, so the record does
@@ -279,6 +282,9 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
             np.matmul(win[:, :, c].transpose(0, 3, 1, 2).reshape(c_in * k, -1),
                       g[:, :, c].transpose(1, 2, 0).reshape(-1, c_out),
                       out=gk_seg)
+        parts, gb = _segment_grads(segments, n, (c_out,))
+        for c, gb_seg in parts:
+            g[:, :, c].sum(axis=(1, 2), out=gb_seg)
         g_cols = g.reshape(c_out, t_out * n)
         gxp = np.zeros_like(xp)
         # one product per tap: a single transposed-convolution GEMM would
@@ -289,23 +295,9 @@ def conv_time(x: Value, kernel: Value, padding: int = 0,
         gx = gxp[:, padding:padding + t, :] if padding else gxp
         # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
         gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
-        return gx, gk.swapaxes(-1, -2).swapaxes(-2, -3)
+        return gx, gk.swapaxes(-1, -2).swapaxes(-2, -3), gb
 
-    return Value(out, (x, kernel), vjp)
-
-
-def add_bias(x: Value, b: Value, segments=None) -> Value:
-    """Add a per-channel bias vector to a (C, T, N) tensor; the bias's
-    gradient is per segment."""
-    _check_channels(x, b, "add_bias", "bias")
-
-    def vjp(g):
-        parts, gb = _segment_grads(segments, g.shape[2], b.data.shape)
-        for c, gb_seg in parts:
-            g[:, :, c].sum(axis=(1, 2), out=gb_seg)
-        return g, gb
-
-    return Value(x.data + b.data.reshape(-1, 1, 1), (x, b), vjp)
+    return Value(out, (x, kernel, bias), vjp)
 
 
 def mix_agents(x: Value, adj, segments=None) -> Value:

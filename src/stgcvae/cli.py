@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="latent")
     p.add_argument("--oracle-per-metric", action="store_true",
                    help="report independent minima for ADE and FDE")
-    p.add_argument("--export", default=None,
-                   help="write sampled predictions to this CSV")
 
     p = sub.add_parser("bench", help="inference latency benchmark")
     p.add_argument("--ckpt", required=True)
@@ -160,11 +158,6 @@ def cmd_evaluate(args) -> int:
         m, windows, k=args.k, seed=args.seed, sample_mode=args.sample_mode,
         oracle_per_metric=args.oracle_per_metric)
     print(report.render(), end="")
-    if args.export:
-        evaluation.export_predictions(args.export, m, windows, k=args.k,
-                                      seed=args.seed,
-                                      sample_mode=args.sample_mode)
-        print(f"predictions -> {args.export}")
     return 0
 
 

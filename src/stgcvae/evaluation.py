@@ -13,7 +13,7 @@ from . import graph
 from .data import SequenceWindow, to_displacements
 from .errors import (DimensionError, EmptyWindowError, MissingTruthError,
                      ParameterError)
-from .model import TrajCvae
+from .model import OUT_CHANNELS, TrajCvae
 
 
 @dataclass
@@ -119,7 +119,7 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
             e1[:, sample] = rng.standard_normal((pred_len, n))
             e2[:, sample] = rng.standard_normal((pred_len, n))
 
-    pred = np.empty((cfg.out_channels, pred_len, k * n))
+    pred = np.empty((OUT_CHANNELS, pred_len, k * n))
     per_pass = max(1, DECODE_COLUMNS // n)
     with ad.no_record():
         p = model.traced_params()
@@ -249,12 +249,14 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         param_count=model.count_params())
 
 
-def require_truth(windows: list[SequenceWindow]) -> None:
-    """MissingTruthError naming the first window with a non-finite position."""
+def require_truth(windows: list[SequenceWindow], labels=None) -> None:
+    """MissingTruthError naming the first window with a non-finite position
+    by its label (default: its index)."""
     for i, w in enumerate(windows):
         if not np.all(np.isfinite(w.positions)):
             raise MissingTruthError(
-                f"window {i} (scene {w.scene!r}) has non-finite positions; "
+                f"window {i if labels is None else labels[i]} "
+                f"(scene {w.scene!r}) has non-finite positions; "
                 "only windows with all frames observed can be trained or "
                 "scored (an infer-mode cache has NaN future frames)")
 

@@ -27,6 +27,9 @@ from .errors import ConfigError, DimensionError, FormatError
 
 LOGVAR_MIN, LOGVAR_MAX = ad.LOGVAR_MIN, ad.LOGVAR_MAX
 
+IN_CHANNELS = 2   # per-frame displacement (dx, dy)
+OUT_CHANNELS = 5  # (mu_x, mu_y, s_x, s_y, r)
+
 # Guards for the output distribution channels. The latent clamp above bounds
 # the loss value, but near-degenerate output Gaussians also blow up the NLL
 # gradient (1/sigma^2 and 1/(1-rho^2) factors), which diverges under
@@ -39,12 +42,10 @@ RHO_R_MAX = 1.2
 
 @dataclass
 class ModelConfig:
-    in_channels: int = 2
     embed_channels: int = 24
     latent_len: int = 20
     obs_len: int = 8
     seq_len: int = 20
-    out_channels: int = 5  # (mu_x, mu_y, s_x, s_y, r)
     prior_blocks: int = 3    # GCN+TCN pairs in the prior encoder
     recog_blocks: int = 2    # GCN+TCN pairs in the recognition encoder
     tcn_kernel: int = 3
@@ -60,8 +61,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.feature_scale <= 0:
             raise ConfigError("feature_scale must be positive")
-        for name in ("in_channels", "embed_channels", "latent_len",
-                     "obs_len", "seq_len", "out_channels",
+        for name in ("embed_channels", "latent_len", "obs_len", "seq_len",
                      "prior_blocks", "recog_blocks", "tcn_kernel"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -166,7 +166,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases,
     prelu slopes 0.25. Deterministic under the generator's state."""
     store = ParamStore()
-    c, p = config.in_channels, config.embed_channels
+    c, p = IN_CHANNELS, config.embed_channels
     k, l = config.tcn_kernel, config.latent_len
 
     def conv(name, c_out, c_in, width):
@@ -202,7 +202,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     slope("dec.txp1.slope", p)
     conv("dec.txp2", config.seq_len, config.seq_len, k)
     slope("dec.txp2.slope", p)
-    conv("dec.out", config.out_channels, p, 1)
+    conv("dec.out", OUT_CHANNELS, p, 1)
     return store
 
 
@@ -218,9 +218,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
 
 def _layer(v, params, name, padding=0, segments=None):
     """Convolution plus bias, with the parameters `name`.w and `name`.b."""
-    return ad.add_bias(ad.conv_time(v, params[name + ".w"], padding=padding,
-                                    segments=segments),
-                       params[name + ".b"], segments)
+    return ad.conv_time(v, params[name + ".w"], params[name + ".b"], padding,
+                        segments)
 
 
 def _gcn(v, adj, params, name, segments=None):

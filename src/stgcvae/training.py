@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graph, losses
 from .data import SequenceWindow, to_displacements
+from .evaluation import require_truth
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
 from .model import (ModelConfig, ParamStore, RecogNoise, TrajCvae,
                     build_config, load_model, read_key_values, save_params)
@@ -121,10 +122,12 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     rounding.
 
     A window whose gradient has a global norm above CLIP_NORM is scaled
-    down to it. A non-finite loss or norm raises DivergenceError naming the
-    window (as `window {labels[i]}: `, given labels) and the first parameter
-    whose value is not finite (or, if every value is, the first whose
-    gradient is not).
+    down to it. A non-finite loss or norm raises MissingTruthError if a
+    window of the chunk has a non-finite position (see
+    evaluation.require_truth), else DivergenceError naming the window (as
+    `window {labels[i]}: `, given labels) and the first parameter whose
+    value is not finite (or, if every value is, the first whose gradient
+    is not).
     """
     obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
@@ -170,6 +173,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     out = []
     for i, (report, norm) in enumerate(zip(reports, norms)):
         if not (np.isfinite(norm) and np.isfinite(report.total)):
+            require_truth(windows, labels)
             bad = next((name for name, v in model.params.items()
                         if not np.all(np.isfinite(v))), None) \
                 or next((name for name, g in grads.items()

@@ -66,29 +66,41 @@ class TestConvTime:
     def test_unit_kernel_identity(self):
         x = rng.uniform(-1, 1, (1, 6, 2))
         k = np.ones((1, 1, 1))
-        out = ad.conv_time(ad.leaf(x), ad.leaf(k), padding=0)
+        out = ad.conv_time(ad.leaf(x), ad.leaf(k), ad.leaf(np.zeros(1)),
+                           padding=0)
         np.testing.assert_allclose(out.data, x)
 
     def test_hand_case(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)
         k = np.ones((1, 1, 3))
-        out = ad.conv_time(ad.leaf(x), ad.leaf(k), padding=1)
-        np.testing.assert_allclose(out.data.ravel(), [3, 6, 5])
+        out = ad.conv_time(ad.leaf(x), ad.leaf(k), ad.leaf([0.5]), padding=1)
+        np.testing.assert_allclose(out.data.ravel(), [3.5, 6.5, 5.5])
 
     def test_output_length(self):
         x = ad.leaf(np.zeros((2, 8, 3)))
         k = ad.leaf(np.zeros((4, 2, 3)))
-        assert ad.conv_time(x, k, padding=1).shape == (4, 8, 3)
+        b = ad.leaf(np.zeros(4))
+        assert ad.conv_time(x, k, b, padding=1).shape == (4, 8, 3)
 
     def test_kernel_too_long(self):
         with pytest.raises(DimensionError):
             ad.conv_time(ad.leaf(np.zeros((1, 3, 1))),
-                         ad.leaf(np.zeros((1, 1, 6))), padding=1)
+                         ad.leaf(np.zeros((1, 1, 6))), ad.leaf(np.zeros(1)),
+                         padding=1)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (), (3, 1)])
+    def test_bias_must_match_output_channels(self, shape):
+        with pytest.raises(DimensionError, match="bias"):
+            ad.conv_time(ad.leaf(np.zeros((2, 5, 3))),
+                         ad.leaf(np.zeros((3, 2, 3))),
+                         ad.leaf(np.zeros(shape)), padding=1)
 
     def test_gradient_vs_finite_diff(self):
         x = rng.uniform(-1, 1, (2, 7, 3))
         k = rng.uniform(-1, 1, (3, 2, 3))
-        check_op(lambda x, k: ad.conv_time(x, k, padding=1), [x, k], rel=1e-5)
+        b = rng.uniform(-1, 1, 3)
+        check_op(lambda x, k, b: ad.conv_time(x, k, b, padding=1), [x, k, b],
+                 rel=1e-5)
 
 
 class TestElementwise:
@@ -190,11 +202,6 @@ class TestStructuralOps:
             ad.concat_agents(a, b), [1, 4, 4, 2, 1, 3]), ad.Value(w)),
             [a, b])
 
-    def test_add_bias_gradient(self):
-        x = rng.uniform(-1, 1, (3, 4, 2))
-        b = rng.uniform(-1, 1, 3)
-        check_op(ad.add_bias, [x, b])
-
 
 def symmetric_adjacency(t, n):
     adj = rng.uniform(0, 1, (t, n, n))
@@ -207,8 +214,8 @@ class TestSegments:
     N = 5
     OPS = {
         "conv_time": (lambda x, seg: ad.conv_time(
-            x, ad.leaf(np.linspace(-1, 1, 18).reshape(3, 2, 3)), 1, seg)),
-        "add_bias": lambda x, seg: ad.add_bias(x, ad.leaf([0.5, -1.0]), seg),
+            x, ad.leaf(np.linspace(-1, 1, 18).reshape(3, 2, 3)),
+            ad.leaf([0.5, -1.0, 0.25]), 1, seg)),
         "prelu": lambda x, seg: ad.prelu(x, ad.leaf([0.25, 0.5]), seg),
     }
 
@@ -219,10 +226,11 @@ class TestSegments:
         whole = self.OPS[op](x, (0, self.N))
         assert plain.data.tobytes() == whole.data.tobytes()
         g = rng.uniform(-1, 1, plain.shape)
-        (gx, gp), (gx1, gp1) = plain.vjp(g), whole.vjp(g)
+        (gx, *gps), (gx1, *gps1) = plain.vjp(g), whole.vjp(g)
         assert gx.tobytes() == gx1.tobytes()
-        assert gp1.shape == (1,) + gp.shape
-        assert gp1[0].tobytes() == gp.tobytes()
+        for gp, gp1 in zip(gps, gps1, strict=True):
+            assert gp1.shape == (1,) + gp.shape
+            assert gp1[0].tobytes() == gp.tobytes()
 
     def test_mix_agents_one_block_is_byte_equal_to_none(self):
         x = ad.leaf(rng.uniform(-1, 1, (2, 6, self.N)))
@@ -237,11 +245,12 @@ class TestSegments:
     def test_segment_gradients_are_each_segments_own(self, op):
         x = rng.uniform(-1, 1, (2, 6, self.N))
         g = rng.uniform(-1, 1, (3 if op == "conv_time" else 2, 6, self.N))
-        _, per_segment = self.OPS[op](ad.leaf(x), (0, 2, self.N)).vjp(g)
+        _, *per_segment = self.OPS[op](ad.leaf(x), (0, 2, self.N)).vjp(g)
         for i, c in enumerate((slice(0, 2), slice(2, self.N))):
-            _, alone = self.OPS[op](ad.leaf(x[:, :, c]), None).vjp(
+            _, *alone = self.OPS[op](ad.leaf(x[:, :, c]), None).vjp(
                 np.ascontiguousarray(g[:, :, c]))
-            np.testing.assert_allclose(per_segment[i], alone, rtol=1e-12)
+            for gp, gp_alone in zip(per_segment, alone, strict=True):
+                np.testing.assert_allclose(gp[i], gp_alone, rtol=1e-12)
 
     @pytest.mark.parametrize("op", sorted(OPS))
     @pytest.mark.parametrize("segments", [(0, 4), (1, 5), (0, 3, 2, 5)])
@@ -276,11 +285,11 @@ class TestSegments:
             ad.mix_agents(ad.leaf(np.zeros((2, 4, 5))), np.zeros((4, 5, 5)),
                           (0, 5))
 
-    @pytest.mark.parametrize("op", ["add_bias", "prelu"])
+    @pytest.mark.parametrize("op", sorted(OPS))
     @pytest.mark.parametrize("shape", [(2,), (2, 4), (2, 4, 3, 1)])
     def test_channel_ops_need_3d_input(self, op, shape):
         with pytest.raises(DimensionError):
-            getattr(ad, op)(ad.leaf(np.zeros(shape)), ad.leaf(np.ones(2)))
+            self.OPS[op](ad.leaf(np.zeros(shape)), None)
 
 
 class TestReparameterize:
@@ -364,16 +373,19 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
     def test_tanh_linear_net_vs_finite_diff(self):
-        # a 1x1 conv_time is a linear map over channels
+        # a 1x1 conv_time is an affine map over channels
         w = rng.uniform(-0.5, 0.5, (4, 3, 1))
+        b = rng.uniform(-0.5, 0.5, 4)
         x = rng.uniform(-1, 1, (3, 2, 2))
-        check_op(lambda w, x: ad.tanh(ad.conv_time(x, w)), [w, x], rel=1e-5)
+        check_op(lambda w, b, x: ad.tanh(ad.conv_time(x, w, b)), [w, b, x],
+                 rel=1e-5)
 
     def test_forward_deterministic(self):
         x = rng.uniform(-1, 1, (3, 3, 2))
         w = rng.uniform(-1, 1, (3, 3, 1))
-        a = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w))).data
-        b = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w))).data
+        bias = ad.leaf(rng.uniform(-1, 1, 3))
+        a = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w), bias)).data
+        b = ad.tanh(ad.conv_time(ad.leaf(x), ad.leaf(w), bias)).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -429,26 +441,28 @@ def test_every_op_is_used(monkeypatch):
 # fixed matmul contractions against the einsum code they replaced
 
 
-def einsum_conv_time(x, kernel, padding=0, segments=None):
+def einsum_conv_time(x, kernel, bias, padding=0, segments=None):
     """conv_time as written with np.einsum(optimize=True), the reference
     (for one window: segments must be None or the whole (0, N))."""
     assert segments in (None, (0, x.data.shape[2]))
     xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
     k = kernel.data.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-    out = np.einsum("oik,itnk->otn", kernel.data, win, optimize=True)
+    out = np.einsum("oik,itnk->otn", kernel.data, win, optimize=True) \
+        + bias.data.reshape(-1, 1, 1)
     t, t_out = x.data.shape[1], out.shape[1]
 
     def vjp(g):
         gk = np.einsum("otn,itnk->oik", g, win, optimize=True)
+        gb = g.sum(axis=(1, 2))
         gxp = np.zeros_like(xp)
         for j in range(k):
             gxp[:, j:j + t_out, :] += np.einsum(
                 "otn,oi->itn", g, kernel.data[:, :, j], optimize=True)
-        return ((gxp[:, padding:padding + t, :] if padding else gxp),
-                gk if segments is None else gk[None])
+        gx = gxp[:, padding:padding + t, :] if padding else gxp
+        return (gx, gk, gb) if segments is None else (gx, gk[None], gb[None])
 
-    return ad.Value(out, (x, kernel), vjp)
+    return ad.Value(out, (x, kernel, bias), vjp)
 
 
 def einsum_mix_agents(x, adj, segments=None):
@@ -517,8 +531,9 @@ class TestEinsumEquivalence:
             x = gen.standard_normal((c_in, t, n))
             x = ad.leaf(strided(x) if xs else x)
             kernel = ad.leaf(gen.standard_normal((c_out, c_in, k)))
-            got = ad.conv_time(x, kernel, padding)
-            want = einsum_conv_time(x, kernel, padding)
+            bias = ad.leaf(gen.standard_normal(c_out))
+            got = ad.conv_time(x, kernel, bias, padding)
+            want = einsum_conv_time(x, kernel, bias, padding)
             assert_same(got.data, want.data)
             g = gen.standard_normal(got.shape)
             g = strided(g) if gs else g

@@ -189,6 +189,9 @@ class TestTrainConfigFile:
         ("lr_initial=-0.01", "lr_initial must be positive"),
         ("lr_after=0", "lr_after must be positive"),
         ("lr_switch_epoch=-3", "lr_switch_epoch must be in [0, epochs)"),
+        # fixed by the model's inputs and outputs, not configurable
+        ("in_channels=2", "train.cfg:2: unknown key 'in_channels'"),
+        ("out_channels=5", "train.cfg:2: unknown key 'out_channels'"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):
@@ -276,12 +279,14 @@ class TestEvaluateCommand:
     def test_report_and_export(self, synth_cache, small_config, tmp_path,
                                capsys):
         ckpt = train_once(synth_cache, small_config, tmp_path / "run")
-        export = tmp_path / "preds.csv"
         assert run(["evaluate", "--ckpt", str(ckpt), "--data",
-                    str(synth_cache), "--k", "4", "--seed", "0",
-                    "--export", str(export)]) == 0
+                    str(synth_cache), "--k", "4", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "param_count" in out and "ade = " in out
+        export = tmp_path / "preds.csv"
+        assert run(["predict", "--ckpt", str(ckpt), "--data",
+                    str(synth_cache), "--k", "4", "--seed", "0",
+                    "--out", str(export)]) == 0
         lines = export.read_text().splitlines()
         assert lines[0] == "window_id,agent_id,frame,sample_id,x,y"
         ids = {int(l.split(",")[3]) for l in lines[1:]}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stgcvae import autodiff as ad
 from stgcvae import losses, model, synthetic, training
 from stgcvae.errors import (ConfigError, DivergenceError, FormatError,
-                            ParameterError)
+                            MissingTruthError, ParameterError)
 
 SMALL = model.ModelConfig(embed_channels=6, latent_len=4)
 
@@ -86,7 +86,7 @@ class TestConfigFile:
         names = [{f.name for f in fields(c)}
                  for c in (model.ModelConfig, training.TrainConfig)]
         assert not names[0] & names[1]
-        assert len(names[0]) + len(names[1]) == 19
+        assert len(names[0]) + len(names[1]) == 17
 
     @pytest.mark.parametrize("line, named", [
         ("epochs=2.5", "epochs: expected a finite int"),
@@ -383,21 +383,34 @@ class TestChunks:
         assert list(training._chunks([0], wide)) == [[0]]
 
     def test_divergence_names_the_window_inside_a_chunk(self, monkeypatch):
-        # a NaN position in the second window of a chunk stays in that
-        # window's own adjacency block and columns, so one pass finds it:
-        # the window named is the second
+        # a finite position whose displacements overflow, in the second
+        # window of a chunk, stays in that window's own adjacency block and
+        # columns, so one pass finds it: the window named is the second
         windows = mixed_windows(2, seed=1)
-        windows[1].positions[9, 0, 0] = np.nan
+        windows[1].positions[9, 0, 0] = 1e300
         m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
         passes = []
         inner = ad.backward
         monkeypatch.setattr(ad, "backward",
                             lambda loss: passes.append(1) or inner(loss))
         with pytest.raises(DivergenceError, match=r"^window b: "), \
-                np.errstate(invalid="ignore"):
+                np.errstate(invalid="ignore", over="ignore"):
             training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
                                      labels=["a", "b"])
         assert len(passes) == 1
+
+    def test_non_finite_position_is_named_as_bad_input(self):
+        # the NaN reaches the prior's parameter gradients through the KL
+        # term, but the error names the window's input, not a parameter
+        windows = mixed_windows(3, seed=1)
+        windows[1].positions[9, 0, 0] = np.nan
+        m, state, _ = small_setup()
+        cfg = training.TrainConfig(epochs=2, batch_size=3)
+        with pytest.raises(MissingTruthError,
+                           match=r"^window 1 \(scene '\w+'\) has non-finite "
+                                 r"positions"), \
+                np.errstate(invalid="ignore"):
+            training.train_epoch(state, m, windows, cfg)
 
 
 class TestSplit:
@@ -465,6 +478,17 @@ class TestCheckpointResume:
         with pytest.raises(FormatError,
                            match=r"ckpt\.stgc: parameter prior\.head\.mu\.w"):
             training.restore(path)
+
+    def test_sidecar_with_removed_channel_keys_loads(self, tmp_path):
+        # sidecars written while in_channels and out_channels were config
+        # fields still load; keys that are not fields are ignored
+        m, state, _ = small_setup()
+        path = tmp_path / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        meta = Path(f"{path}.meta")
+        meta.write_text(meta.read_text() + "in_channels=2\nout_channels=5\n")
+        _, restored = training.restore(path)
+        assert restored.config == m.config
 
     @pytest.mark.parametrize("field, bad", [
         ("epoch", "abc"), ("step", "1.5"), ("skipped_windows", "-1"),
