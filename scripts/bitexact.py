@@ -11,7 +11,13 @@ writes every resulting array to OUT.npz:
   {1, 2, 3, 5, 12, 40}, every synthetic pattern, feature_scale {1, 4} and
   epoch {0, 50};
 - best-of-20 `sample_futures` in `latent` and `full` mode at the same N;
-- the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows.
+- the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows;
+- `preprocess/`: annotation files written to a temporary directory (25 Hz
+  frame ids sampled every 10 frames with jitter and gaps, and a 10 Hz robot
+  log with a `#robot_id=` header), run through `parse_annotations`,
+  `resample` and `build_windows` in train and infer mode at strides 1 and
+  3; per run, every window's positions and agent ids (concatenated along
+  the agent axis), agent counts and robot indices.
 
 `compare` prints how many arrays differ in shape, dtype or bytes, each
 one's maximum relative difference (and the largest), and which names only
@@ -22,6 +28,8 @@ Needs numpy only; a dump takes a few seconds.
 
 import argparse
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +74,56 @@ def grid() -> dict:
         state = training.train_epoch(state, m, windows, cfg)
     for name, v in m.params.items():
         out[f"train/{name}"] = v
+    out.update(preprocess())
+    return out
+
+
+def annotation_files(directory: Path) -> dict:
+    """{path: frame period} of two scenes: pedestrians labelled at 25 Hz
+    frame ids every 10 frames, some ids off by one frame and some runs
+    missing, and a 10 Hz robot log with pedestrians every 3 frames."""
+    def lines(agent, frames, xy):
+        return [f"{f} {agent} {x!r} {y!r}"
+                for f, (x, y) in zip(frames.tolist(), xy.tolist())]
+
+    rng = np.random.default_rng(23)
+    peds, robot = [], ["#robot_id=7"]
+    for agent in range(12):
+        frames = rng.integers(0, 200) + 10 * np.arange(rng.integers(5, 60))
+        frames += (rng.random(len(frames)) < 0.15) * rng.choice([-1, 1])
+        frames = np.delete(frames, np.s_[8:8 + rng.integers(0, 6)])
+        xy = np.cumsum(rng.normal(0.0, 0.4, (len(frames), 2)), axis=0)
+        peds += lines(agent, frames, xy)
+    for agent, step in ((7, 1), (3, 3), (4, 3)):
+        frames = np.arange(rng.integers(0, 20), 240, step)
+        frames = np.delete(frames, np.s_[30:30 + rng.integers(0, 12)])
+        xy = np.cumsum(rng.normal(0.0, 0.1 * step, (len(frames), 2)), axis=0)
+        robot += lines(agent, frames, xy)
+    (directory / "peds.txt").write_text("\n".join(peds) + "\n")
+    (directory / "robot.txt").write_text("\n".join(robot) + "\n")
+    return {directory / "peds.txt": 0.04, directory / "robot.txt": 0.1}
+
+
+def preprocess() -> dict:
+    from stgcvae import data
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, period in annotation_files(Path(tmp)).items():
+            scene = data.resample(
+                data.parse_annotations(path, frame_period=period), 0.4)
+            for mode in ("train", "infer"):
+                for stride in (1, 3):
+                    ws = data.build_windows(scene, stride=stride, mode=mode)
+                    key = f"preprocess/{path.stem}/{mode}/s{stride}"
+                    out[f"{key}/positions"] = np.concatenate(
+                        [w.positions for w in ws], axis=1)
+                    out[f"{key}/agent_ids"] = np.array(
+                        [a for w in ws for a in w.agent_ids], dtype=np.int64)
+                    out[f"{key}/n_agents"] = np.array(
+                        [w.n_agents for w in ws])
+                    out[f"{key}/robot_index"] = np.array(
+                        [w.robot_index for w in ws])
     return out
 
 

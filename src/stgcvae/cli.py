@@ -8,6 +8,7 @@ All randomness in a command derives from its seed (train: --seed or config).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -88,20 +89,23 @@ def cmd_preprocess(args) -> int:
     in_dir = Path(args.input)
     if not in_dir.is_dir():
         raise StgcvaeError(f"input directory {in_dir} does not exist")
-    target = 1.0 / args.rate
-    scenes = []
-    for path in sorted(in_dir.glob("*.txt")):
-        scenes.append(data.parse_annotations(
-            path, frame_period=1.0 / args.input_rate))
+    for flag in ("rate", "input_rate", "robot_rate"):
+        rate = getattr(args, flag)
+        if not (0 < rate < math.inf and math.isfinite(1.0 / rate)):
+            raise ParameterError(f"--{flag.replace('_', '-')} must be a "
+                                 f"finite number of Hz > 0, got {rate}")
+    if args.stride < 1:
+        raise ParameterError(f"--stride must be >= 1, got {args.stride}")
+    sources = [(p, args.input_rate) for p in sorted(in_dir.glob("*.txt"))]
     if args.robot_log:
-        scenes.append(data.parse_annotations(
-            Path(args.robot_log), frame_period=1.0 / args.robot_rate))
+        sources.append((Path(args.robot_log), args.robot_rate))
     windows = []
-    for scene in scenes:
-        resampled = data.resample(scene, target)
-        ws = data.build_windows(resampled, stride=args.stride, mode=args.mode)
-        agents = len({a.agent for a in resampled.annotations})
-        print(f"{scene.name}: {len(ws)} windows, {agents} agents")
+    for path, rate in sources:
+        scene = data.resample(data.parse_annotations(
+            path, frame_period=1.0 / rate), 1.0 / args.rate)
+        ws = data.build_windows(scene, stride=args.stride, mode=args.mode)
+        print(f"{scene.name}: {len(ws)} windows, "
+              f"{len(np.unique(scene.agents))} agents")
         windows += ws
     data.save_windows(args.output, windows)
     print(f"wrote {len(windows)} windows -> {args.output}")

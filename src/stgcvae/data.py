@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, ParseError
+from .errors import FormatError, IntegrityError, ParameterError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -28,25 +28,25 @@ SEQ_LEN = OBS_LEN + PRED_LEN
 TARGET_PERIOD = 0.4  # seconds, 2.5 Hz
 
 
-@dataclass(frozen=True)
-class RawAnnotation:
-    frame: int
-    agent: int
-    x: float
-    y: float
-
-
-@dataclass
+@dataclass(eq=False)
 class Scene:
-    """A named set of annotations on a common frame clock.
-
-    frame_period is the duration in seconds of one frame-id unit
-    (0.4 after resampling to 2.5 Hz).
-    """
+    """Observations on a common frame clock, one row per (frame, agent)
+    pair: frames and agents (int64) and xy (R, 2) in meters, sorted by
+    (frame, agent) on construction. frame_period is the duration in seconds
+    of one frame-id unit (0.4 after resampling to 2.5 Hz)."""
     name: str
-    annotations: list
+    frames: np.ndarray
+    agents: np.ndarray
+    xy: np.ndarray
     frame_period: float = TARGET_PERIOD
     robot_id: int | None = None
+
+    def __post_init__(self):
+        _check_period(self.frame_period, "frame_period")
+        order = np.lexsort((self.agents, self.frames))
+        self.frames = np.asarray(self.frames, dtype=np.int64)[order]
+        self.agents = np.asarray(self.agents, dtype=np.int64)[order]
+        self.xy = np.asarray(self.xy, dtype=np.float64).reshape(-1, 2)[order]
 
 
 @dataclass
@@ -83,17 +83,31 @@ class DisplacementTensor:
 # parsing
 
 
+def _check_period(period, name: str) -> None:
+    if not (math.isfinite(period) and period > 0):
+        raise ParameterError(
+            f"{name} must be a finite number of seconds > 0, got {period!r}")
+
+
+def _integral(text: str) -> int:
+    value = float(text)
+    if not (value.is_integer() and abs(value) < 2 ** 63):
+        raise ValueError(f"{text!r} is not an integral number")
+    return int(value)
+
+
 def parse_annotations(path, name: str | None = None,
                       frame_period: float = TARGET_PERIOD) -> Scene:
-    """Parse an annotation file into a time-ordered Scene.
+    """Parse an annotation file into a Scene. Frame ids, agent ids and the
+    `#robot_id=` header must be integral numbers ("780" or "780.0").
 
     Raises ParseError (with file:line) on malformed lines, nan and infinite
-    values included, and IntegrityError on duplicate (frame, agent) pairs.
+    values included, IntegrityError on duplicate (frame, agent) pairs and
+    ParameterError on a frame_period that is not a finite number > 0.
     """
     path = Path(path)
     robot_id = None
-    rows = []
-    seen = set()
+    rows = {}  # (frame, agent) -> (x, y)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -102,31 +116,31 @@ def parse_annotations(path, name: str | None = None,
             if line.startswith("#"):
                 if line.startswith("#robot_id="):
                     try:
-                        robot_id = int(line.split("=", 1)[1])
+                        robot_id = _integral(line.split("=", 1)[1])
                     except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: bad robot_id header {line!r}")
+                        raise ParseError(f"{path}:{lineno}: bad robot_id "
+                                         f"header {line!r}")
                 continue
             parts = line.split()
             if len(parts) != 4:
                 raise ParseError(
                     f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                frame, agent = int(float(parts[0])), int(float(parts[1]))
+                key = _integral(parts[0]), _integral(parts[1])
                 x, y = float(parts[2]), float(parts[3])
-            except (ValueError, OverflowError):
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}")
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: ids must be integral "
+                                 f"numbers and x, y numbers in {line!r}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(
                     f"{path}:{lineno}: non-finite coordinate in {line!r}")
-            key = (frame, agent)
-            if key in seen:
+            if key in rows:
                 raise IntegrityError(
-                    f"{path}:{lineno}: duplicate (frame={frame}, agent={agent})")
-            seen.add(key)
-            rows.append(RawAnnotation(frame, agent, x, y))
-    rows.sort(key=lambda a: (a.frame, a.agent))
-    return Scene(name or path.stem, rows, frame_period=frame_period,
+                    f"{path}:{lineno}: duplicate (frame, agent) {key}")
+            rows[key] = x, y
+    keys = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
+    return Scene(name or path.stem, keys[:, 0], keys[:, 1],
+                 list(rows.values()), frame_period=frame_period,
                  robot_id=robot_id)
 
 
@@ -140,56 +154,44 @@ def resample(scene: Scene, target_period: float = TARGET_PERIOD) -> Scene:
     The grid is anchored at the scene's earliest observation. Grid frames
     falling inside a trajectory gap wider than ~1.5 source intervals are
     omitted for that agent; agents with fewer than 2 samples are dropped
-    (counted in a warning).
+    (counted in a warning). A target_period that is not a finite number
+    > 0 raises ParameterError.
     """
-    if not scene.annotations:
-        return Scene(scene.name, [], frame_period=target_period,
-                     robot_id=scene.robot_id)
+    _check_period(target_period, "target_period")
+    by_agent = np.argsort(scene.agents, kind="stable")  # frames ascending
+    ids, first, counts = np.unique(scene.agents[by_agent], return_index=True,
+                                   return_counts=True)
+    if len(ids):
+        t0 = scene.frames[0] * scene.frame_period
+        t_end = scene.frames[-1] * scene.frame_period
+        n_frames = int(np.floor((t_end - t0) / target_period + 1e-9)) + 1
+        grid = t0 + target_period * np.arange(n_frames)
 
-    by_agent: dict[int, list[RawAnnotation]] = {}
-    for a in scene.annotations:
-        by_agent.setdefault(a.agent, []).append(a)
-
-    t0 = min(a.frame for a in scene.annotations) * scene.frame_period
-    t_end = max(a.frame for a in scene.annotations) * scene.frame_period
-    n_frames = int(np.floor((t_end - t0) / target_period + 1e-9)) + 1
-    grid = t0 + target_period * np.arange(n_frames)
-
-    out = []
-    dropped = 0
-    for agent, rows in by_agent.items():
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 2)))]
+    for agent, rows in zip(ids, np.split(by_agent, first[1:])):
         if len(rows) < 2:
-            dropped += 1
             continue
-        times = np.array([r.frame for r in rows], dtype=np.float64) \
-            * scene.frame_period
-        xs = np.array([r.x for r in rows])
-        ys = np.array([r.y for r in rows])
-        intervals = np.diff(times)
-        nominal = np.median(intervals)
-        for gi, t in enumerate(grid):
-            if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-                continue
-            j = int(np.searchsorted(times, t + 1e-9)) - 1
-            j = max(0, min(j, len(times) - 2))
-            near = j if abs(times[j] - t) <= abs(times[j + 1] - t) else j + 1
-            if abs(times[near] - t) < 1e-9:
-                out.append(RawAnnotation(gi, agent, float(xs[near]),
-                                         float(ys[near])))
-                continue
-            span = times[j + 1] - times[j]
-            if span > 1.5 * nominal + 1e-9:
-                continue  # trajectory gap: omit this grid frame
-            w = (t - times[j]) / span
-            out.append(RawAnnotation(gi, agent,
-                                     float(xs[j] + w * (xs[j + 1] - xs[j])),
-                                     float(ys[j] + w * (ys[j + 1] - ys[j]))))
-    if dropped:
+        times = scene.frames[rows].astype(np.float64) * scene.frame_period
+        xy = scene.xy[rows]
+        nominal = np.median(np.diff(times))
+        lo = np.searchsorted(grid, times[0] - 1e-9)
+        hi = np.searchsorted(grid, times[-1] + 1e-9, side="right")
+        t = grid[lo:hi]
+        j = np.clip(np.searchsorted(times, t + 1e-9) - 1, 0, len(times) - 2)
+        near = np.where(np.abs(times[j] - t) <= np.abs(times[j + 1] - t),
+                        j, j + 1)
+        exact = np.abs(times[near] - t) < 1e-9
+        span = times[j + 1] - times[j]
+        w = ((t - times[j]) / span)[:, None]
+        keep = exact | (span <= 1.5 * nominal + 1e-9)  # gaps omit frames
+        parts.append((np.arange(lo, hi)[keep], np.full(keep.sum(), agent),
+                      np.where(exact[:, None], xy[near],
+                               xy[j] + w * (xy[j + 1] - xy[j]))[keep]))
+    if (counts < 2).any():
         log.warning("resample(%s): dropped %d agents with < 2 samples",
-                    scene.name, dropped)
-    out.sort(key=lambda a: (a.frame, a.agent))
-    return Scene(scene.name, out, frame_period=target_period,
-                 robot_id=scene.robot_id)
+                    scene.name, np.count_nonzero(counts < 2))
+    return Scene(scene.name, *map(np.concatenate, zip(*parts)),
+                 frame_period=target_period, robot_id=scene.robot_id)
 
 
 # ---------------------------------------------------------------------------
@@ -202,39 +204,32 @@ def build_windows(scene: Scene, stride: int = 1,
 
     train mode keeps agents present at all 20 frames; infer mode keeps
     agents present at all 8 observed frames (future positions may be NaN).
-    Windows with zero qualifying agents are dropped.
+    Windows with zero qualifying agents are dropped. A stride below 1
+    raises ParameterError.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if not scene.annotations:
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    if not len(scene.frames):
         return []
-
-    frames: dict[int, dict[int, tuple[float, float]]] = {}
-    for a in scene.annotations:
-        frames.setdefault(a.frame, {})[a.agent] = (a.x, a.y)
-    f_lo, f_hi = min(frames), max(frames)
-    n_frames = f_hi - f_lo + 1
 
     span = SEQ_LEN if mode == "train" else OBS_LEN
     windows = []
-    for start in range(f_lo, f_lo + n_frames - SEQ_LEN + 1, stride):
-        required = range(start, start + span)
-        agents = sorted(
-            ag for ag in {a for f in range(start, start + SEQ_LEN)
-                          for a in frames.get(f, {})}
-            if all(ag in frames.get(f, {}) for f in required))
-        if not agents:
+    for start in range(int(scene.frames[0]),
+                       int(scene.frames[-1]) - SEQ_LEN + 2, stride):
+        rows = slice(*np.searchsorted(scene.frames, [start, start + SEQ_LEN]))
+        ids, column = np.unique(scene.agents[rows], return_inverse=True)
+        pos = np.full((SEQ_LEN, len(ids), 2), np.nan)
+        pos[scene.frames[rows] - start, column] = scene.xy[rows]
+        keep = np.isfinite(pos[:span, :, 0]).all(axis=0)
+        if not keep.any():
             continue
-        pos = np.full((SEQ_LEN, len(agents), 2), np.nan)
-        for t in range(SEQ_LEN):
-            fr = frames.get(start + t, {})
-            for i, ag in enumerate(agents):
-                if ag in fr:
-                    pos[t, i] = fr[ag]
-        robot_index = agents.index(scene.robot_id) \
-            if scene.robot_id in agents else -1
-        windows.append(SequenceWindow(agents, pos, scene=scene.name,
-                                      robot_index=robot_index))
+        agent_ids = ids[keep].tolist()
+        robot_index = agent_ids.index(scene.robot_id) \
+            if scene.robot_id in agent_ids else -1
+        windows.append(SequenceWindow(agent_ids, pos[:, keep], scene.name,
+                                      robot_index))
     return windows
 
 

@@ -112,12 +112,11 @@ def kl_cells(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
                ad.Value(np.ones_like(q.mu.data))), 0.5)
 
 
-def anneal_weight(epoch: int, slope: float = ANNEAL_SLOPE,
-                  cap_epochs: int = ANNEAL_CAP_EPOCHS) -> float:
-    """Linear KL annealing: slope * epoch, capped at slope * cap_epochs."""
+def anneal_weight(epoch: int) -> float:
+    """Linear KL annealing: ANNEAL_SLOPE per epoch to ANNEAL_CAP_EPOCHS."""
     if epoch < 0:
         raise ParameterError(f"epoch must be >= 0, got {epoch}")
-    return slope * min(epoch, cap_epochs)
+    return ANNEAL_SLOPE * min(epoch, ANNEAL_CAP_EPOCHS)
 
 
 def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,

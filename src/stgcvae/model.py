@@ -423,22 +423,20 @@ class TrajCvae:
 
 # ---------------------------------------------------------------------------
 # checkpoint file: magic STGC, version byte, entries
-# version 1 stores float32 data, version 2 float64 (bit-exact resume)
+# version 2 stores float64 data (bit-exact resume); version 1 files
+# (float32 data) still load
 
 _MAGIC = b"STGC"
 
 
-def save_params(path, store: ParamStore, metadata: dict | None = None,
-                dtype: str = "f4") -> None:
-    """Write a checkpoint. A sidecar `<path>.meta` records config metadata
-    as plain `key=value` lines.
+def save_params(path, store: ParamStore, metadata: dict | None = None) -> None:
+    """Write a version-2 checkpoint. A sidecar `<path>.meta` records config
+    metadata as plain `key=value` lines.
 
     Both files are written to temporary files beside the target and then
     renamed over it, the sidecar first, so a failed write leaves the
     previous checkpoint as it was.
     """
-    version = 1 if dtype == "f4" else 2
-    np_dtype = "<f4" if dtype == "f4" else "<f8"
     path = Path(path)
     meta_path = Path(f"{path}.meta")
     tmp, meta_tmp = (p.with_name(f".{p.name}.{os.getpid()}.tmp")
@@ -446,14 +444,14 @@ def save_params(path, store: ParamStore, metadata: dict | None = None,
     try:
         with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
-            fh.write(struct.pack("<BI", version, len(store.names())))
+            fh.write(struct.pack("<BI", 2, len(store.names())))
             for name, arr in store.items():
                 enc = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(enc)))
                 fh.write(enc)
                 fh.write(struct.pack("<B", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype=np_dtype).tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         if metadata is not None:
             lines = [f"{k}={v}" for k, v in metadata.items()]
             meta_tmp.write_text("\n".join(lines) + "\n")
@@ -473,8 +471,7 @@ def load_params(path) -> tuple[ParamStore, dict]:
         version, count = struct.unpack_from("<BI", blob, 4)
         if version not in (1, 2):
             raise FormatError(f"{path}: unsupported version {version}")
-        np_dtype = "<f4" if version == 1 else "<f8"
-        itemsize = 4 if version == 1 else 8
+        np_dtype = np.dtype("<f4" if version == 1 else "<f8")
         store = ParamStore()
         off = 9
         for _ in range(count):
@@ -489,7 +486,7 @@ def load_params(path) -> tuple[ParamStore, dict]:
             size = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(blob, dtype=np_dtype, count=size,
                                 offset=off).reshape(shape).astype(np.float64)
-            off += size * itemsize
+            off += size * np_dtype.itemsize
             if name in store:
                 raise FormatError(f"{path}: parameter {name} appears twice")
             store.add(name, arr)
@@ -508,8 +505,11 @@ def load_params(path) -> tuple[ParamStore, dict]:
 def load_model(path) -> tuple[TrajCvae, dict]:
     """The model a checkpoint holds, and its sidecar metadata. The
     parameters must have the names and shapes that the sidecar's config
-    gives; the first that does not raises FormatError naming the file."""
+    gives; the first that does not, or a missing sidecar, raises
+    FormatError naming the file."""
     store, meta = load_params(path)
+    if not Path(f"{path}.meta").exists():
+        raise FormatError(f"{path}.meta: missing, so the config is unknown")
     config = config_from_metadata(meta, f"{path}.meta")
     want = {k: v.shape for k, v in
             init_params(config, np.random.default_rng(0)).items()}

@@ -291,7 +291,7 @@ def checkpoint(state: TrainState, model: TrajCvae, path,
                 rng_state=json.dumps(state.rng.bit_generator.state))
     if config is not None:
         meta["seed"] = config.seed
-    save_params(path, model.params, metadata=meta, dtype="f8")
+    save_params(path, model.params, metadata=meta)
 
 
 def _count(text: str) -> int:

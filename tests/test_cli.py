@@ -54,20 +54,60 @@ class TestPreprocess:
         assert run(["preprocess", "--input", str(tmp_path / "nope"),
                     "--output", str(tmp_path / "c.stgw")]) == 1
 
-    def test_robot_log_included(self, toy_dataset, tmp_path):
+    @staticmethod
+    def robot_log(tmp_path):
         robot = tmp_path / "robot.txt"
         lines = ["#robot_id=99"]
         lines += [f"{f} 99 {0.05 * f:.3f} 0.0" for f in range(0, 100, 4)]
         lines += [f"{f} 5 {0.05 * f:.3f} 2.0" for f in range(0, 100, 4)]
         robot.write_text("\n".join(lines) + "\n")
+        return robot
+
+    def test_robot_log_included(self, toy_dataset, tmp_path):
         cache = tmp_path / "cache.stgw"
         assert run(["preprocess", "--input", str(toy_dataset),
-                    "--output", str(cache), "--robot-log", str(robot),
-                    "--robot-rate", "10"]) == 0
+                    "--output", str(cache), "--robot-log",
+                    str(self.robot_log(tmp_path)), "--robot-rate", "10"]) == 0
         windows = data.load_windows(cache)
         robot_windows = [w for w in windows if w.scene == "robot"]
         assert robot_windows
         assert all(w.robot_index >= 0 for w in robot_windows)
+
+    @pytest.mark.parametrize("stride, digest", [
+        ("1", "dc73eb51fb03d34e3ac1cbdaf47fb8dc0aa4767fb65f93389d429e468b067795"),
+        ("3", "1faeba582adb21a1ed2729d3fcd24e7aa79b2ecb01858071ef90311b6d1aaf4e")])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_cache_bytes_pinned(self, toy_dataset, tmp_path, mode, stride,
+                                digest):
+        """The toy scenes and the robot log give the cache bytes that the
+        per-row preprocessing code wrote."""
+        cache = tmp_path / "cache.stgw"
+        assert run(["preprocess", "--input", str(toy_dataset),
+                    "--output", str(cache), "--robot-log",
+                    str(self.robot_log(tmp_path)), "--robot-rate", "10",
+                    "--mode", mode, "--stride", stride]) == 0
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stride", "0"), ("--stride", "-1"), ("--rate", "0"),
+        ("--rate", "-2.5"), ("--rate", "inf"), ("--input-rate", "0"),
+        ("--input-rate", "nan"), ("--robot-rate", "1e-320")])
+    def test_bad_setting_exits_1_naming_flag(self, toy_dataset, tmp_path,
+                                             capsys, flag, value):
+        cache = tmp_path / "cache.stgw"
+        assert run(["preprocess", "--input", str(toy_dataset),
+                    "--output", str(cache), flag, value]) == 1
+        assert f"error: {flag} must be " in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_fractional_frame_id_exits_1_naming_line(self, tmp_path, capsys):
+        d = tmp_path / "scenes"
+        d.mkdir()
+        (d / "bad.txt").write_text("10 1 0.0 0.0\n10.5 1 1.0 0.0\n")
+        assert run(["preprocess", "--input", str(d),
+                    "--output", str(tmp_path / "c.stgw")]) == 1
+        assert "bad.txt:2: ids must be integral numbers" in \
+            capsys.readouterr().err
 
 
 @pytest.fixture
@@ -244,6 +284,15 @@ class TestEvaluateCommand:
                     str(synth_cache), "--k", "2"]) == 1
         err = capsys.readouterr().err
         assert "final.stgc.meta: latent_len: expected a finite int" in err
+
+    def test_missing_sidecar_exits_1(self, synth_cache, small_config,
+                                     tmp_path, capsys):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        Path(f"{ckpt}.meta").unlink()
+        capsys.readouterr()
+        assert run(["evaluate", "--ckpt", str(ckpt), "--data",
+                    str(synth_cache), "--k", "2"]) == 1
+        assert f"error: {ckpt}.meta: missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", ["entry_count", "latent_len",
                                          "trailing_byte"])

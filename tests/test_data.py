@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stgcvae import data
-from stgcvae.errors import FormatError, IntegrityError, ParseError
+from stgcvae.errors import (FormatError, IntegrityError, ParameterError,
+                            ParseError)
 
 
 def write(tmp_path, text, name="scene.txt"):
@@ -17,21 +18,51 @@ def write(tmp_path, text, name="scene.txt"):
     return p
 
 
+def make_scene(rows, name="s", frame_period=0.4, robot_id=None):
+    """A Scene of (frame, agent, x, y) rows."""
+    return data.Scene(name, [r[0] for r in rows], [r[1] for r in rows],
+                      [r[2:] for r in rows], frame_period=frame_period,
+                      robot_id=robot_id)
+
+
+def rows_of(scene):
+    """The scene's (frame, agent, x, y) rows, in its order."""
+    return list(zip(scene.frames.tolist(), scene.agents.tolist(),
+                    *scene.xy.T.tolist()))
+
+
+class TestScene:
+    def test_rows_sorted_by_frame_then_agent(self):
+        scene = make_scene([(5, 2, 0.0, 1.0), (1, 9, 2.0, 3.0),
+                            (1, 3, 4.0, 5.0)])
+        assert rows_of(scene) == [(1, 3, 4.0, 5.0), (1, 9, 2.0, 3.0),
+                                  (5, 2, 0.0, 1.0)]
+        assert scene.frames.dtype == scene.agents.dtype == np.int64
+        assert scene.xy.shape == (3, 2)
+
+    @pytest.mark.parametrize("period", [0.0, -0.4, float("nan"),
+                                        float("inf")])
+    def test_bad_frame_period(self, period):
+        with pytest.raises(ParameterError, match="frame_period"):
+            make_scene([], frame_period=period)
+
+
 class TestParse:
     def test_direct_field_mapping(self, tmp_path):
         scene = data.parse_annotations(write(tmp_path, "10 1 2.5 3.0\n"))
-        assert scene.annotations == [data.RawAnnotation(10, 1, 2.5, 3.0)]
+        assert rows_of(scene) == [(10, 1, 2.5, 3.0)]
         assert scene.name == "scene"
 
     def test_empty_file(self, tmp_path):
         scene = data.parse_annotations(write(tmp_path, ""))
-        assert scene.annotations == []
+        assert scene.frames.shape == scene.agents.shape == (0,)
+        assert scene.xy.shape == (0, 2)
 
     def test_toy_three_frames(self, tmp_path):
         scene = data.parse_annotations(
             write(tmp_path, "0 7 0.0 0.0\n1 7 0.5 0.0\n2 7 1.0 0.0\n"))
-        assert len(scene.annotations) == 3
-        assert {a.agent for a in scene.annotations} == {7}
+        assert len(scene.frames) == 3
+        assert set(scene.agents.tolist()) == {7}
 
     def test_malformed_line_names_position(self, tmp_path):
         p = write(tmp_path, "0 1 0.0 0.0\n0 2 oops\n")
@@ -55,63 +86,85 @@ class TestParse:
         scene = data.parse_annotations(p)
         assert scene.robot_id == 99
 
+    def test_integral_float_ids_read_as_integers(self, tmp_path):
+        p = write(tmp_path, "#robot_id=99.0\n780.0 99.0 1.0 0.0\n")
+        scene = data.parse_annotations(p)
+        assert rows_of(scene) == [(780, 99, 1.0, 0.0)]
+        assert scene.robot_id == 99 and type(scene.robot_id) is int
+
+    @pytest.mark.parametrize("line", ["10.5 1 1.0 0.0", "10 1.5 1.0 0.0",
+                                      "1e19 1 1.0 0.0", "#robot_id=99.5",
+                                      "#robot_id=abc", "0x10 1 1.0 0.0"])
+    def test_non_integral_id_names_position(self, tmp_path, line):
+        p = write(tmp_path, f"0 1 0.0 0.0\n{line}\n")
+        with pytest.raises(ParseError, match=r"scene\.txt:2: "):
+            data.parse_annotations(p)
+
+    @pytest.mark.parametrize("period", [0, -2.5, float("nan"), float("inf")])
+    def test_bad_frame_period(self, tmp_path, period):
+        p = write(tmp_path, "0 1 0.0 0.0\n")
+        with pytest.raises(ParameterError, match="frame_period must be"):
+            data.parse_annotations(p, frame_period=period)
+
     def test_sorted_by_frame_then_agent(self, tmp_path):
         p = write(tmp_path, "5 2 0 0\n1 9 0 0\n1 3 0 0\n")
         scene = data.parse_annotations(p)
-        assert [(a.frame, a.agent) for a in scene.annotations] == \
+        assert list(zip(scene.frames.tolist(), scene.agents.tolist())) == \
             [(1, 3), (1, 9), (5, 2)]
 
 
 class TestResample:
     def test_already_on_grid_identity(self):
-        rows = [data.RawAnnotation(f, 1, 0.1 * f, -0.2 * f) for f in range(10)]
-        scene = data.Scene("s", rows, frame_period=0.4)
-        out = data.resample(scene, 0.4)
-        assert len(out.annotations) == 10
-        for a, b in zip(out.annotations, rows):
-            assert a.x == pytest.approx(b.x, abs=1e-12)
-            assert a.y == pytest.approx(b.y, abs=1e-12)
+        rows = [(f, 1, 0.1 * f, -0.2 * f) for f in range(10)]
+        out = data.resample(make_scene(rows, frame_period=0.4), 0.4)
+        assert len(out.frames) == 10
+        np.testing.assert_allclose(out.xy, np.array(rows)[:, 2:], atol=1e-12)
 
     def test_midpoint_interpolation(self):
         # agent at t=0 (0,0) and t=0.8 (0.8,0) -> midpoint (0.4, 0)
-        rows = [data.RawAnnotation(0, 1, 0.0, 0.0),
-                data.RawAnnotation(2, 1, 0.8, 0.0)]
-        out = data.resample(data.Scene("s", rows, frame_period=0.4), 0.4)
-        mid = [a for a in out.annotations if a.frame == 1]
+        rows = [(0, 1, 0.0, 0.0), (2, 1, 0.8, 0.0)]
+        out = data.resample(make_scene(rows, frame_period=0.4), 0.4)
+        mid = out.xy[out.frames == 1]
         assert len(mid) == 1
-        assert mid[0].x == pytest.approx(0.4)
-        assert mid[0].y == pytest.approx(0.0)
+        assert mid[0, 0] == pytest.approx(0.4)
+        assert mid[0, 1] == pytest.approx(0.0)
 
     def test_robot_log_10hz_8s_gives_21_frames(self):
         # 10 Hz for 8 s: frames 0..80 at 0.1 s -> floor(8/0.4)+1 = 21
-        rows = [data.RawAnnotation(f, 1, 0.05 * f, 0.0) for f in range(81)]
-        out = data.resample(data.Scene("s", rows, frame_period=0.1), 0.4)
-        assert len({a.frame for a in out.annotations}) == 21
+        rows = [(f, 1, 0.05 * f, 0.0) for f in range(81)]
+        out = data.resample(make_scene(rows, frame_period=0.1), 0.4)
+        assert len(set(out.frames.tolist())) == 21
 
     def test_single_sample_agent_dropped(self):
-        rows = [data.RawAnnotation(0, 1, 0.0, 0.0),
-                data.RawAnnotation(0, 2, 1.0, 1.0),
-                data.RawAnnotation(4, 2, 2.0, 1.0)]
-        out = data.resample(data.Scene("s", rows, frame_period=0.4), 0.4)
-        assert {a.agent for a in out.annotations} == {2}
+        rows = [(0, 1, 0.0, 0.0), (0, 2, 1.0, 1.0), (4, 2, 2.0, 1.0)]
+        out = data.resample(make_scene(rows, frame_period=0.4), 0.4)
+        assert set(out.agents.tolist()) == {2}
 
     def test_gap_omits_grid_frames(self):
         # samples at t=0, 0.4, then 2.0: the 0.8..1.6 grid frames fall in a gap
-        rows = [data.RawAnnotation(0, 1, 0.0, 0.0),
-                data.RawAnnotation(1, 1, 0.4, 0.0),
-                data.RawAnnotation(5, 1, 2.0, 0.0)]
-        out = data.resample(data.Scene("s", rows, frame_period=0.4), 0.4)
-        present = {a.frame for a in out.annotations}
+        rows = [(0, 1, 0.0, 0.0), (1, 1, 0.4, 0.0), (5, 1, 2.0, 0.0)]
+        out = data.resample(make_scene(rows, frame_period=0.4), 0.4)
+        present = set(out.frames.tolist())
         assert 0 in present and 1 in present
         assert not {2, 3, 4} & present
 
+    def test_empty_and_all_dropped_scenes(self):
+        for rows in ([], [(0, 1, 0.0, 0.0), (3, 2, 1.0, 1.0)]):
+            out = data.resample(make_scene(rows, robot_id=2), 0.4)
+            assert out.frames.shape == (0,) and out.xy.shape == (0, 2)
+            assert (out.frame_period, out.robot_id) == (0.4, 2)
+
+    @pytest.mark.parametrize("period", [0, -2.5, float("nan"), float("inf")])
+    def test_bad_target_period(self, period):
+        scene = make_scene([(0, 1, 0.0, 0.0), (1, 1, 1.0, 0.0)])
+        with pytest.raises(ParameterError, match="target_period must be"):
+            data.resample(scene, period)
+
 
 def uniform_scene(n_frames, agents, name="s", robot_id=None):
-    rows = []
-    for f in range(n_frames):
-        for i, ag in enumerate(agents):
-            rows.append(data.RawAnnotation(f, ag, 0.5 * f + i, float(i)))
-    return data.Scene(name, rows, frame_period=0.4, robot_id=robot_id)
+    rows = [(f, ag, 0.5 * f + i, float(i))
+            for f in range(n_frames) for i, ag in enumerate(agents)]
+    return make_scene(rows, name, robot_id=robot_id)
 
 
 class TestWindows:
@@ -130,16 +183,16 @@ class TestWindows:
             assert len(ws) == max(0, (f - 20) // s + 1)
 
     def test_partially_present_agent_dropped_in_train(self):
-        rows = [data.RawAnnotation(f, 1, float(f), 0.0) for f in range(20)]
-        rows += [data.RawAnnotation(f, 2, 0.0, float(f)) for f in range(11)]
-        ws = data.build_windows(data.Scene("s", rows), stride=1, mode="train")
+        rows = [(f, 1, float(f), 0.0) for f in range(20)]
+        rows += [(f, 2, 0.0, float(f)) for f in range(11)]
+        ws = data.build_windows(make_scene(rows), stride=1, mode="train")
         assert len(ws) == 1
         assert ws[0].agent_ids == [1]
 
     def test_infer_mode_keeps_obs_present_agent(self):
-        rows = [data.RawAnnotation(f, 1, float(f), 0.0) for f in range(20)]
-        rows += [data.RawAnnotation(f, 2, 0.0, float(f)) for f in range(11)]
-        ws = data.build_windows(data.Scene("s", rows), stride=1, mode="infer")
+        rows = [(f, 1, float(f), 0.0) for f in range(20)]
+        rows += [(f, 2, 0.0, float(f)) for f in range(11)]
+        ws = data.build_windows(make_scene(rows), stride=1, mode="infer")
         assert ws[0].agent_ids == [1, 2]
         assert np.isnan(ws[0].positions[15, 1]).all()
 
@@ -149,7 +202,128 @@ class TestWindows:
         assert ws[0].includes_robot
 
     def test_empty_scene(self):
-        assert data.build_windows(data.Scene("s", [])) == []
+        assert data.build_windows(make_scene([])) == []
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one(self, stride):
+        with pytest.raises(ParameterError, match=f"stride must be >= 1, "
+                                                 f"got {stride}"):
+            data.build_windows(uniform_scene(20, [1]), stride=stride)
+
+
+# ---------------------------------------------------------------------------
+# the per-row resample and build_windows that the array code replaced, on
+# plain (frame, agent, x, y) tuples: the reference it must match bit for bit
+
+
+def reference_resample(rows, frame_period, target_period):
+    if not rows:
+        return []
+    by_agent = {}
+    for row in sorted(rows):
+        by_agent.setdefault(row[1], []).append(row)
+    t0 = min(r[0] for r in rows) * frame_period
+    t_end = max(r[0] for r in rows) * frame_period
+    n_frames = int(np.floor((t_end - t0) / target_period + 1e-9)) + 1
+    grid = t0 + target_period * np.arange(n_frames)
+    out = []
+    for agent, agent_rows in by_agent.items():
+        if len(agent_rows) < 2:
+            continue
+        times = np.array([r[0] for r in agent_rows],
+                         dtype=np.float64) * frame_period
+        xs = np.array([r[2] for r in agent_rows])
+        ys = np.array([r[3] for r in agent_rows])
+        nominal = np.median(np.diff(times))
+        for gi, t in enumerate(grid):
+            if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
+                continue
+            j = int(np.searchsorted(times, t + 1e-9)) - 1
+            j = max(0, min(j, len(times) - 2))
+            near = j if abs(times[j] - t) <= abs(times[j + 1] - t) else j + 1
+            if abs(times[near] - t) < 1e-9:
+                out.append((gi, agent, float(xs[near]), float(ys[near])))
+                continue
+            span = times[j + 1] - times[j]
+            if span > 1.5 * nominal + 1e-9:
+                continue
+            w = (t - times[j]) / span
+            out.append((gi, agent, float(xs[j] + w * (xs[j + 1] - xs[j])),
+                        float(ys[j] + w * (ys[j + 1] - ys[j]))))
+    return sorted(out, key=lambda r: r[:2])
+
+
+def reference_windows(rows, robot_id, stride, mode):
+    """[(agent_ids, positions, robot_index)] of each window."""
+    if not rows:
+        return []
+    frames = {}
+    for f, agent, x, y in rows:
+        frames.setdefault(f, {})[agent] = (x, y)
+    f_lo, f_hi = min(frames), max(frames)
+    span = data.SEQ_LEN if mode == "train" else data.OBS_LEN
+    windows = []
+    for start in range(f_lo, f_hi - data.SEQ_LEN + 2, stride):
+        agents = sorted(
+            ag for ag in {a for f in range(start, start + data.SEQ_LEN)
+                          for a in frames.get(f, {})}
+            if all(ag in frames.get(f, {})
+                   for f in range(start, start + span)))
+        if not agents:
+            continue
+        pos = np.full((data.SEQ_LEN, len(agents), 2), np.nan)
+        for t in range(data.SEQ_LEN):
+            fr = frames.get(start + t, {})
+            for i, ag in enumerate(agents):
+                if ag in fr:
+                    pos[t, i] = fr[ag]
+        windows.append((agents, pos, agents.index(robot_id)
+                        if robot_id in agents else -1))
+    return windows
+
+
+def random_rows(rng):
+    """A scene's rows: 1-6 agents sampled every 1-3 frame ids with jitter,
+    some with a gap, on an input period of 0.04 to 0.4 s; and the period."""
+    period = float(rng.choice([0.04, 0.1, 0.2, 0.4, rng.uniform(0.04, 0.4)]))
+    rows = []
+    for agent in rng.choice(50, size=rng.integers(1, 7), replace=False):
+        n = int(rng.integers(1, 40))
+        frames = rng.integers(0, 60) + rng.integers(1, 4) * np.arange(n)
+        frames += (rng.random(n) < 0.2) * rng.integers(-1, 2, n)
+        frames = np.unique(frames)
+        if rng.random() < 0.3 and len(frames) > 4:
+            cut = int(rng.integers(1, len(frames) - 2))
+            frames = np.delete(frames, np.s_[cut:cut + rng.integers(1, 8)])
+        xy = np.cumsum(rng.normal(0, 0.3, (len(frames), 2)), axis=0)
+        rows += [(int(f), int(agent), float(x), float(y))
+                 for f, (x, y) in zip(frames, xy)]
+    return rows, period
+
+
+def test_array_preprocessing_matches_per_row_reference():
+    """resample and build_windows give the per-row code's bits on 240
+    seeded random scenes, in both modes at strides 1 and 3."""
+    n_windows = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        rows, period = random_rows(rng)
+        robot_id = rows[0][1] if rng.random() < 0.5 else None
+        scene = data.resample(make_scene(rows, frame_period=period,
+                                         robot_id=robot_id), 0.4)
+        want = reference_resample(rows, period, 0.4)
+        assert np.array(rows_of(scene)).reshape(-1, 4).tobytes() == \
+            np.array(want).reshape(-1, 4).tobytes(), seed
+        for mode in ("train", "infer"):
+            for stride in (1, 3):
+                got = data.build_windows(scene, stride, mode)
+                ref = reference_windows(want, robot_id, stride, mode)
+                assert len(got) == len(ref), (seed, mode, stride)
+                for w, (ids, pos, robot_index) in zip(got, ref):
+                    assert (w.agent_ids, w.robot_index) == (ids, robot_index)
+                    assert w.positions.tobytes() == pos.tobytes(), seed
+                n_windows += len(got)
+    assert n_windows > 10_000
 
 
 class TestDisplacements:

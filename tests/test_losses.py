@@ -195,7 +195,8 @@ class TestAnnealing:
         assert losses.anneal_weight(100) == pytest.approx(2e-3)
 
     def test_cap(self):
-        assert losses.anneal_weight(300, cap_epochs=250) == pytest.approx(5e-3)
+        assert losses.anneal_weight(300) == pytest.approx(5e-3)
+        assert losses.anneal_weight(250) == losses.anneal_weight(300)
 
     def test_negative_epoch(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import struct
 import tempfile
 from pathlib import Path
 
@@ -241,13 +242,25 @@ class TestStructuralInvariants:
         assert counts[0] < counts[1] < counts[2]
 
 
+def write_version1(path, store):
+    """A version-1 checkpoint: the STGC layout with float32 data, which
+    save_params no longer writes but load_params still reads."""
+    with open(path, "wb") as fh:
+        fh.write(b"STGC" + struct.pack("<BI", 1, len(store.names())))
+        for name, arr in store.items():
+            enc = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(enc)}sB{arr.ndim}I", len(enc), enc,
+                                 arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
 class TestCheckpoint:
     def test_roundtrip_float32(self, tmp_path):
         store = model.init_params(SMALL, np.random.default_rng(0))
         path = tmp_path / "model.stgc"
-        model.save_params(path, store, metadata={"latent_len": 3,
-                                                 "embed_channels": 4,
-                                                 "epoch": 7, "seed": 1})
+        write_version1(path, store)
+        Path(f"{path}.meta").write_text(
+            "latent_len=3\nembed_channels=4\nepoch=7\nseed=1\n")
         loaded, meta = model.load_params(path)
         assert loaded.names() == store.names()
         for n in store.names():
@@ -259,7 +272,8 @@ class TestCheckpoint:
     def test_roundtrip_float64_exact(self, tmp_path):
         store = model.init_params(SMALL, np.random.default_rng(0))
         path = tmp_path / "model.stgc"
-        model.save_params(path, store, dtype="f8")
+        model.save_params(path, store)
+        assert path.read_bytes()[4] == 2  # the version byte
         loaded, _ = model.load_params(path)
         for n in store.names():
             np.testing.assert_array_equal(loaded[n], store[n])
@@ -317,7 +331,7 @@ class TestCheckpoint:
                                                     monkeypatch):
         old = model.init_params(SMALL, np.random.default_rng(0))
         path = tmp_path / "model.stgc"
-        model.save_params(path, old, metadata={"epoch": 1}, dtype="f8")
+        model.save_params(path, old, metadata={"epoch": 1})
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         entries = model.ParamStore.items
@@ -330,7 +344,7 @@ class TestCheckpoint:
         monkeypatch.setattr(model.ParamStore, "items", failing_items)
         new = model.init_params(SMALL, np.random.default_rng(1))
         with pytest.raises(OSError, match="disk full"):
-            model.save_params(path, new, metadata={"epoch": 2}, dtype="f8")
+            model.save_params(path, new, metadata={"epoch": 2})
         monkeypatch.undo()
 
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -346,8 +360,7 @@ class TestLoadModel:
     def save(self, tmp_path, store=None, **meta):
         store = store or model.init_params(SMALL, np.random.default_rng(0))
         path = tmp_path / "model.stgc"
-        model.save_params(path, store, metadata={**self.META, **meta},
-                          dtype="f8")
+        model.save_params(path, store, metadata={**self.META, **meta})
         return path, store
 
     def test_roundtrip(self, tmp_path):
@@ -383,6 +396,13 @@ class TestLoadModel:
         with pytest.raises(FormatError, match="parameter stray: "):
             model.load_model(path)
 
+    def test_missing_sidecar_named(self, tmp_path):
+        path, _ = self.save(tmp_path)
+        Path(f"{path}.meta").unlink()
+        assert model.load_params(path)[1] == {}
+        with pytest.raises(FormatError, match=r"model\.stgc\.meta: missing"):
+            model.load_model(path)
+
     def test_sidecar_latent_len_mismatch(self, tmp_path):
         path, _ = self.save(tmp_path, latent_len=5)
         with pytest.raises(FormatError,
@@ -414,8 +434,11 @@ def test_checkpoint_roundtrip(store, dtype):
     files hold the exact values, float32 files the float32-rounded ones."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.stgc"
-        with np.errstate(over="ignore"):  # f4 holds large values as inf
-            model.save_params(path, store, dtype=dtype)
+        if dtype == "f8":
+            model.save_params(path, store)
+        else:
+            with np.errstate(over="ignore"):  # f4 holds large values as inf
+                write_version1(path, store)
         back, meta = model.load_params(path)
     assert meta == {} and back.names() == store.names()
     for name, want in store.items():
