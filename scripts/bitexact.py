@@ -20,9 +20,11 @@ writes every resulting array to OUT.npz:
   the agent axis), agent counts and robot indices.
 
 `compare` prints how many arrays differ in shape, dtype or bytes, each
-one's maximum relative difference (and the largest), and which names only
-one side has; it exits 1 if any array differs. Dump the parent and the
-change with the same numpy build; across builds the bits may differ.
+one's maximum element-wise and its norm-wise relative difference (and the
+largest of each), and which names only one side has; it exits 1 if any
+array differs. Dump the parent and the change with the same numpy build;
+across builds the bits may differ. Norm-wise is the measure to read then:
+entries near zero can differ by a large share of their own size.
 Needs numpy only; a dump takes a few seconds.
 """
 
@@ -134,28 +136,35 @@ def compare(a_path, b_path) -> int:
     differ = [k for k in sorted(set(a) & set(b))
               if a[k].shape != b[k].shape or a[k].dtype != b[k].dtype
               or a[k].tobytes() != b[k].tobytes()]
-    rel = {k: relative_difference(a[k], b[k]) for k in differ}
+    rel = {k: relative_differences(a[k], b[k]) for k in differ}
     for k in differ[:20]:
-        print(f"differs: {k} (max relative difference {rel[k]:.3g})")
+        print(f"differs: {k} (max relative difference {rel[k][0]:.3g}, "
+              f"norm-wise {rel[k][1]:.3g})")
     for k in only[:20]:
         print(f"only in one file: {k}")
-    worst = f"; max relative difference {max(rel.values()):.3g}" if rel \
-        else ""
+    worst = "; max relative difference {:.3g}, norm-wise {:.3g}".format(
+        *np.max(list(rel.values()), axis=0)) if rel else ""
     print(f"{len(differ)} of {len(set(a) & set(b))} arrays "
           f"differ{worst}; {len(only)} names in only one file")
     return 1 if differ or only else 0
 
 
-def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| / max(|a|, |b|) over the entries, 0 where they are
-    equal (or both NaN); inf for arrays of different shapes."""
+def relative_differences(a: np.ndarray,
+                         b: np.ndarray) -> tuple[float, float]:
+    """(max |a - b| / max(|a|, |b|) over the entries, and the norm-wise
+    ||a - b|| / max(||a||, ||b||) in the 2-norm), where entries that are
+    equal or both NaN count as equal; inf for arrays of different shapes."""
     if a.shape != b.shape:
-        return float("inf")
+        return float("inf"), float("inf")
     a, b = a.astype(np.float64), b.astype(np.float64)
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    both_nan = np.isnan(a) & np.isnan(b)
+    a, b = np.where(both_nan, 0.0, a), np.where(both_nan, 0.0, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.where(same, 0.0, rel), initial=0.0))
+        diff = np.where(a == b, 0.0, np.abs(a - b))
+        rel = np.where(a == b, 0.0, diff / np.maximum(np.abs(a), np.abs(b)))
+        scale = max(np.linalg.norm(a), np.linalg.norm(b))
+        norm = np.linalg.norm(diff) / scale if scale else 0.0
+    return float(np.max(rel, initial=0.0)), float(norm)
 
 
 def main(argv=None) -> int:

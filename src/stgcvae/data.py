@@ -31,9 +31,9 @@ TARGET_PERIOD = 0.4  # seconds, 2.5 Hz
 @dataclass(eq=False)
 class Scene:
     """Observations on a common frame clock, one row per (frame, agent)
-    pair: frames and agents (int64) and xy (R, 2) in meters, sorted by
-    (frame, agent) on construction. frame_period is the duration in seconds
-    of one frame-id unit (0.4 after resampling to 2.5 Hz)."""
+    pair, sorted by (frame, agent): frames and agents (integral numbers, as
+    int64; else ParameterError) and xy (R, 2) in meters. frame_period is the
+    seconds per frame-id unit (0.4 after resampling to 2.5 Hz)."""
     name: str
     frames: np.ndarray
     agents: np.ndarray
@@ -43,9 +43,14 @@ class Scene:
 
     def __post_init__(self):
         _check_period(self.frame_period, "frame_period")
+        for name in ("frames", "agents"):
+            ids = np.asarray(getattr(self, name))
+            v = ids.astype(np.float64)
+            if not np.all((v == np.trunc(v)) & (np.abs(v) < 2 ** 63)):
+                raise ParameterError(f"Scene {name} must be integral numbers")
+            setattr(self, name, ids.astype(np.int64))
         order = np.lexsort((self.agents, self.frames))
-        self.frames = np.asarray(self.frames, dtype=np.int64)[order]
-        self.agents = np.asarray(self.agents, dtype=np.int64)[order]
+        self.frames, self.agents = self.frames[order], self.agents[order]
         self.xy = np.asarray(self.xy, dtype=np.float64).reshape(-1, 2)[order]
 
 
@@ -216,8 +221,11 @@ def build_windows(scene: Scene, stride: int = 1,
 
     span = SEQ_LEN if mode == "train" else OBS_LEN
     windows = []
-    for start in range(int(scene.frames[0]),
-                       int(scene.frames[-1]) - SEQ_LEN + 2, stride):
+    # the starts on the stride grid whose window holds a row
+    first, stop = scene.frames[0], scene.frames[-1] - SEQ_LEN + 2
+    starts = np.unique(np.unique(scene.frames)[:, None] - np.arange(SEQ_LEN))
+    for start in starts[(starts >= first) & (starts < stop)
+                        & ((starts - first) % stride == 0)].tolist():
         rows = slice(*np.searchsorted(scene.frames, [start, start + SEQ_LEN]))
         ids, column = np.unique(scene.agents[rows], return_inverse=True)
         pos = np.full((SEQ_LEN, len(ids), 2), np.nan)

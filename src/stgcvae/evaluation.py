@@ -30,7 +30,6 @@ class EvalReport:
     k: int
     windows: int
     per_scene: dict = field(default_factory=dict)
-    latency: LatencyStats | None = None
     param_count: int = 0
 
     def render(self) -> str:
@@ -42,11 +41,6 @@ class EvalReport:
             f"windows = {self.windows}",
             f"param_count = {self.param_count}",
         ]
-        if self.latency is not None:
-            lines += [
-                f"latency_mean_s = {self.latency.mean:.6f}",
-                f"latency_p95_s = {self.latency.p95:.6f}",
-            ]
         for scene in sorted(self.per_scene):
             s = self.per_scene[scene]
             lines.append(f"[scene {scene}]")
@@ -212,15 +206,14 @@ def benchmark_inference(model: TrajCvae, window: SequenceWindow,
 def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
                      k: int = 20, seed: int = 0,
                      sample_mode: str = "latent",
-                     oracle_per_metric: bool = False,
-                     with_latency: bool = False) -> EvalReport:
+                     oracle_per_metric: bool = False) -> EvalReport:
     """Mean per-window best-of-k ADE/FDE with a per-scene breakdown.
 
     Every window must hold at least one agent, or EmptyWindowError names
     the first that does not, and finite positions at all its frames, or
     MissingTruthError names the first that does not. Each window gets its
     own rng stream derived from (seed, index), so the report is
-    reproducible regardless of evaluation order (unless with_latency).
+    reproducible regardless of evaluation order.
     """
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")
@@ -241,11 +234,10 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
             "fde": float(np.mean([r[2] for r in sub])),
             "windows": len(sub),
         }
-    latency = benchmark_inference(model, windows[0]) if with_latency else None
     return EvalReport(
         ade=float(np.mean([r[1] for r in rows])),
         fde=float(np.mean([r[2] for r in rows])),
-        k=k, windows=len(windows), per_scene=per_scene, latency=latency,
+        k=k, windows=len(windows), per_scene=per_scene,
         param_count=model.count_params())
 
 

@@ -6,9 +6,9 @@ agent mixing against the normalized adjacency), temporal convolutions,
 time axis as channels. Everything is per-agent or adjacency-mediated,
 so the networks are agent-permutation equivariant and accept any N.
 
-Parameters live in a ParamStore (name -> float64 array). A forward pass
-wraps them in autodiff leaves via `traced_params`, so gradients come
-back keyed by parameter name.
+Parameters live in a ParamStore (named, shaped views of one float64
+vector). A forward pass wraps them in autodiff leaves via `traced_params`,
+so gradients come back keyed by parameter name.
 """
 
 from __future__ import annotations
@@ -82,48 +82,45 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named, shaped parameter arrays grouped by network prefix."""
+    """Named, shaped views of one float64 `vector`, in the order given."""
 
-    def __init__(self):
-        self._entries: dict[str, np.ndarray] = {}
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.shapes = {name: np.shape(a) for name, a in arrays.items()}
+        # each parameter's start in `vector`, then the vector's size
+        self.offsets = np.cumsum([0, *map(math.prod, self.shapes.values())])
+        self.vector = np.concatenate([np.zeros(0),
+                                      *map(np.ravel, arrays.values())])
+        self._views = self.views(self.vector)
 
-    def add(self, name: str, array: np.ndarray):
-        if name in self._entries:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        self._entries[name] = np.asarray(array, dtype=np.float64)
+    def views(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        """{name: shaped view} of a vector laid out like `vector`."""
+        return {name: row[a:b].reshape(shape) for (name, shape), a, b
+                in zip(self.shapes.items(), self.offsets, self.offsets[1:])}
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._entries[name]
+        return self._views[name]
 
     def __setitem__(self, name: str, array: np.ndarray):
-        if name not in self._entries:
-            raise KeyError(name)
-        if self._entries[name].shape != array.shape:
+        view = self._views[name]
+        if view.shape != array.shape:
             raise DimensionError(
-                f"parameter {name!r}: shape {array.shape} != "
-                f"{self._entries[name].shape}")
-        self._entries[name] = np.asarray(array, dtype=np.float64)
-
-    def __contains__(self, name):
-        return name in self._entries
+                f"parameter {name!r}: shape {array.shape} != {view.shape}")
+        view[...] = array
 
     def names(self):
-        return list(self._entries)
+        return list(self._views)
 
     def items(self):
-        return self._entries.items()
+        return self._views.items()
 
     def count_params(self) -> int:
-        return sum(v.size for v in self._entries.values())
+        return self.vector.size
 
     def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for k, v in self._entries.items():
-            out.add(k, v.copy())
-        return out
+        return ParamStore(self._views)
 
     def traced(self) -> dict[str, ad.Value]:
-        return {k: ad.leaf(v) for k, v in self._entries.items()}
+        return {k: ad.leaf(v) for k, v in self._views.items()}
 
 
 @dataclass
@@ -165,17 +162,17 @@ class BivariateGaussianSeq:
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases,
     prelu slopes 0.25. Deterministic under the generator's state."""
-    store = ParamStore()
+    arrays = {}
     c, p = IN_CHANNELS, config.embed_channels
     k, l = config.tcn_kernel, config.latent_len
 
     def conv(name, c_out, c_in, width):
         bound = np.sqrt(1.0 / (c_in * width))
-        store.add(name + ".w", rng.uniform(-bound, bound, (c_out, c_in, width)))
-        store.add(name + ".b", np.zeros(c_out))
+        arrays[name + ".w"] = rng.uniform(-bound, bound, (c_out, c_in, width))
+        arrays[name + ".b"] = np.zeros(c_out)
 
     def slope(name, channels):
-        store.add(name, np.full(channels, 0.25))
+        arrays[name] = np.full(channels, 0.25)
 
     def encoder(prefix, blocks, last_tcn_kernel):
         for i in range(blocks):
@@ -203,7 +200,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     conv("dec.txp2", config.seq_len, config.seq_len, k)
     slope("dec.txp2.slope", p)
     conv("dec.out", OUT_CHANNELS, p, 1)
-    return store
+    return ParamStore(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +469,7 @@ def load_params(path) -> tuple[ParamStore, dict]:
         if version not in (1, 2):
             raise FormatError(f"{path}: unsupported version {version}")
         np_dtype = np.dtype("<f4" if version == 1 else "<f8")
-        store = ParamStore()
+        arrays = {}
         off = 9
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", blob, off)
@@ -487,9 +484,9 @@ def load_params(path) -> tuple[ParamStore, dict]:
             arr = np.frombuffer(blob, dtype=np_dtype, count=size,
                                 offset=off).reshape(shape).astype(np.float64)
             off += size * np_dtype.itemsize
-            if name in store:
+            if name in arrays:
                 raise FormatError(f"{path}: parameter {name} appears twice")
-            store.add(name, arr)
+            arrays[name] = arr
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated ({exc})") from exc
     if off != len(blob):
@@ -499,7 +496,7 @@ def load_params(path) -> tuple[ParamStore, dict]:
     meta_path = Path(f"{path}.meta")
     metadata = {k: v for k, (_, v) in read_key_values(meta_path).items()} \
         if meta_path.exists() else {}
-    return store, metadata
+    return ParamStore(arrays), metadata
 
 
 def load_model(path) -> tuple[TrajCvae, dict]:
@@ -511,9 +508,8 @@ def load_model(path) -> tuple[TrajCvae, dict]:
     if not Path(f"{path}.meta").exists():
         raise FormatError(f"{path}.meta: missing, so the config is unknown")
     config = config_from_metadata(meta, f"{path}.meta")
-    want = {k: v.shape for k, v in
-            init_params(config, np.random.default_rng(0)).items()}
-    got = {k: v.shape for k, v in store.items()}
+    want = init_params(config, np.random.default_rng(0)).shapes
+    got = store.shapes
     for name in dict.fromkeys([*want, *got]):
         if got.get(name) != want.get(name):
             raise FormatError(

@@ -97,14 +97,16 @@ def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
 
     Returns (gradients by parameter name, loss report).
     """
-    return chunk_gradients(model, [window], epoch, rng)[0]
+    row, report = chunk_gradients(model, [window], epoch, rng)[0]
+    return model.params.views(row), report
 
 
 def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
                     epoch: int, rng: np.random.Generator, labels=None
-                    ) -> list[tuple[dict, losses.LossReport]]:
+                    ) -> list[tuple[np.ndarray, losses.LossReport]]:
     """One forward/backward pass over windows stacked along the agent axis;
-    (gradients by parameter name, loss report) of each window, in order.
+    (gradient row, loss report) of each window, in order. The rows, laid
+    out as model.params.vector, are those of one (windows, P) array.
 
     The posterior sample of every agent and PRIOR_SAMPLES prior samples of
     one randomly chosen agent are decoded in a single pass (see
@@ -165,29 +167,32 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
         pred, scaled[:, :, columns], post, prior, epoch, sizes,
         PRIOR_SAMPLES)
     traced = ad.backward(objective)
-    # (windows, *parameter shape) each
-    grads = {name: traced.get(leaf) for name, leaf in p.items()}
-    norms = np.sqrt(sum(np.sum(g * g, axis=tuple(range(1, g.ndim)))
-                        for g in grads.values()))
-
-    out = []
-    for i, (report, norm) in enumerate(zip(reports, norms)):
-        if not (np.isfinite(norm) and np.isfinite(report.total)):
-            require_truth(windows, labels)
-            bad = next((name for name, v in model.params.items()
-                        if not np.all(np.isfinite(v))), None) \
-                or next((name for name, g in grads.items()
-                         if not np.all(np.isfinite(g[i]))), None)
-            raise DivergenceError(
-                ("" if labels is None else f"window {labels[i]}: ")
-                + f"non-finite loss ({report.total!r}) or gradient norm; "
-                f"first non-finite parameter: {bad}")
-        window = {name: g[i] for name, g in grads.items()}
-        if norm > CLIP_NORM:
-            window = {name: g * (CLIP_NORM / norm)
-                      for name, g in window.items()}
-        out.append((window, report))
-    return out
+    grads = [traced.get(leaf).reshape(len(windows), -1) for leaf in p.values()]
+    # free the record and the other nodes' gradients before the copies below
+    del objective, pred, z, mu, logvar, prior, post, traced
+    rows = np.concatenate(grads, axis=1)
+    # per window, np.sum of each parameter's squares, summed in order; np.sum
+    # adds a pairwise sum to 0, reduceat that of all but the first entry to
+    # the first, so a 0 goes before each parameter
+    zero = np.zeros((len(windows), 1))
+    squares = np.concatenate([x for g in grads for x in (zero, g)], axis=1)
+    squares *= squares
+    starts = model.params.offsets[:-1] + np.arange(len(grads))
+    norms = np.sqrt(np.add.accumulate(np.add.reduceat(squares, starts, axis=1),
+                                      axis=1)[:, -1])
+    finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        require_truth(windows, labels)
+        bad = next((name for row in (model.params.vector, rows[i])
+                    for name, v in model.params.views(row).items()
+                    if not np.all(np.isfinite(v))), None)
+        raise DivergenceError(
+            ("" if labels is None else f"window {labels[i]}: ")
+            + f"non-finite loss ({reports[i].total!r}) or gradient norm; "
+            f"first non-finite parameter: {bad}")
+    rows *= (CLIP_NORM / np.maximum(norms, CLIP_NORM))[:, None]
+    return list(zip(rows, reports))
 
 
 def train_epoch(state: TrainState, model: TrajCvae,
@@ -218,17 +223,14 @@ def train_epoch(state: TrainState, model: TrajCvae,
     weight = losses.anneal_weight(state.epoch)
     for start in range(0, len(live), config.batch_size):
         step = live[start:start + config.batch_size]
-        acc: dict[str, np.ndarray] = {}
+        acc = 0.0
         for chunk in _chunks(step, windows):
-            for grads, report in chunk_gradients(
+            for row, report in chunk_gradients(
                     model, [windows[i] for i in chunk], state.epoch,
                     state.rng, labels=chunk):
-                for name, g in grads.items():
-                    acc[name] = acc.get(name, 0.0) + g
+                acc = acc + row
                 parts.append((report.rec, report.kl))
-        for name in acc:
-            model.params[name] = model.params[name] \
-                - lr * acc[name] / len(step)
+        model.params.vector -= lr * acc / len(step)
         state.step += 1
         if log is not None:
             log.append(state.epoch, state.step,

@@ -234,8 +234,7 @@ def overfit_run(tmp_path_factory):
         state = training.train_epoch(state, m, corpus, tc, log=log)
     wall = time.perf_counter() - t0
 
-    report = evaluation.evaluate_dataset(m, corpus, k=20, seed=1,
-                                         with_latency=False)
+    report = evaluation.evaluate_dataset(m, corpus, k=20, seed=1)
     rows = []
     with open(log_path) as fh:
         next(fh)
@@ -337,10 +336,8 @@ def test_criterion_10_determinism(tmp_path):
     ok_train = digests[0] == digests[1]
 
     m = model.TrajCvae(cfg, rng=np.random.default_rng(0))
-    r1 = evaluation.evaluate_dataset(m, corpus, k=5, seed=9,
-                                     with_latency=False)
-    r2 = evaluation.evaluate_dataset(m, corpus, k=5, seed=9,
-                                     with_latency=False)
+    r1 = evaluation.evaluate_dataset(m, corpus, k=5, seed=9)
+    r2 = evaluation.evaluate_dataset(m, corpus, k=5, seed=9)
     ok_eval = (r1.ade == r2.ade) and (r1.fde == r2.fde)
     announce(10, ok_train and ok_eval,
              f"checkpoint digests equal: {ok_train}, "

@@ -46,6 +46,20 @@ class TestScene:
         with pytest.raises(ParameterError, match="frame_period"):
             make_scene([], frame_period=period)
 
+    @pytest.mark.parametrize("field, frames, agents", [
+        ("frames", [10.5, 11.0], [1, 1]),
+        ("agents", [10, 11], [1.7, 1]),
+        ("frames", [10, float("nan")], [1, 1]),
+        ("agents", [10, 11], [1, 1e19])])
+    def test_non_integral_id_names_field(self, field, frames, agents):
+        with pytest.raises(ParameterError, match=rf"^Scene {field} must be integral"):
+            data.Scene("s", frames, agents, [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_integral_float_ids_read_as_integers(self):
+        scene = data.Scene("s", [11.0, 10.0], [1.0, 2.0], [[0, 0], [1, 1]])
+        assert scene.frames.tolist() == [10, 11]
+        assert scene.agents.tolist() == [2, 1]
+
 
 class TestParse:
     def test_direct_field_mapping(self, tmp_path):
@@ -203,6 +217,34 @@ class TestWindows:
 
     def test_empty_scene(self):
         assert data.build_windows(make_scene([])) == []
+
+    def test_stray_frame_costs_rows_not_frame_span(self, monkeypatch):
+        # an agent seen once more 10^7 frames later: the windows in between
+        # are empty, and build_windows jumps over them on the stride grid,
+        # so its searchsorted calls (one per window visited) stay few
+        def scene(stray):
+            rows = [(f, a, 0.5 * f, float(a)) for f in range(25)
+                    for a in (1, 2)]
+            return rows + [(stray + f, 7, 0.1 * f, 3.0) for f in range(22)]
+
+        near, far = scene(302), scene(10 ** 7 + 1)  # both 2 mod the stride
+        searchsorted, calls = np.searchsorted, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) <= 50, "build_windows visited empty windows"
+            return searchsorted(*args, **kwargs)
+
+        for mode in ("train", "infer"):
+            want = reference_windows(near, None, 3, mode)
+            monkeypatch.setattr(np, "searchsorted", counted)
+            got = data.build_windows(make_scene(far), stride=3, mode=mode)
+            monkeypatch.undo()
+            calls.clear()
+            assert [w.agent_ids for w in got] == [w[0] for w in want]
+            assert [7] in [w.agent_ids for w in got]
+            for w, (_, pos, _) in zip(got, want):
+                assert w.positions.tobytes() == pos.tobytes()
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one(self, stride):

@@ -259,8 +259,7 @@ class TestBenchmark:
 class TestEvaluateDataset:
     def test_single_window_report(self):
         m, w = make_model_and_window()
-        report = evaluation.evaluate_dataset(m, [w], k=3, seed=5,
-                                             with_latency=False)
+        report = evaluation.evaluate_dataset(m, [w], k=3, seed=5)
         a, f = evaluation.best_of_k(
             m, w, k=3,
             rng=np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0]))
@@ -272,8 +271,7 @@ class TestEvaluateDataset:
     def test_mean_matches_scalar_accumulation(self):
         m, _ = make_model_and_window()
         windows = synthetic.make_corpus("const-velocity", 2, 6, seed=8)
-        report = evaluation.evaluate_dataset(m, windows, k=2, seed=1,
-                                             with_latency=False)
+        report = evaluation.evaluate_dataset(m, windows, k=2, seed=1)
         streams = np.random.SeedSequence(1).spawn(len(windows))
         total_a = total_f = 0.0
         for w, ss in zip(windows, streams):
@@ -286,10 +284,8 @@ class TestEvaluateDataset:
     def test_reproducible(self):
         m, _ = make_model_and_window()
         windows = synthetic.make_corpus("turn", 2, 4, seed=3)
-        r1 = evaluation.evaluate_dataset(m, windows, k=3, seed=9,
-                                         with_latency=False)
-        r2 = evaluation.evaluate_dataset(m, windows, k=3, seed=9,
-                                         with_latency=False)
+        r1 = evaluation.evaluate_dataset(m, windows, k=3, seed=9)
+        r2 = evaluation.evaluate_dataset(m, windows, k=3, seed=9)
         assert r1.ade == r2.ade and r1.fde == r2.fde
 
     def test_infer_mode_window_rejected(self):
@@ -297,21 +293,13 @@ class TestEvaluateDataset:
         windows = synthetic.make_corpus("turn", 2, 3, seed=3)
         windows[1].positions[15, 0] = np.nan  # an unobserved future frame
         with pytest.raises(MissingTruthError, match=r"window 1\b"):
-            evaluation.evaluate_dataset(m, windows, k=2, with_latency=False)
-
-    def test_latency_only_on_request(self):
-        m, w = make_model_and_window()
-        assert evaluation.evaluate_dataset(m, [w], k=2).latency is None
-        report = evaluation.evaluate_dataset(m, [w], k=2, with_latency=True)
-        assert report.latency.repetitions == 100
-        assert "latency_mean_s" in report.render()
+            evaluation.evaluate_dataset(m, windows, k=2)
 
     def test_per_scene_breakdown_and_render(self):
         m, _ = make_model_and_window()
         windows = (synthetic.make_corpus("const-velocity", 2, 2, 1, scene="a")
                    + synthetic.make_corpus("turn", 2, 2, 1, scene="b"))
-        report = evaluation.evaluate_dataset(m, windows, k=2, seed=0,
-                                             with_latency=False)
+        report = evaluation.evaluate_dataset(m, windows, k=2, seed=0)
         assert set(report.per_scene) == {"a", "b"}
         text = report.render()
         assert "[scene a]" in text and "param_count" in text

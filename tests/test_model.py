@@ -63,17 +63,55 @@ class TestInit:
 
 class TestCount:
     def test_empty_store(self):
-        assert model.ParamStore().count_params() == 0
+        assert model.ParamStore({}).count_params() == 0
 
     def test_small_arithmetic(self):
-        store = model.ParamStore()
-        store.add("w", np.zeros((3, 4)))
-        store.add("b", np.zeros(4))
+        store = model.ParamStore({"w": np.zeros((3, 4)), "b": np.zeros(4)})
         assert store.count_params() == 16
 
     def test_default_config_corridor(self):
         total = model.init_params(CFG, np.random.default_rng(0)).count_params()
         assert 15_000 <= total <= 35_000
+
+
+class TestParamStore:
+    def store(self):
+        return model.ParamStore({"w": np.arange(6.0).reshape(2, 3),
+                                 "b": np.array([6.0, 7.0]),
+                                 "s": np.array(8.0)})
+
+    def test_views_of_one_vector_in_order(self):
+        store = self.store()
+        assert store.names() == ["w", "b", "s"]
+        assert store.vector.tolist() == list(range(9))
+        assert store["s"].shape == () and store["w"].flags.c_contiguous
+        row = np.arange(10.0, 19.0)
+        assert model.ParamStore(store.views(row))["b"].tolist() == [16, 17]
+
+    def test_set_writes_through_to_vector(self):
+        store = self.store()
+        store["b"] = np.array([-1.0, -2.0])
+        assert store.vector[6:8].tolist() == [-1.0, -2.0]
+        store.vector[0] = 5.0
+        assert store["w"][0, 0] == 5.0
+
+    def test_set_wrong_shape_raises(self):
+        store = self.store()
+        with pytest.raises(DimensionError, match=r"parameter 'b': shape "
+                                                 r"\(3,\) != \(2,\)"):
+            store["b"] = np.zeros(3)
+        with pytest.raises(KeyError):
+            store["absent"] = np.zeros(2)
+        assert store.vector.tolist() == list(range(9))
+
+    def test_copy_does_not_alias(self):
+        store = self.store()
+        twin = store.copy()
+        assert twin.names() == store.names()
+        assert not np.shares_memory(twin.vector, store.vector)
+        twin["w"] = np.zeros((2, 3))
+        twin.vector[-1] = -1.0
+        assert store.vector.tolist() == list(range(9))
 
 
 class TestEncoders:
@@ -294,10 +332,9 @@ class TestCheckpoint:
 
     @staticmethod
     def tiny_checkpoint(path):
-        store = model.ParamStore()
-        store.add("a", np.arange(6.0).reshape(2, 3))
-        store.add("scalar", np.array(1.5))
-        store.add("ünï", np.ones(1))
+        store = model.ParamStore({"a": np.arange(6.0).reshape(2, 3),
+                                  "scalar": np.array(1.5),
+                                  "ünï": np.ones(1)})
         model.save_params(path, store)
         return path.read_bytes()
 
@@ -317,9 +354,7 @@ class TestCheckpoint:
             model.load_params(p)
 
     def test_repeated_name(self, tmp_path):
-        store = model.ParamStore()
-        store.add("a", np.zeros(2))
-        store.add("b", np.ones(2))
+        store = model.ParamStore({"a": np.zeros(2), "b": np.ones(2)})
         p = tmp_path / "x.stgc"
         model.save_params(p, store)
         # rename entry b to a: name length (u16) then the name
@@ -381,17 +416,15 @@ class TestLoadModel:
 
     def test_missing_parameter_named(self, tmp_path):
         full = model.init_params(SMALL, np.random.default_rng(0))
-        store = model.ParamStore()
-        for name, v in list(full.items())[:-1]:
-            store.add(name, v)
+        store = model.ParamStore(dict(list(full.items())[:-1]))
         path, _ = self.save(tmp_path, store)
         with pytest.raises(FormatError,
                            match=r"model\.stgc: parameter dec\.out\.b: absent"):
             model.load_model(path)
 
     def test_extra_parameter_named(self, tmp_path):
-        store = model.init_params(SMALL, np.random.default_rng(0))
-        store.add("stray", np.zeros(2))
+        full = model.init_params(SMALL, np.random.default_rng(0))
+        store = model.ParamStore({**dict(full.items()), "stray": np.zeros(2)})
         path, _ = self.save(tmp_path, store)
         with pytest.raises(FormatError, match="parameter stray: "):
             model.load_model(path)
@@ -417,14 +450,14 @@ class TestLoadModel:
 
 @st.composite
 def param_stores(draw):
-    store = model.ParamStore()
     names = draw(st.lists(st.text(min_size=1, max_size=20), max_size=5,
                           unique=True))
+    entries = {}
     for name in names:
         shape = draw(st.lists(st.integers(0, 4), max_size=3))
-        store.add(name, draw(arrays(np.float64, tuple(shape),
-                                    elements=st.floats(allow_nan=True))))
-    return store
+        entries[name] = draw(arrays(np.float64, tuple(shape),
+                                    elements=st.floats(allow_nan=True)))
+    return model.ParamStore(entries)
 
 
 @settings(max_examples=60, deadline=None)

@@ -413,6 +413,103 @@ class TestChunks:
             training.train_epoch(state, m, windows, cfg)
 
 
+def per_name_gradients(leaves, traced):
+    """Each window's clipped gradients, and the norms, as the per-name code
+    computed them before a window's gradient was one row: np.sum of each
+    parameter's squares, summed over the parameters by Python's sum, then
+    each window's dict scaled down to CLIP_NORM."""
+    grads = {name: traced.get(leaf) for name, leaf in leaves.items()}
+    norms = np.sqrt(sum(np.sum(g * g, axis=tuple(range(1, g.ndim)))
+                        for g in grads.values()))
+    out = []
+    for i, norm in enumerate(norms):
+        window = {name: g[i] for name, g in grads.items()}
+        if norm > training.CLIP_NORM:
+            window = {name: g * (training.CLIP_NORM / norm)
+                      for name, g in window.items()}
+        out.append(window)
+    return out, norms
+
+
+class TestGradientRows:
+    """The norm, clip and SGD step on gradient rows give the bits of the
+    per-name code they replaced, with clipping in force."""
+
+    @staticmethod
+    def recorded(m, monkeypatch):
+        """[(traced leaves, GradientMap)] of every pass m makes from now."""
+        passes = []
+        traced_params, backward = m.traced_params, ad.backward
+        monkeypatch.setattr(m, "traced_params", lambda: passes.append(
+            [traced_params()]) or passes[-1][0])
+        monkeypatch.setattr(ad, "backward", lambda loss: passes[-1].append(
+            backward(loss)) or passes[-1][1])
+        return passes
+
+    @staticmethod
+    def assert_rows_equal(m, rows, want):
+        for row, window in zip(rows, want):
+            got = m.params.views(row)
+            assert list(got) == list(window)
+            for name, g in window.items():
+                assert got[name].shape == g.shape
+                assert got[name].tobytes() == g.tobytes(), name
+
+    def test_chunk_of_1_3_and_6_agents_and_its_step(self, monkeypatch):
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        windows = [synthetic.make_window(pattern, n, np.random.default_rng(n))
+                   for pattern, n in zip(synthetic.PATTERNS, (1, 3, 6))]
+        assert len(list(training._chunks([0, 1, 2], windows))) == 1
+        passes = self.recorded(m, monkeypatch)
+
+        # the epoch's pass without a cap: same order, same draws
+        rng = np.random.default_rng(9)
+        probe = np.random.default_rng(9)
+        order = probe.permutation(3)
+        monkeypatch.setattr(training, "CLIP_NORM", 1e300)
+        training.chunk_gradients(m, [windows[i] for i in order], 0, probe)
+        _, norms = per_name_gradients(*passes[-1])
+        # one window above the cap, one exactly at it, one below
+        cap = float(np.sort(norms)[1])
+        monkeypatch.setattr(training, "CLIP_NORM", cap)
+
+        results, inner = [], training.chunk_gradients
+        monkeypatch.setattr(training, "chunk_gradients", lambda *a, **k:
+                            results.append(inner(*a, **k)) or results[-1])
+        before = m.params.copy()
+        cfg = training.TrainConfig(batch_size=3, epochs=10)
+        training.train_epoch(training.TrainState(params=m.params, rng=rng),
+                             m, windows, cfg)
+
+        (result,) = results
+        want, again = per_name_gradients(*passes[-1])
+        assert again.tobytes() == norms.tobytes()
+        assert sorted(norms > cap) == [False, False, True]
+        self.assert_rows_equal(m, [row for row, _ in result], want)
+        lr = training.lr_schedule(0, cfg)
+        for name in before.names():
+            acc = 0.0
+            for window in want:
+                acc = acc + window[name]
+            step = before[name] - lr * acc / 3
+            assert m.params[name].tobytes() == step.tobytes(), name
+
+    @pytest.mark.parametrize("agents", [1, 3, 6])
+    def test_one_window_chunk(self, agents, monkeypatch):
+        monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        window = synthetic.make_window("turn", agents,
+                                       np.random.default_rng(agents))
+        passes = self.recorded(m, monkeypatch)
+        ((row, _),) = training.chunk_gradients(m, [window], 50,
+                                               np.random.default_rng(7))
+        want, norms = per_name_gradients(*passes[-1])
+        assert norms[0] > 1e-3
+        self.assert_rows_equal(m, [row], want)
+
+
 class TestSplit:
     def make_windows(self):
         out = []
