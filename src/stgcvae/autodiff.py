@@ -7,10 +7,11 @@ reparameterization trick. The computation record is define-by-run: every
 forward pass builds a fresh graph, so variable agent counts are free.
 
 Values are immutable after construction; gradients never mutate nodes.
-`backward` walks the record in reverse topological order and returns a
-GradientMap, so repeated calls on the same record are idempotent. Inside
-a `no_record()` block nothing is recorded, for forward passes that are
-never differentiated.
+`backward` walks the part of the record that reaches a `leaf` in reverse
+topological order and returns a GradientMap of the leaves, so repeated
+calls on the same record are idempotent. A Value built from an array alone
+is a constant: no gradient is formed for it. Inside a `no_record()` block
+nothing is recorded, for forward passes that are never differentiated.
 """
 
 from __future__ import annotations
@@ -49,11 +50,13 @@ class Value:
     """A node in the computation record: a float64 array plus its history.
 
     `parents` holds the operand Values and `vjp` maps the incoming output
-    gradient to one gradient array per parent (vector-Jacobian product).
-    Leaves, and every Value built inside `no_record()`, have no parents.
+    gradient to one gradient array per parent (vector-Jacobian product), or
+    None for a parent that does not need one. Leaves, constants and every
+    Value built inside `no_record()` have no parents. `needs_grad` is set
+    on leaves and on the Values that depend on one.
     """
 
-    __slots__ = ("data", "nid", "parents", "vjp")
+    __slots__ = ("data", "nid", "parents", "vjp", "needs_grad")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -61,8 +64,9 @@ class Value:
         if _mode.record:
             self.parents = tuple(parents)
             self.vjp = vjp
+            self.needs_grad = any(p.needs_grad for p in self.parents)
         else:
-            self.parents, self.vjp = (), None
+            self.parents, self.vjp, self.needs_grad = (), None, False
 
     @property
     def shape(self):
@@ -73,8 +77,11 @@ class Value:
 
 
 def leaf(data) -> Value:
-    """Wrap an array as a gradient-carrying leaf of a new record."""
-    return Value(data)
+    """Wrap an array as a gradient-carrying leaf of a new record (an input
+    whose gradient nobody reads is better a constant, `Value(data)`)."""
+    v = Value(data)
+    v.needs_grad = _mode.record
+    return v
 
 
 def _check_elementwise(a: Value, b: Value, opname: str):
@@ -285,6 +292,11 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         parts, gb = _segment_grads(segments, n, (c_out,))
         for c, gb_seg in parts:
             g[:, :, c].sum(axis=(1, 2), out=gb_seg)
+        # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
+        gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
+        gk = gk.swapaxes(-1, -2).swapaxes(-2, -3)
+        if not x.needs_grad:  # a constant input: the first layers
+            return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
         gxp = np.zeros_like(xp)
         # one product per tap: a single transposed-convolution GEMM would
@@ -292,10 +304,7 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         for j in range(k):
             gxp[:, j:j + t_out, :] += (kernel.data[:, :, j].T @ g_cols
                                        ).reshape(c_in, t_out, n)
-        gx = gxp[:, padding:padding + t, :] if padding else gxp
-        # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
-        gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
-        return gx, gk.swapaxes(-1, -2).swapaxes(-2, -3), gb
+        return (gxp[:, padding:padding + t, :] if padding else gxp), gk, gb
 
     return Value(out, (x, kernel, bias), vjp)
 
@@ -404,9 +413,9 @@ def reparameterize(mu: Value, logvar: Value, eps: np.ndarray) -> Value:
 
 
 class GradientMap:
-    """Gradients of the nodes without a vjp (leaves and constants), keyed by
-    node id; unreached nodes read as zero. `backward` drops each interior
-    node's gradient once its vjp has run, so only these are kept.
+    """Gradients of the leaves that the loss depends on, keyed by node id;
+    other nodes read as zero. `backward` drops each interior node's
+    gradient once its vjp has run, so only the leaves' are kept.
 
     Every stored gradient is C-contiguous, which the next VJP's BLAS calls
     rely on for their bits. A returned array may be shared with other nodes'
@@ -425,16 +434,24 @@ class GradientMap:
     def __contains__(self, v: Value):
         return v.nid in self._grads
 
+    def __len__(self):
+        return len(self._grads)
+
 
 def backward(loss: Value) -> GradientMap:
-    """Reverse-mode sweep from a scalar loss over its computation record."""
+    """Reverse-mode sweep from a scalar loss over the nodes of its record
+    that need a gradient (see Value.needs_grad); constants and the nodes
+    built from them alone are never visited."""
     if not _mode.record:
         raise ContractError("backward: called inside a no_record() block")
     if loss.data.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if not loss.needs_grad:
+        return GradientMap({})
 
-    # iterative topological order (records can be thousands of nodes deep)
+    # iterative topological order (records can be thousands of nodes deep);
+    # skipping the constant parts leaves the order of the rest as it was
     order = []
     seen = {loss.nid}
     stack = [(loss, iter(loss.parents))]
@@ -444,7 +461,7 @@ def backward(loss: Value) -> GradientMap:
         if child is None:
             order.append(node)
             stack.pop()
-        elif child.nid not in seen:
+        elif child.needs_grad and child.nid not in seen:
             seen.add(child.nid)
             stack.append((child, iter(child.parents)))
 
@@ -452,10 +469,10 @@ def backward(loss: Value) -> GradientMap:
     for node in reversed(order):
         if node.vjp is None:
             continue
-        g = grads.pop(node.nid, None)
-        if g is None:
-            continue
+        g = grads.pop(node.nid)
         for parent, pg in zip(node.parents, node.vjp(g)):
+            if not parent.needs_grad:
+                continue
             acc = grads.get(parent.nid)
             # C order without a copy where pg has it; accumulation builds
             # a new array, so sharing pg is safe

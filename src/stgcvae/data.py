@@ -159,8 +159,10 @@ def resample(scene: Scene, target_period: float = TARGET_PERIOD) -> Scene:
     The grid is anchored at the scene's earliest observation. Grid frames
     falling inside a trajectory gap wider than ~1.5 source intervals are
     omitted for that agent; agents with fewer than 2 samples are dropped
-    (counted in a warning). A target_period that is not a finite number
-    > 0 raises ParameterError.
+    (counted in a warning). Each agent's slice of the grid is built from
+    its own first and last sample, so the cost follows the rows, not the
+    scene's frame span. A target_period that is not a finite number > 0
+    raises ParameterError.
     """
     _check_period(target_period, "target_period")
     by_agent = np.argsort(scene.agents, kind="stable")  # frames ascending
@@ -170,7 +172,6 @@ def resample(scene: Scene, target_period: float = TARGET_PERIOD) -> Scene:
         t0 = scene.frames[0] * scene.frame_period
         t_end = scene.frames[-1] * scene.frame_period
         n_frames = int(np.floor((t_end - t0) / target_period + 1e-9)) + 1
-        grid = t0 + target_period * np.arange(n_frames)
 
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 2)))]
     for agent, rows in zip(ids, np.split(by_agent, first[1:])):
@@ -179,6 +180,13 @@ def resample(scene: Scene, target_period: float = TARGET_PERIOD) -> Scene:
         times = scene.frames[rows].astype(np.float64) * scene.frame_period
         xy = scene.xy[rows]
         nominal = np.median(np.diff(times))
+        # the grid frames t0 + target_period * k (the bits of a whole-span
+        # grid) around the samples, with a margin past the 1e-9 s tolerance
+        k0, k1 = (int(np.floor((v - t0) / target_period))
+                  for v in (times[0], times[-1]))
+        pad = 2 + int(1e-9 / target_period)
+        frames = np.arange(max(k0 - pad, 0), min(k1 + pad + 2, n_frames))
+        grid = t0 + target_period * frames
         lo = np.searchsorted(grid, times[0] - 1e-9)
         hi = np.searchsorted(grid, times[-1] + 1e-9, side="right")
         t = grid[lo:hi]
@@ -189,7 +197,7 @@ def resample(scene: Scene, target_period: float = TARGET_PERIOD) -> Scene:
         span = times[j + 1] - times[j]
         w = ((t - times[j]) / span)[:, None]
         keep = exact | (span <= 1.5 * nominal + 1e-9)  # gaps omit frames
-        parts.append((np.arange(lo, hi)[keep], np.full(keep.sum(), agent),
+        parts.append((frames[lo:hi][keep], np.full(keep.sum(), agent),
                       np.where(exact[:, None], xy[near],
                                xy[j] + w * (xy[j + 1] - xy[j]))[keep]))
     if (counts < 2).any():

@@ -83,11 +83,11 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     per-frame predicted means; in `full` mode each step is additionally
     sampled from its bivariate Gaussian.
 
-    The adjacency and the prior are computed once, without a computation
-    record, and the k latents are decoded max(1, DECODE_COLUMNS // N) at a
-    time as stacked agent columns (see TrajCvae.decode). The rng draws
-    follow the order of k single samples: eps of sample s, then its two
-    step noises in `full` mode.
+    The adjacency, the prior and the decoder's observed branch are
+    computed once, without a computation record, and the k latents are
+    decoded max(1, DECODE_COLUMNS // N) at a time as stacked agent columns
+    (see TrajCvae.decode). The rng draws follow the order of k single
+    samples: eps of sample s, then its two step noises in `full` mode.
     """
     if sample_mode not in ("latent", "full"):
         raise ParameterError(f"unknown sample mode {sample_mode!r}")
@@ -119,13 +119,14 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
         p = model.traced_params()
         v_obs = ad.leaf(disp.values * scale)
         prior = model.prior_forward(p, v_obs, adj)
+        obs = model.observe(p, v_obs, adj)
         sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
                                ad.LOGVAR_MAX) * 0.5)
         z = np.tile(prior.mu.data, k) + np.tile(sigma, k) * eps
         for start in range(0, k, per_pass):
             c = min(per_pass, k - start)
             cols = slice(start * n, (start + c) * n)
-            out = model.decode(p, ad.Value(z[:, :, cols]), v_obs, adj,
+            out = model.decode(p, ad.Value(z[:, :, cols]), obs,
                                np.tile(np.arange(n), c))
             pred[:, :, cols] = out.constrained()[:, obs_len:]
 

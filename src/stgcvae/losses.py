@@ -138,12 +138,15 @@ def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
     gradients, since the columns of different windows do not interact. A
     window's objective differs from its reported total in two ways. Its
     NLL is weighted by the predicted variance (NLL_REF_VAR). And the
-    weighted NLL of the prior sample with the lowest mean NLL is added
-    (best-of-many, Bhattacharyya et al. 2018; the other samples carry no
-    gradient). Otherwise the prior's only training signal is the KL at
-    weight w_kl <= 0.005, so under plain SGD it stays near its
+    weighted NLL of the prior sample with the lowest mean NLL over frames
+    is added (best-of-many, Bhattacharyya et al. 2018; the other samples
+    carry no gradient). Otherwise the prior's only training signal is the
+    KL at weight w_kl <= 0.005, so under plain SGD it stays near its
     initialization, and best-of-K evaluation samples an untrained
-    distribution.
+    distribution. Since only the best sample counts, training picks it
+    beforehand without a record and passes that one (prior_samples=1; see
+    training.chunk_gradients): the same objective, summed in another
+    order.
     """
     if sum(agents) != q.mu.data.shape[2] or \
             sum(agents) + len(agents) * prior_samples != pred.data.shape[2]:

@@ -364,11 +364,18 @@ class TrajCvae:
             mu = ad.add(mu, ad.Value(noise.mu))
         return LatentGaussian(mu, logvar)
 
-    def decode(self, p: dict, z: ad.Value, v_obs: ad.Value,
-               a_obs: np.ndarray, agents=None,
+    def observe(self, p: dict, v_obs: ad.Value, a_obs: np.ndarray,
+                segments=None) -> ad.Value:
+        """The decoder's observed branch, (embed_channels, obs_len, N): the
+        only part of the decoder that mixes agents. Computed once per
+        observation, it serves every decode of latents of its agents."""
+        return _gcn(v_obs, a_obs, p, "dec.obs_embed", segments)
+
+    def decode(self, p: dict, z: ad.Value, obs: ad.Value, agents=None,
                segments=None) -> BivariateGaussianSeq:
-        """Cascade-fuse the observed graph with the latent transition and
-        extrapolate to the full 20-frame bivariate Gaussian sequence.
+        """Cascade-fuse the observed graph `obs` (see observe) with the
+        latent transition and extrapolate to the full 20-frame bivariate
+        Gaussian sequence.
 
         The re-embedded latent is also pushed through the first
         time-extrapolation kernel and added back between the two TXP
@@ -376,14 +383,12 @@ class TrajCvae:
 
         By default z has one column per agent. With `agents`, latent column
         j belongs to agent agents[j] and the output has one column per
-        latent column. Only the observed branch mixes agents; it is computed
-        once and gathered, so several latent samples of the same agents
-        decode in one pass, each exactly as it would alone. `segments`, if
-        given, is a pair: the segments of the observation's columns, then
-        of z's.
+        latent column, so several latent samples of the same agents decode
+        in one pass, each exactly as it would alone. `segments`, if given,
+        are z's.
         """
         cfg = self.config
-        n = v_obs.data.shape[2]
+        n = obs.data.shape[2]
         cols = slice(None) if agents is None \
             else np.asarray(agents, dtype=np.intp)
         if z.data.shape[2] != (n if agents is None else cols.size) \
@@ -396,22 +401,19 @@ class TrajCvae:
                 f"decode: z shape {z.data.shape} != "
                 f"({cfg.latent_len}, {cfg.obs_len}, N)")
 
-        obs_seg, z_seg = segments or (None, None)
-        obs = _gcn(v_obs, a_obs, p, "dec.obs_embed", obs_seg)
         if agents is not None:
             obs = ad.take_agents(obs, cols)
+        zre = _tcn(z, p, "dec.z_embed", 1, segments)
+        fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0, segments)
 
-        zre = _tcn(z, p, "dec.z_embed", 1, z_seg)
-        fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0, z_seg)
-
-        h = _txp(fused, p, "dec.txp1", z_seg)     # time obs_len -> seq_len
-        z_skip = _txp(zre, p, "dec.txp1", z_seg)  # same extrapolation kernel
+        h = _txp(fused, p, "dec.txp1", segments)     # time obs_len -> seq_len
+        z_skip = _txp(zre, p, "dec.txp1", segments)  # same kernel
         h = ad.add(h, z_skip)
 
-        h2 = _txp(h, p, "dec.txp2", z_seg)        # refine at seq_len
+        h2 = _txp(h, p, "dec.txp2", segments)        # refine at seq_len
         h = ad.add(h2, h)
 
-        raw = _layer(h, p, "dec.out", segments=z_seg)
+        raw = _layer(h, p, "dec.out", segments=segments)
         return BivariateGaussianSeq(raw)
 
     def count_params(self) -> int:

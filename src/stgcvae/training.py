@@ -13,8 +13,9 @@ from . import graph, losses
 from .data import SequenceWindow, to_displacements
 from .evaluation import require_truth
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
-from .model import (ModelConfig, ParamStore, RecogNoise, TrajCvae,
-                    build_config, load_model, read_key_values, save_params)
+from .model import (LatentGaussian, ModelConfig, ParamStore, RecogNoise,
+                    TrajCvae, build_config, load_model, read_key_values,
+                    save_params)
 
 
 @dataclass
@@ -77,16 +78,17 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 PRIOR_SAMPLES = 8   # best-of-k prior decodes per window
 CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
-# Decoded columns per training pass: windows share one computation record
-# while their sum of n + PRIOR_SAMPLES stays within this (see train_epoch).
-# The record takes about 0.2 MiB per column. A pass costs about the same
-# for 1 to 6 agents, so wider chunks train faster, but the record sets the
-# train job's peak memory: over 8 rounds of the benchmark's train-small
-# jobs (1-6 agents) in one process, 32, 36 and 40 columns reached 46.7,
-# 47.2 and 48.1 MiB of peak RSS, and one window per pass 48.1 MiB (numpy
-# 2.4.6). Every window adds at least 9 columns, so a window of 20 or more
-# agents always runs alone.
-TRAIN_COLUMNS = 36
+# Recorded decoded columns per training pass: windows share one computation
+# record while their sum of n + 1 (the agents and the best prior sample)
+# stays within this (see train_epoch). A pass costs about the same for 1 to
+# 6 agents, so wider chunks train faster, but the record sets the train
+# job's peak memory. In the benchmark's train-small job (1-6 agents, numpy
+# 2.4.6), 16, 20 and 24 columns reached a peak RSS of 47.4, 48.2 and 49.6
+# MiB, against 47.75 MiB for the earlier rule (n + PRIOR_SAMPLES within 36,
+# all 8 prior samples recorded); over 10 runs, 20 columns read 48.4 MiB
+# (+1.4 %) and trained 1.14 times as many windows per second. A window of
+# 20 or more agents always runs alone.
+TRAIN_COLUMNS = 20
 
 
 def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
@@ -108,20 +110,22 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     (gradient row, loss report) of each window, in order. The rows, laid
     out as model.params.vector, are those of one (windows, P) array.
 
-    The posterior sample of every agent and PRIOR_SAMPLES prior samples of
-    one randomly chosen agent are decoded in a single pass (see
-    TrajCvae.decode) and scored together by losses.window_losses, whose
-    best-of-k term trains the prior. Every window is one of autodiff's
-    segments: its agents mix only through its own adjacency block, so no
-    value, finite or not, reaches another window, and every parameter
-    gradient is taken per window. A one-window chunk gives the bits of the
-    model's single-window API.
+    The objective is losses.window_losses': the posterior sample of every
+    agent, plus the best of PRIOR_SAMPLES prior samples of one randomly
+    chosen agent, whose term trains the prior. The prior samples are
+    decoded and scored without a record (see best_prior_samples), and only
+    the best one is decoded again in the record, beside the agents'
+    columns: the others would carry zero gradients. Every window is one of
+    autodiff's segments: its agents mix only through its own adjacency
+    block, so no value, finite or not, reaches another window, and every
+    parameter gradient is taken per window. A one-window chunk gives the
+    bits of the model's single-window API.
 
     Each window draws its random arrays before the pass, in the order of
     passes over one window at a time: recognition dropout and noise
-    (TrajCvae.recog_noise), the picked agent, then the latent noise. So a
-    chunk gives each window's gradient as its own pass would, up to
-    rounding.
+    (TrajCvae.recog_noise), the picked agent, then the latent noise of its
+    agents and of the prior samples. So a chunk gives each window's
+    gradient as its own pass would, up to rounding.
 
     A window whose gradient has a global norm above CLIP_NORM is scaled
     down to it. A non-finite loss or norm raises MissingTruthError if a
@@ -133,51 +137,56 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     """
     obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
-    # window bounds of the agent columns, and of the decoded columns
+    # window bounds of the agent columns, and of the decoded columns: its
+    # agents, then its best prior sample
     agents = tuple(np.cumsum([0] + sizes).tolist())
-    decoded = tuple(a + i * PRIOR_SAMPLES for i, a in enumerate(agents))
-    # per window, the decoded columns are its agents, then PRIOR_SAMPLES
-    # copies of its picked agent; their latents are the agents' posterior,
-    # then the picked agent's prior (past the posterior columns)
-    noises, eps, columns, latents = [], [], [], []
+    decoded = tuple(a + i for i, a in enumerate(agents))
+    # per window, the decoded columns' agents and latents (the prior's past
+    # the posterior's); the prior sample's are its picked agent's
+    noises, picks, eps, columns, latents = [], [], [], [], []
     for a, n in zip(agents, sizes):
         noises.append(model.recog_noise(n, rng))
-        copies = np.full(PRIOR_SAMPLES, a + int(rng.integers(n)))
+        picks.append(a + int(rng.integers(n)))
         eps.append(rng.standard_normal(noises[-1].mu.shape[:2]
                                        + (n + PRIOR_SAMPLES,)))
-        columns += [np.arange(a, a + n), copies]
-        latents += [np.arange(a, a + n), agents[-1] + copies]
-    columns, latents = np.concatenate(columns), np.concatenate(latents)
+        columns += [*range(a, a + n), picks[-1]]
+        latents += [*range(a, a + n), agents[-1] + picks[-1]]
     scaled = model.config.feature_scale * np.concatenate(
         [to_displacements(w.positions).values for w in windows], axis=2)
     adj = [graph.normalized_adjacency(w.positions) for w in windows]
     adj_obs = [a[:obs] for a in adj]
 
     p = model.traced_params()
-    v_obs = ad.leaf(scaled[:, :obs, :])
+    v_obs = ad.Value(scaled[:, :obs, :])
     prior = model.prior_forward(p, v_obs, adj_obs, agents)
-    post = model.recog_forward(p, ad.leaf(scaled), adj,
+    post = model.recog_forward(p, ad.Value(scaled), adj,
                                RecogNoise.stack(noises), agents)
+    seen = model.observe(p, v_obs, adj_obs, agents)
+    best = best_prior_samples(model, p, seen, prior, picks,
+                              [e[:, :, n:] for e, n in zip(eps, sizes)],
+                              scaled)
     mu = ad.take_agents(ad.concat_agents(post.mu, prior.mu), latents)
     logvar = ad.take_agents(ad.concat_agents(post.logvar, prior.logvar),
                             latents)
-    z = ad.reparameterize(mu, logvar, np.concatenate(eps, axis=2))
-    pred = model.decode(p, z, v_obs, adj_obs, columns, (agents, decoded))
+    z = ad.reparameterize(mu, logvar, np.concatenate(
+        [e[:, :, [*range(n), n + b]] for e, n, b in zip(eps, sizes, best)],
+        axis=2))
+    pred = model.decode(p, z, seen, columns, decoded)
     objective, reports = losses.window_losses(
-        pred, scaled[:, :, columns], post, prior, epoch, sizes,
-        PRIOR_SAMPLES)
+        pred, scaled[:, :, columns], post, prior, epoch, sizes, 1)
     traced = ad.backward(objective)
-    grads = [traced.get(leaf).reshape(len(windows), -1) for leaf in p.values()]
-    # free the record and the other nodes' gradients before the copies below
-    del objective, pred, z, mu, logvar, prior, post, traced
-    rows = np.concatenate(grads, axis=1)
+    # free the record, then the gradients, before the copies below
+    del objective, pred, z, mu, logvar, prior, post, seen
+    rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
+                           for leaf in p.values()], axis=1)
+    del traced
     # per window, np.sum of each parameter's squares, summed in order; np.sum
     # adds a pairwise sum to 0, reduceat that of all but the first entry to
     # the first, so a 0 goes before each parameter
-    zero = np.zeros((len(windows), 1))
-    squares = np.concatenate([x for g in grads for x in (zero, g)], axis=1)
+    starts = model.params.offsets[:-1]
+    squares = np.insert(rows, starts, 0.0, axis=1)
     squares *= squares
-    starts = model.params.offsets[:-1] + np.arange(len(grads))
+    starts = starts + np.arange(len(starts))
     norms = np.sqrt(np.add.accumulate(np.add.reduceat(squares, starts, axis=1),
                                       axis=1)[:, -1])
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
@@ -195,6 +204,27 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     return list(zip(rows, reports))
 
 
+def best_prior_samples(model: TrajCvae, p: dict, seen: ad.Value,
+                       prior: LatentGaussian, picks: list[int],
+                       eps: list[np.ndarray], scaled: np.ndarray) -> list[int]:
+    """Per window, the index of its prior sample with the lowest mean NLL
+    over frames: window_losses' best-of-many rule, without a record.
+
+    Window w's PRIOR_SAMPLES latents are drawn from the prior of agent
+    column picks[w] with the noise eps[w] (L, obs_len, PRIOR_SAMPLES), and
+    decoded against the observed branch `seen` (TrajCvae.observe) of the
+    stacked windows, whose displacement features are `scaled`."""
+    copies = np.repeat(picks, PRIOR_SAMPLES)
+    with ad.no_record():
+        z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
+                              ad.Value(prior.logvar.data[:, :, copies]),
+                              np.concatenate(eps, axis=2))
+        cells, _ = losses.nll_cells(model.decode(p, z, seen, copies),
+                                    scaled[:, :, copies])
+    means = cells.data[0].mean(axis=0).reshape(-1, PRIOR_SAMPLES)
+    return np.argmin(means, axis=1).tolist()
+
+
 def train_epoch(state: TrainState, model: TrajCvae,
                 windows: list[SequenceWindow], config: TrainConfig,
                 log: losses.MetricsLog | None = None) -> TrainState:
@@ -204,11 +234,11 @@ def train_epoch(state: TrainState, model: TrajCvae,
     param <- param - lr * mean(grad) is applied, and `log` gets the mean
     loss report of the step's windows. Windows with zero agents are
     skipped and counted. A step's windows go through chunk_gradients in
-    chunks of consecutive windows whose n + PRIOR_SAMPLES sum to at most
-    TRAIN_COLUMNS (a wider window alone); their clipped gradients are
-    summed in window order. state.epoch_report is set to the mean report
-    over the epoch's windows. A diverged window raises DivergenceError
-    naming its index (see chunk_gradients).
+    chunks of consecutive windows whose n + 1 sum to at most TRAIN_COLUMNS
+    (a wider window alone); their clipped gradients are summed in window
+    order. state.epoch_report is set to the mean report over the epoch's
+    windows. A diverged window raises DivergenceError naming its index (see
+    chunk_gradients).
     """
     if not windows:
         raise ConfigError("train_epoch: empty window list")
@@ -243,12 +273,12 @@ def train_epoch(state: TrainState, model: TrajCvae,
 
 
 def _chunks(indices: list[int], windows: list[SequenceWindow]):
-    """Consecutive runs of `indices` whose windows' n + PRIOR_SAMPLES sum to
-    at most TRAIN_COLUMNS; a window wider than that on its own is a run of
-    its own."""
+    """Consecutive runs of `indices` whose windows' recorded columns, n + 1
+    each, sum to at most TRAIN_COLUMNS; a window wider than that on its own
+    is a run of its own."""
     chunk, width = [], 0
     for i in indices:
-        columns = windows[i].n_agents + PRIOR_SAMPLES
+        columns = windows[i].n_agents + 1
         if chunk and width + columns > TRAIN_COLUMNS:
             yield chunk
             chunk, width = [], 0

@@ -55,7 +55,7 @@ def _toy_loss(m, disp, adj, eps):
     post = m.recog_forward(p, v_full, adj)
     sigma = ad.exp(ad.scale(post.logvar, 0.5))
     z = ad.add(post.mu, ad.mul(sigma, ad.Value(eps)))
-    pred = m.decode(p, z, v_obs, adj[:OBS])
+    pred = m.decode(p, z, m.observe(p, v_obs, adj[:OBS]))
     nll = losses.bivariate_nll(pred, disp)
     kl = losses.kl_diag_gaussians(post, prior)
     return ad.add(nll, ad.scale(kl, 0.005)), p
@@ -199,7 +199,7 @@ def test_criterion_4_variable_agents():
         v_full, v_obs = ad.leaf(d), ad.leaf(d[:, :OBS, :])
         prior = m.prior_forward(p, v_obs, a[:OBS])
         post = m.recog_forward(p, v_full, a)
-        pred = m.decode(p, prior.mu, v_obs, a[:OBS])
+        pred = m.decode(p, prior.mu, m.observe(p, v_obs, a[:OBS]))
         return (prior.mu.data, prior.logvar.data, post.mu.data,
                 post.logvar.data, pred.raw.data)
 

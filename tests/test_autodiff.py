@@ -369,6 +369,18 @@ class TestBackward:
         assert grads.get(y) == pytest.approx(0.0)
         assert y not in grads
 
+    def test_constants_get_no_gradient(self):
+        # only leaves are kept; a constant input to conv_time gets none
+        x, w, b = ad.leaf(np.ones((2, 3, 1))), ad.leaf(np.ones((1, 2, 1))), \
+            ad.leaf(np.zeros(1))
+        c = ad.Value(np.full((2, 3, 1), 2.0))
+        out = ad.add(ad.conv_time(c, w, b), ad.conv_time(ad.exp(x), w, b))
+        grads = ad.backward(ad.sum_all(out))
+        assert len(grads) == 3 and c not in grads
+        np.testing.assert_allclose(grads.get(w), np.full((1, 2, 1),
+                                                          6 + 3 * np.e))
+        np.testing.assert_array_equal(grads.get(x), np.full((2, 3, 1), np.e))
+
     def test_fanout_sums_both_paths(self):
         x = ad.leaf(np.array([1.5]))
         loss = ad.sum_all(ad.add(ad.mul(x, x), ad.scale(x, 3.0)))

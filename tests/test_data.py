@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,25 @@ class TestResample:
             out = data.resample(make_scene(rows, robot_id=2), 0.4)
             assert out.frames.shape == (0,) and out.xy.shape == (0, 2)
             assert (out.frame_period, out.robot_id) == (0.4, 2)
+
+    def test_stray_agent_costs_rows_not_frame_span(self):
+        # 25 Hz frame ids: a whole-span 2.5 Hz grid up to an agent at frame
+        # 10^7 would hold 10^6 times (8 MB); each agent's slice is built
+        # from its own samples, with the whole grid's bits
+        rows = [(10 * f + a, a, 0.5 * f, float(a)) for f in range(40)
+                for a in (1, 2)]
+        rows += [(10 ** 7 + 10 * f, 7, 0.1 * f, 3.0) for f in range(3)]
+        scene = make_scene(rows, frame_period=0.04)
+        tracemalloc.start()
+        try:
+            out = data.resample(scene, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        want = reference_resample(rows, 0.04, 0.4)
+        assert 7 in out.agents
+        assert np.array(rows_of(out)).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("period", [0, -2.5, float("nan"), float("inf")])
     def test_bad_target_period(self, period):

@@ -131,7 +131,7 @@ def reference_futures(m, window, rng, k, sample_mode):
         prior = m.prior_forward(p, v_obs, adj)
         z = ad.reparameterize(prior.mu, prior.logvar,
                               rng.standard_normal(prior.mu.data.shape))
-        out = m.decode(p, z, v_obs, adj).constrained()
+        out = m.decode(p, z, m.observe(p, v_obs, adj)).constrained()
         steps = out[0:2, obs_len:, :].copy()
         if sample_mode == "full":
             sx, sy, rho = out[2, obs_len:], out[3, obs_len:], out[4, obs_len:]

@@ -176,7 +176,7 @@ class TestDecoder:
         z = ad.reparameterize(prior.mu, prior.logvar,
                               np.random.default_rng(0).standard_normal(
                                   prior.mu.data.shape))
-        out = m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
+        out = m.decode(p, z, m.observe(p, ad.leaf(v[:, :8, :]), a[:8]))
         assert out.data.shape == (5, 20, 3)
 
     def test_constrained_sigmas_positive(self):
@@ -185,7 +185,8 @@ class TestDecoder:
         m = model.TrajCvae(CFG, rng=rng)
         p = m.traced_params()
         prior = m.prior_forward(p, ad.leaf(v[:, :8, :]), a[:8])
-        out = m.decode(p, prior.mu, ad.leaf(v[:, :8, :]), a[:8])
+        obs = m.observe(p, ad.leaf(v[:, :8, :]), a[:8])
+        out = m.decode(p, prior.mu, obs)
         c = out.constrained()
         assert np.all(c[2] > 0) and np.all(c[3] > 0)
         assert np.all(np.abs(c[4]) < 1)
@@ -197,7 +198,7 @@ class TestDecoder:
         p = m.traced_params()
         z = ad.leaf(np.zeros((CFG.latent_len, 8, 2)))
         with pytest.raises(DimensionError):
-            m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
+            m.decode(p, z, m.observe(p, ad.leaf(v[:, :8, :]), a[:8]))
 
     @pytest.mark.parametrize("agents", [[0, 3], [0, -1]])
     def test_agent_index_out_of_range(self, agents):
@@ -205,9 +206,10 @@ class TestDecoder:
         v, a = make_inputs(3, rng)
         m = model.TrajCvae(CFG, rng=rng)
         z = ad.leaf(np.zeros((CFG.latent_len, 8, 2)))
+        p = m.traced_params()
+        obs = m.observe(p, ad.leaf(v[:, :8, :]), a[:8])
         with pytest.raises(DimensionError):
-            m.decode(m.traced_params(), z, ad.leaf(v[:, :8, :]), a[:8],
-                     agents)
+            m.decode(p, z, obs, agents)
 
     def test_stacked_latents_decode_as_alone(self):
         # latent columns of other samples must not leak into a column
@@ -217,10 +219,11 @@ class TestDecoder:
         p = m.traced_params()
         v_obs = ad.leaf(v[:, :8, :])
         zs = [rng.normal(size=(CFG.latent_len, 8, 3)) for _ in range(2)]
-        alone = [m.decode(p, ad.leaf(z), v_obs, a[:8]).data for z in zs]
+        obs = m.observe(p, v_obs, a[:8])
+        alone = [m.decode(p, ad.leaf(z), obs).data for z in zs]
         agents = [0, 1, 2, 1, 1]
         stacked = np.concatenate([zs[0], zs[1][:, :, [1, 1]]], axis=2)
-        out = m.decode(p, ad.leaf(stacked), v_obs, a[:8], agents).data
+        out = m.decode(p, ad.leaf(stacked), obs, agents).data
         np.testing.assert_allclose(out[:, :, :3], alone[0], atol=1e-12)
         np.testing.assert_allclose(out[:, :, 3], alone[1][:, :, 1], atol=1e-12)
         np.testing.assert_allclose(out[:, :, 4], alone[1][:, :, 1], atol=1e-12)
@@ -231,7 +234,8 @@ def full_pass(m, p, v, a, z_rng):
     post = m.recog_forward(p, ad.leaf(v), a)
     z = ad.reparameterize(post.mu, post.logvar,
                           z_rng.standard_normal(post.mu.data.shape))
-    return prior, post, m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
+    return prior, post, m.decode(p, z, m.observe(p, ad.leaf(v[:, :8, :]),
+                                                 a[:8]))
 
 
 class TestStructuralInvariants:
@@ -267,8 +271,9 @@ class TestStructuralInvariants:
 
         z = prior.mu
         zp = ad.leaf(z.data[:, :, perm])
-        dec = m.decode(p, z, ad.leaf(v[:, :8, :]), a[:8])
-        dec_p = m.decode(p, zp, ad.leaf(vp[:, :8, :]), ap[:8])
+        dec = m.decode(p, z, m.observe(p, ad.leaf(v[:, :8, :]), a[:8]))
+        dec_p = m.decode(p, zp,
+                         m.observe(p, ad.leaf(vp[:, :8, :]), ap[:8]))
         np.testing.assert_allclose(dec_p.data, dec.data[:, :, perm], atol=1e-9)
 
     def test_latent_length_sweep_strictly_increasing(self):

@@ -239,11 +239,12 @@ class TestTrainEpoch:
                                                       lr_switch_epoch=1))
 
 
-def reference_window_gradients(m, window, epoch, rng):
-    """A training pass over one window as written before windows were
-    stacked: unsegmented ops, the random arrays drawn in the order the
-    forward pass used to draw them, the latents gathered as
-    concat(posterior, picked prior)."""
+def unstacked_pass(m, window, rng):
+    """The random arrays of a training pass over one window, drawn in the
+    order the forward pass used to draw them before windows were stacked,
+    and its unsegmented forward pass: (n, scaled features, traced
+    parameters, prior, posterior, the decoder's observed branch, picked
+    agent, latent noise (L, obs_len, n + PRIOR_SAMPLES))."""
     cfg = m.config
     disp = training.to_displacements(window.positions)
     adj = training.graph.normalized_adjacency(window.positions)
@@ -251,7 +252,7 @@ def reference_window_gradients(m, window, epoch, rng):
     scaled = disp.values * cfg.feature_scale
     n = window.n_agents
     p = m.traced_params()
-    v_full, v_obs = ad.leaf(scaled), ad.leaf(scaled[:, :obs, :])
+    v_obs = ad.Value(scaled[:, :obs, :])
     prior = m.prior_forward(p, v_obs, adj[:obs])
     # each recognition block's dropout on its output: every block keeps
     # the seq_len frames but the last, which reduces them to obs_len; then
@@ -260,23 +261,69 @@ def reference_window_gradients(m, window, epoch, rng):
     factors = [ad.dropout_factor((cfg.embed_channels, t, n), cfg.dropout, rng)
                for t in frames]
     mu_noise = rng.standard_normal((cfg.latent_len, obs, n)) * cfg.noise_std
-    post = m.recog_forward(p, v_full, adj,
+    post = m.recog_forward(p, ad.Value(scaled), adj,
                            model.RecogNoise(factors, mu_noise))
-    pick = np.full(training.PRIOR_SAMPLES, int(rng.integers(n)))
-    mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, pick))
-    logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar, pick))
-    z = ad.reparameterize(mu, logvar, rng.standard_normal(mu.data.shape))
-    columns = np.concatenate([np.arange(n), pick])
-    pred = m.decode(p, z, v_obs, adj[:obs], columns)
-    objective, (report,) = losses.window_losses(
-        pred, scaled[:, :, columns], post, prior, epoch, [n],
-        training.PRIOR_SAMPLES)
+    pick = int(rng.integers(n))
+    eps = rng.standard_normal((cfg.latent_len, obs,
+                               n + training.PRIOR_SAMPLES))
+    seen = m.observe(p, v_obs, adj[:obs])
+    return n, scaled, p, prior, post, seen, pick, eps
+
+
+def clipped_gradients(p, objective):
     traced = ad.backward(objective)
     grads = {name: traced.get(leaf) for name, leaf in p.items()}
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if norm > training.CLIP_NORM:
         grads = {k: g * (training.CLIP_NORM / norm) for k, g in grads.items()}
-    return grads, report
+    return grads
+
+
+def reference_window_gradients(m, window, epoch, rng):
+    """A training pass over one window as written before windows were
+    stacked: unsegmented ops, the latents gathered as concat(posterior,
+    picked prior). The prior samples are decoded and scored without a
+    record, and the best is decoded again in the record."""
+    n, scaled, p, prior, post, seen, pick, eps = unstacked_pass(m, window,
+                                                                rng)
+    copies = np.full(training.PRIOR_SAMPLES, pick)
+    with ad.no_record():
+        z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
+                              ad.Value(prior.logvar.data[:, :, copies]),
+                              eps[:, :, n:])
+        cells, _ = losses.nll_cells(m.decode(p, z, seen, copies),
+                                    scaled[:, :, copies])
+    best = int(np.argmin(cells.data[0].mean(axis=0)))
+    mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, [pick]))
+    logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar,
+                                                          [pick]))
+    z = ad.reparameterize(mu, logvar, eps[:, :, [*range(n), n + best]])
+    columns = [*range(n), pick]
+    pred = m.decode(p, z, seen, columns)
+    objective, (report,) = losses.window_losses(
+        pred, scaled[:, :, columns], post, prior, epoch, [n], 1)
+    return clipped_gradients(p, objective), report
+
+
+def all_samples_window_gradients(m, window, epoch, rng):
+    """The pass that recorded all PRIOR_SAMPLES prior decodes, the 7 that
+    lose the best-of-many comparison included: (gradients, report, index
+    of the best prior sample)."""
+    n, scaled, p, prior, post, seen, pick, eps = unstacked_pass(m, window,
+                                                                rng)
+    copies = np.full(training.PRIOR_SAMPLES, pick)
+    mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, copies))
+    logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar,
+                                                          copies))
+    z = ad.reparameterize(mu, logvar, eps)
+    columns = np.concatenate([np.arange(n), copies])
+    pred = m.decode(p, z, seen, columns)
+    objective, (report,) = losses.window_losses(
+        pred, scaled[:, :, columns], post, prior, epoch, [n],
+        training.PRIOR_SAMPLES)
+    cells, _ = losses.nll_cells(pred, scaled[:, :, columns])
+    best = int(np.argmin(cells.data[0, :, n:].mean(axis=0)))
+    return clipped_gradients(p, objective), report, best
 
 
 def mixed_windows(count, seed):
@@ -308,6 +355,32 @@ class TestChunks:
         for name in want:
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("agents", [1, 3, 6, 12])
+    @pytest.mark.parametrize("epoch", [0, 50])
+    def test_recording_the_best_prior_sample_matches_recording_all(
+            self, agents, epoch, monkeypatch):
+        # only the order of the sums changes: the same sample is chosen,
+        # each report field agrees to 1 ulp and each gradient norm-wise
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        window = synthetic.make_window("turn", agents,
+                                       np.random.default_rng(agents))
+        chosen, inner = [], training.best_prior_samples
+        monkeypatch.setattr(training, "best_prior_samples", lambda *a:
+                            chosen.append(inner(*a)) or chosen[-1])
+        got, got_report = training.window_gradients(
+            m, window, epoch, np.random.default_rng(7))
+        want, want_report, best = all_samples_window_gradients(
+            m, window, epoch, np.random.default_rng(7))
+        assert chosen == [[best]]
+        for field in ("total", "rec", "kl", "weight"):
+            a, b = getattr(got_report, field), getattr(want_report, field)
+            assert abs(a - b) <= np.spacing(abs(b)), field
+        assert list(got) == list(want)
+        for name in want:
+            assert np.linalg.norm(got[name] - want[name]) \
+                <= 1e-14 * np.linalg.norm(want[name]), name
 
     def test_chunked_epochs_match_sequential_steps(self, tmp_path,
                                                    monkeypatch):
@@ -371,13 +444,11 @@ class TestChunks:
         chunks = list(training._chunks(list(range(12)), windows))
         assert [i for c in chunks for i in c] == list(range(12))
         for chunk in chunks:
-            width = sum(windows[i].n_agents + training.PRIOR_SAMPLES
-                        for i in chunk)
+            width = sum(windows[i].n_agents + 1 for i in chunk)
             assert width <= training.TRAIN_COLUMNS
         # each chunk stopped because the next window did not fit
         for chunk, nxt in zip(chunks, chunks[1:]):
-            width = sum(windows[i].n_agents + training.PRIOR_SAMPLES
-                        for i in chunk + nxt[:1])
+            width = sum(windows[i].n_agents + 1 for i in chunk + nxt[:1])
             assert width > training.TRAIN_COLUMNS
         wide = [synthetic.make_window("turn", 30, np.random.default_rng(0))]
         assert list(training._chunks([0], wide)) == [[0]]
@@ -494,6 +565,16 @@ class TestGradientRows:
                 acc = acc + window[name]
             step = before[name] - lr * acc / 3
             assert m.params[name].tobytes() == step.tobytes(), name
+
+    def test_gradient_map_holds_the_parameters_only(self, monkeypatch):
+        # constants (inputs, noise, masks, targets) get no gradient
+        m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(3))
+        passes = self.recorded(m, monkeypatch)
+        training.chunk_gradients(m, mixed_windows(2, seed=1), 0,
+                                 np.random.default_rng(0))
+        ((leaves, traced),) = passes
+        assert len(traced) == len(leaves) == 55
+        assert all(leaf in traced for leaf in leaves.values())
 
     @pytest.mark.parametrize("agents", [1, 3, 6])
     def test_one_window_chunk(self, agents, monkeypatch):
@@ -648,7 +729,8 @@ class TestPriorTraining:
                         ad.take_agents(prior.mu, pick),
                         ad.take_agents(prior.logvar, pick),
                         rng.standard_normal(prior.mu.data.shape[:2] + (8,)))
-                    pred = m.decode(p, z, ad.leaf(d[:, :8]), a[:8], pick)
+                    obs = m.observe(p, ad.leaf(d[:, :8]), a[:8])
+                    pred = m.decode(p, z, obs, pick)
                     cells, _ = losses.nll_cells(pred, d[:, :, pick])
                     total += cells.data[0].mean(axis=0).min()
             return total
