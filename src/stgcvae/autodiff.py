@@ -140,13 +140,17 @@ def reciprocal(x: Value) -> Value:
 
 def clamp(x: Value, lo=None, hi=None) -> Value:
     """Clip to [lo, hi]; gradient passes through only inside the bounds."""
-    out = np.clip(x.data, lo, hi)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
-    if hi is not None:
-        inside &= x.data <= hi
-    return Value(out, (x,), lambda g: (g * inside,))
+    def vjp(g):
+        # the mask comes from x, which the record keeps anyway, so a pass
+        # without a record does not build it
+        inside = np.ones_like(x.data, dtype=bool)
+        if lo is not None:
+            inside &= x.data >= lo
+        if hi is not None:
+            inside &= x.data <= hi
+        return (g * inside,)
+
+    return Value(np.clip(x.data, lo, hi), (x,), vjp)
 
 
 # Segments: windows stacked along the agent axis of (C, T, N) tensors share
@@ -184,17 +188,31 @@ def prelu(x: Value, slope: Value, segments=None) -> Value:
         raise DimensionError(
             f"prelu: slope {slope.data.shape} does not match the channels "
             f"of a (C, T, N) input, got {x.data.shape}")
-    s = slope.data.reshape(-1, 1, 1)
-    # multiplies by 1 or s instead of np.where, which costs ten times more
-    pos = x.data > 0
-    out = x.data * (s * ~pos + pos)
+    # + 0.0 turns a -0 slope into +0, as s * 1 + 0 does in the factor
+    # s * ~(x > 0) + (x > 0). min(0, x) * s + max(x, -0) is then x where
+    # x > 0, else x * s, with the bits of x times that factor, signed zeros
+    # included: np.minimum and np.maximum return their second operand on a
+    # tie, so min(0, -0) is -0, and adding -0 changes nothing.
+    s = slope.data.reshape(-1, 1, 1) + 0.0
+    out = np.minimum(0.0, x.data)
+    out *= s
+    out += np.maximum(x.data, -0.0)
 
     def vjp(g):
-        gs_full = g * x.data * ~pos
+        # multiplies by 1 or s instead of np.where, which costs ten times
+        # more, with masks of 1.0 and 0.0: numpy casts a bool operand
+        # element by element. The record keeps x, so it keeps no mask.
+        pos = (x.data > 0).astype(np.float64)
+        neg = 1.0 - pos
+        gs_full = g * x.data
+        gs_full *= neg
         parts, gs = _segment_grads(segments, g.shape[2], slope.data.shape)
         for c, gs_seg in parts:
             gs_full[:, :, c].sum(axis=(1, 2), out=gs_seg)
-        return g * (s * ~pos + pos), gs
+        del gs_full
+        neg *= s
+        neg += pos
+        return g * neg, gs
 
     return Value(out, (x, slope), vjp)
 
@@ -225,22 +243,45 @@ def dropout(x: Value, factor: np.ndarray) -> Value:
 
 
 def _padded_windows(x: np.ndarray, padding: int, k: int):
-    """The zero-padded copy of a (C_in, T, N) input and its read-only
+    """A (C_in, T + 2*padding, N) zero-padded x and its read-only
     (C_in, T', N, K) view of every length-K window along time.
 
-    The copy has np.pad's memory order (Fortran only for an F- and not
-    C-contiguous x): at K = 1 the column matrix is a view of it, and a view
-    of another layout rounds differently."""
+    An unpadded C- or F-contiguous x is used as it is: a copy would have
+    x's own layout. Any other x is copied in np.pad's memory order (Fortran
+    only for an F- and not C-contiguous x). At K = 1 the column matrix is a
+    view of the result, and a view of another layout rounds differently,
+    so a strided x is copied even when unpadded."""
     c_in, t, n = x.shape
-    xp = np.zeros((c_in, t + 2 * padding, n),
-                  order="F" if x.flags.fnc else "C")
-    xp[:, padding:padding + t, :] = x
+    if padding or not (x.flags.c_contiguous or x.flags.f_contiguous):
+        xp = np.zeros((c_in, t + 2 * padding, n),
+                      order="F" if x.flags.fnc else "C")
+        xp[:, padding:padding + t, :] = x
+    else:
+        xp = x
     s_c, s_t, s_n = xp.strides
     # the ndarray constructor builds the same view as as_strided, 6x faster
     win = np.ndarray((c_in, t + 2 * padding - k + 1, n, k), xp.dtype, xp, 0,
                      (s_c, s_t, s_n, s_t))
     win.flags.writeable = False
     return xp, win
+
+
+def _tap_columns(x: np.ndarray, padding: int, k: int) -> np.ndarray:
+    """The C-contiguous (T' * N, C_in * K) column matrix of a K > 1
+    convolution, row (frame, agent), column (input channel, tap), filled
+    with one slab copy per tap from a (T + 2*padding, N, C_in) zero-padded
+    copy of x (x itself, transposed, when unpadded). A gather through
+    _padded_windows' view gives the same array, K elements at a time."""
+    c_in, t, n = x.shape
+    t_out = t + 2 * padding - k + 1
+    xt = x.transpose(1, 2, 0)
+    if padding:
+        xt = np.zeros((t + 2 * padding, n, c_in))
+        xt[padding:padding + t] = x.transpose(1, 2, 0)
+    cols = np.empty((t_out, n, c_in, k))
+    for j in range(k):
+        cols[..., j] = xt[j:j + t_out]
+    return cols.reshape(t_out * n, c_in * k)
 
 
 def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
@@ -273,22 +314,28 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
     # that numpy 2.4's optimizing Einstein-summation planner picks for it,
     # so it makes the same BLAS call, with the same bits.
     t_out = t + 2 * padding - k + 1
-    _, win = _padded_windows(x.data, padding, k)
-    cols = win.transpose(1, 2, 0, 3).reshape(t_out * n, c_in * k)
+    if k == 1:  # a view of the padded input, whose layout sets the bits
+        xp, _ = _padded_windows(x.data, padding, k)
+        cols = xp.transpose(1, 2, 0).reshape(t_out * n, c_in)
+    else:
+        cols = _tap_columns(x.data, padding, k)
     taps = kernel.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
-    out = (cols @ taps).reshape(t_out, n, c_out).transpose(2, 0, 1) \
-        + bias.data.reshape(-1, 1, 1)
+    out = cols @ taps
+    out += bias.data
+    out = out.reshape(t_out, n, c_out).transpose(2, 0, 1)
 
     def vjp(g):
         # rebuilt from x, which the record keeps anyway, so the record does
-        # not hold a padded copy of every convolution input
-        xp, win = _padded_windows(x.data, padding, k)
+        # not hold a padded copy of every convolution input; the gather
+        # copies runs of agents here, which beat one copy per tap
+        _, win = _padded_windows(x.data, padding, k)
         # per segment, kernel columns ordered (frame, agent)
         parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
         for c, gk_seg in parts:
             np.matmul(win[:, :, c].transpose(0, 3, 1, 2).reshape(c_in * k, -1),
                       g[:, :, c].transpose(1, 2, 0).reshape(-1, c_out),
                       out=gk_seg)
+        del win  # frees the padded copy before the input gradient's buffers
         parts, gb = _segment_grads(segments, n, (c_out,))
         for c, gb_seg in parts:
             g[:, :, c].sum(axis=(1, 2), out=gb_seg)
@@ -298,7 +345,7 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         if not x.needs_grad:  # a constant input: the first layers
             return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((c_in, t + 2 * padding, n))
         # one product per tap: a single transposed-convolution GEMM would
         # sum in another order
         for j in range(k):

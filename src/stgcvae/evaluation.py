@@ -3,8 +3,10 @@ and single-inference latency benchmarking."""
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +75,13 @@ def fde(pred: np.ndarray, truth: np.ndarray) -> float:
 DECODE_COLUMNS = 64
 
 
+def _check_sampling(k: int, sample_mode: str) -> None:
+    if sample_mode not in ("latent", "full"):
+        raise ParameterError(f"unknown sample mode {sample_mode!r}")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+
+
 def sample_futures(model: TrajCvae, window: SequenceWindow,
                    rng: np.random.Generator, k: int,
                    sample_mode: str = "latent") -> np.ndarray:
@@ -89,10 +98,7 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     (see TrajCvae.decode). The rng draws follow the order of k single
     samples: eps of sample s, then its two step noises in `full` mode.
     """
-    if sample_mode not in ("latent", "full"):
-        raise ParameterError(f"unknown sample mode {sample_mode!r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_sampling(k, sample_mode)
     if window.n_agents == 0:
         raise EmptyWindowError("sample_futures: the window has no agents")
     cfg = model.config
@@ -267,18 +273,29 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
                        sample_mode: str = "latent") -> None:
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
     per window: window_id,agent_id,frame,sample_id,x,y. A window without
-    agents raises EmptyWindowError naming it, before anything is written."""
+    agents, k < 1 or an unknown sample mode raises before anything is
+    written. The CSV goes to a temporary file beside `path`, renamed over
+    it at the end, so a failure leaves a previous file as it was."""
     _require_agents(windows)
+    _check_sampling(k, sample_mode)
     obs_len = model.config.obs_len
     streams = np.random.SeedSequence(seed).spawn(len(windows))
-    with open(path, "w") as fh:
-        fh.write("window_id,agent_id,frame,sample_id,x,y\n")
-        for wi, (window, ss) in enumerate(zip(windows, streams)):
-            preds = sample_futures(model, window, np.random.default_rng(ss),
-                                   k, sample_mode)
-            blocks = [window.positions[obs_len:]] + list(preds)
-            for sample_id, block in enumerate(blocks, start=-1):
-                for t in range(block.shape[0]):
-                    for n, agent in enumerate(window.agent_ids):
-                        fh.write(f"{wi},{agent},{obs_len + t},{sample_id},"
-                                 f"{block[t, n, 0]:.6f},{block[t, n, 1]:.6f}\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("window_id,agent_id,frame,sample_id,x,y\n")
+            for wi, (window, ss) in enumerate(zip(windows, streams)):
+                preds = sample_futures(model, window,
+                                       np.random.default_rng(ss), k,
+                                       sample_mode)
+                blocks = [window.positions[obs_len:]] + list(preds)
+                for sample_id, block in enumerate(blocks, start=-1):
+                    for t in range(block.shape[0]):
+                        for n, agent in enumerate(window.agent_ids):
+                            fh.write(f"{wi},{agent},{obs_len + t},"
+                                     f"{sample_id},{block[t, n, 0]:.6f},"
+                                     f"{block[t, n, 1]:.6f}\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -519,14 +519,27 @@ def strided(a):
     return np.ascontiguousarray(np.swapaxes(a, 0, 1)).swapaxes(0, 1)
 
 
+def channels_last(a):
+    """The values of a (C, T, N) array laid out as a conv_time or
+    mix_agents output: (T, N, C) in memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+# conv_time copies an unpadded input only when it is neither C- nor
+# F-contiguous, so each of these layouts takes its own path
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "strided": strided, "channels-last": channels_last}
+
+
 class TestEinsumEquivalence:
     """conv_time (forward, input and kernel gradients) and mix_agents
     (forward and gradient) equal the einsum reference bit for bit on the
     build they were measured on (numpy 2.4.6, OpenBLAS 0.3.31). Across
     numpy builds the two agree only within rtol 1e-12.
 
-    Every combination of C_in, K and contiguous or strided input and
-    gradient runs at 5 agent counts; together they cover N = 1..130.
+    Every combination of C_in, K, input layout (C- or F-contiguous,
+    strided or channels-last) and contiguous or strided gradient runs at 5
+    agent counts; together they cover N = 1..130.
     """
 
     C_IN = (2, 8, 20, 24, 48)
@@ -537,7 +550,7 @@ class TestEinsumEquivalence:
     def cases(self):
         grid = [(c_in, kernel, xs, gs) for c_in in self.C_IN
                 for kernel in self.KERNELS
-                for xs in (False, True) for gs in (False, True)]
+                for xs in LAYOUTS for gs in (False, True)]
         for i, (c_in, (k, padding, frames), xs, gs) in enumerate(grid):
             for n in range(1 + i % 26, 131, 26):
                 yield c_in, k, padding, frames, n, xs, gs
@@ -551,7 +564,7 @@ class TestEinsumEquivalence:
             t = int(gen.choice(frames))
             c_out = int(gen.choice([2, 5, 8, 20, 24]))
             x = gen.standard_normal((c_in, t, n))
-            x = ad.leaf(strided(x) if xs else x)
+            x = ad.leaf(LAYOUTS[xs](x))
             kernel = ad.leaf(gen.standard_normal((c_out, c_in, k)))
             bias = ad.leaf(gen.standard_normal(c_out))
             got = ad.conv_time(x, kernel, bias, padding)
@@ -593,3 +606,78 @@ class TestEinsumEquivalence:
         monkeypatch.setattr(ad, "mix_agents", einsum_mix_agents)
         for a, b in zip(got, outputs()):
             assert_same(a, b)
+
+    @pytest.mark.parametrize("k, padding", [(1, 0), (3, 1), (13, 0)])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_segment_gradients_equal_per_window_calls(self, k, padding,
+                                                      layout):
+        """Kernel, bias and input gradients of stacked windows, byte for
+        byte those of each window's own call on its agent columns. (The
+        forward GEMM's bits may depend on its row count, so the outputs
+        are not compared.)"""
+        gen = np.random.default_rng(k)
+        bounds = (0, 1, 4, 9, 15)
+        x = LAYOUTS[layout](gen.standard_normal((24, 20, bounds[-1])))
+        kernel = ad.leaf(gen.standard_normal((20, 24, k)))
+        bias = ad.leaf(gen.standard_normal(20))
+        stacked = ad.conv_time(ad.leaf(x), kernel, bias, padding, bounds)
+        g = gen.standard_normal(stacked.shape)
+        gx, gk, gb = stacked.vjp(g)
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            alone = ad.conv_time(ad.leaf(x[:, :, a:b]), kernel, bias,
+                                 padding)
+            gx1, gk1, gb1 = alone.vjp(g[:, :, a:b])
+            assert gx1.tobytes() == gx[:, :, a:b].tobytes()
+            assert gk1.tobytes() == gk[i].tobytes()
+            assert gb1.tobytes() == gb[i].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 13])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_unpadded_input_is_read_not_written(self, k, layout):
+        """With padding 0, conv_time reads a contiguous input in place: it
+        never writes to it, and no output or gradient shares its memory."""
+        gen = np.random.default_rng(1)
+        data = LAYOUTS[layout](gen.standard_normal((24, 20, 6)))
+        before = data.tobytes()
+        data.flags.writeable = False  # any write raises
+        x = ad.leaf(data)
+        assert x.data is data
+        out = ad.conv_time(x, ad.leaf(gen.standard_normal((5, 24, k))),
+                           ad.leaf(gen.standard_normal(5)))
+        grads = out.vjp(gen.standard_normal(out.shape))
+        assert data.tobytes() == before
+        for a in (out.data, *grads):
+            assert not np.shares_memory(a, data)
+
+
+def old_prelu(x, slope):
+    """prelu as written with bool masks, the reference for the min/max
+    forward and the float-mask gradient."""
+    s = slope.reshape(-1, 1, 1)
+    pos = x > 0
+    return x * (s * ~pos + pos), lambda g: (g * (s * ~pos + pos),
+                                            (g * x * ~pos).sum(axis=(1, 2)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_prelu_edge_values_match_bool_mask_form(layout):
+    """Forward, input and slope gradients keep the bytes of the bool-mask
+    form for signed zeros, infinities, NaN and subnormals, at slopes of
+    ±0, below 0, in (0, 1) and above 1."""
+    gen = np.random.default_rng(2)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                      2.2e-308, -2.2e-308, 1e-300, -1e-300, 1e300, -1e300])
+    slopes = np.array([-2.5, -0.3, -0.0, 0.0, 1e-310, 0.25, 0.7, 1.0,
+                       3.0])
+    for _ in range(20):
+        shape = (slopes.size, *gen.integers(1, 9, 2))
+        x, g = (np.where(gen.random(shape) < 0.6, gen.choice(edges, shape),
+                         gen.standard_normal(shape)) for _ in range(2))
+        x = LAYOUTS[layout](x)
+        got = ad.prelu(ad.leaf(x), ad.leaf(slopes))
+        want, want_vjp = old_prelu(x, slopes)
+        assert got.data.tobytes() == want.tobytes()
+        assert got.data.strides == want.strides
+        for a, b in zip(got.vjp(g), want_vjp(g), strict=True):
+            assert a.tobytes() == b.tobytes()

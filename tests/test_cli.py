@@ -376,6 +376,22 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "error: window 1 (scene 'void') has no agents" in err
 
+    def test_rejected_predict_keeps_previous_file(self, synth_cache,
+                                                  small_config, tmp_path,
+                                                  capsys):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        export = tmp_path / "preds.csv"
+        argv = ["predict", "--ckpt", str(ckpt), "--data", str(synth_cache),
+                "--out", str(export)]
+        assert run(argv + ["--k", "2"]) == 0
+        before = export.read_bytes()
+        capsys.readouterr()
+        assert run(argv + ["--k", "0"]) == 1
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert export.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.name.startswith(".")) == []
+
     def test_k1_vs_k20_statistical_ordering(self, small_config, tmp_path,
                                             capsys):
         cache = tmp_path / "big.stgw"

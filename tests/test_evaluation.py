@@ -317,6 +317,31 @@ class TestExport:
         # 12 truth frames + 3*12 sampled frames, times 2 agents
         assert len(lines) - 1 == (12 + 3 * 12) * 2
 
+    @pytest.mark.parametrize("k, mode", [(0, "latent"), (2, "bogus")])
+    def test_bad_arguments_leave_previous_file(self, tmp_path, k, mode):
+        m, w = make_model_and_window()
+        path = tmp_path / "preds.csv"
+        path.write_text("previous\n")
+        with pytest.raises(ParameterError):
+            evaluation.export_predictions(path, m, [w], k=k, seed=0,
+                                          sample_mode=mode)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        m, w = make_model_and_window()
+        path = tmp_path / "preds.csv"
+        path.write_text("previous\n")
+
+        def fail(*args):
+            raise RuntimeError("sampling failed")
+
+        monkeypatch.setattr(evaluation, "sample_futures", fail)
+        with pytest.raises(RuntimeError):
+            evaluation.export_predictions(path, m, [w], k=2, seed=0)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
     def test_rows_match_recorded_samples(self, tmp_path):
         windows = [synthetic.make_window("turn", n, np.random.default_rng(n))
                    for n in (3, 7)]
