@@ -3,16 +3,17 @@
 
     python3 scripts/ab_pairs.py --parent PARENT --change CHANGE \\
         --out BENCH_<n>_<name>.json [--pairs 10] [--seconds 50] \\
-        [--workloads train-small eval-crowd] [--seed-base 100] \\
-        [--kernel-pairs 0] [--description TEXT]
+        [--seed-base 100] [--kernel-pairs 0] [--description TEXT]
 
 PARENT and CHANGE are two checkouts of this repository, for example a
-clone checked out at the parent commit and the working tree. Each pair runs `bench/run.py --trace 0` once in each tree, on the
-same workload and seed, one process at a time; the parent runs first in
-odd pairs and second in even ones. Pair i of the j-th workload (both
-counted from 1) uses seed seed_base * j + i, so by default train-small
-runs seeds 101, 102, ... and eval-crowd 201, 202, .... Pairs go round the
-workloads, so a slow phase of the host touches every workload alike.
+clone checked out at the parent commit and the working tree. The pairs
+cover every workload in CHANGE's bench/workloads.py, in its order. Each
+pair runs `bench/run.py --trace 0` once in each tree, on the same workload
+and seed, one process at a time; the parent runs first in odd pairs and
+second in even ones. Pair i of the j-th workload (both counted from 1)
+uses seed seed_base * j + i, so by default train-small runs seeds 101,
+102, ... and eval-crowd 201, 202, .... Pairs go round the workloads, so a
+slow phase of the host touches every workload alike.
 
 With --kernel-pairs N, N alternating pairs of scripts/kernel_timings.py
 (this checkout's copy, run against each tree's sources) follow.
@@ -49,6 +50,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                 "stderr": proc.stderr[-2000:]}
     env = json.loads(lines[0]).get("environment", {})
     return {"result": json.loads(lines[-1]), "environment": env}
+
+
+def bench_workloads(tree: Path) -> list[str]:
+    """The names of the workloads in `tree`'s bench/workloads.py."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path[:0] = ['src', 'bench']; import workloads; "
+         "print(*workloads.WORKLOADS, sep='\\n')"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    return proc.stdout.split()
 
 
 def run_kernels(tree: Path) -> dict:
@@ -128,8 +139,6 @@ def main() -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
-    ap.add_argument("--workloads", nargs="+",
-                    default=["train-small", "eval-crowd"])
     ap.add_argument("--seed-base", type=int, default=100)
     ap.add_argument("--kernel-pairs", type=int, default=0)
     ap.add_argument("--description", default="")
@@ -138,11 +147,12 @@ def main() -> int:
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             ap.error(f"--{side} {tree} holds no bench/run.py")
+    workloads = bench_workloads(trees["change"])
 
     runs, environment = [], {}
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
-        for j, workload in enumerate(args.workloads, start=1):
+        for j, workload in enumerate(workloads, start=1):
             seed = args.seed_base * j + i
             for side in order:
                 t0 = time.perf_counter()

@@ -315,7 +315,7 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
     # so it makes the same BLAS call, with the same bits.
     t_out = t + 2 * padding - k + 1
     if k == 1:  # a view of the padded input, whose layout sets the bits
-        xp, _ = _padded_windows(x.data, padding, k)
+        xp = _padded_windows(x.data, padding, k)[0]
         cols = xp.transpose(1, 2, 0).reshape(t_out * n, c_in)
     else:
         cols = _tap_columns(x.data, padding, k)
@@ -328,7 +328,7 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         # rebuilt from x, which the record keeps anyway, so the record does
         # not hold a padded copy of every convolution input; the gather
         # copies runs of agents here, which beat one copy per tap
-        _, win = _padded_windows(x.data, padding, k)
+        win = _padded_windows(x.data, padding, k)[1]
         # per segment, kernel columns ordered (frame, agent)
         parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
         for c, gk_seg in parts:

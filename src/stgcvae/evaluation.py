@@ -3,10 +3,8 @@ and single-inference latency benchmarking."""
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +13,7 @@ from . import graph
 from .data import SequenceWindow, to_displacements
 from .errors import (DimensionError, EmptyWindowError, MissingTruthError,
                      ParameterError)
-from .model import OUT_CHANNELS, TrajCvae
+from .model import OUT_CHANNELS, TrajCvae, replacing
 
 
 @dataclass
@@ -274,28 +272,21 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
     per window: window_id,agent_id,frame,sample_id,x,y. A window without
     agents, k < 1 or an unknown sample mode raises before anything is
-    written. The CSV goes to a temporary file beside `path`, renamed over
-    it at the end, so a failure leaves a previous file as it was."""
+    written. The CSV is written through `model.replacing`, so a failure
+    leaves a previous file as it was."""
     _require_agents(windows)
     _check_sampling(k, sample_mode)
     obs_len = model.config.obs_len
     streams = np.random.SeedSequence(seed).spawn(len(windows))
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write("window_id,agent_id,frame,sample_id,x,y\n")
-            for wi, (window, ss) in enumerate(zip(windows, streams)):
-                preds = sample_futures(model, window,
-                                       np.random.default_rng(ss), k,
-                                       sample_mode)
-                blocks = [window.positions[obs_len:]] + list(preds)
-                for sample_id, block in enumerate(blocks, start=-1):
-                    for t in range(block.shape[0]):
-                        for n, agent in enumerate(window.agent_ids):
-                            fh.write(f"{wi},{agent},{obs_len + t},"
-                                     f"{sample_id},{block[t, n, 0]:.6f},"
-                                     f"{block[t, n, 1]:.6f}\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as fh:
+        fh.write("window_id,agent_id,frame,sample_id,x,y\n")
+        for wi, (window, ss) in enumerate(zip(windows, streams)):
+            preds = sample_futures(model, window, np.random.default_rng(ss),
+                                   k, sample_mode)
+            blocks = [window.positions[obs_len:]] + list(preds)
+            for sample_id, block in enumerate(blocks, start=-1):
+                for t in range(block.shape[0]):
+                    for n, agent in enumerate(window.agent_ids):
+                        fh.write(f"{wi},{agent},{obs_len + t},{sample_id},"
+                                 f"{block[t, n, 0]:.6f},"
+                                 f"{block[t, n, 1]:.6f}\n")

@@ -13,6 +13,7 @@ so gradients come back keyed by parameter name.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -428,37 +429,42 @@ class TrajCvae:
 _MAGIC = b"STGC"
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temporary file beside `path` (`.<name>.<pid>.tmp`) and rename
+    it over `path` when the block ends; if the block raises, the temporary
+    file is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_params(path, store: ParamStore, metadata: dict | None = None) -> None:
     """Write a version-2 checkpoint. A sidecar `<path>.meta` records config
     metadata as plain `key=value` lines.
 
-    Both files are written to temporary files beside the target and then
-    renamed over it, the sidecar first, so a failed write leaves the
-    previous checkpoint as it was.
+    Both files are written through `replacing`, the sidecar renamed first,
+    so a failed write leaves the previous checkpoint as it was.
     """
-    path = Path(path)
-    meta_path = Path(f"{path}.meta")
-    tmp, meta_tmp = (p.with_name(f".{p.name}.{os.getpid()}.tmp")
-                     for p in (path, meta_path))
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<BI", 2, len(store.names())))
-            for name, arr in store.items():
-                enc = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(enc)))
-                fh.write(enc)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    with replacing(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<BI", 2, len(store.names())))
+        for name, arr in store.items():
+            enc = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(enc)))
+            fh.write(enc)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         if metadata is not None:
-            lines = [f"{k}={v}" for k, v in metadata.items()]
-            meta_tmp.write_text("\n".join(lines) + "\n")
-            os.replace(meta_tmp, meta_path)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-        meta_tmp.unlink(missing_ok=True)
+            with replacing(f"{path}.meta") as meta:
+                meta.write("\n".join(f"{k}={v}" for k, v in metadata.items())
+                           + "\n")
 
 
 def load_params(path) -> tuple[ParamStore, dict]:

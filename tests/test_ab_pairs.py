@@ -1,6 +1,7 @@
 """scripts/ab_pairs.py's summary of alternating parent/change pairs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,13 @@ def test_summary_of_complete_pairs():
     assert m["pairs_change_higher"] == 4
     assert summary["w.failed"] == {"parent": {"runs": 0, "operations": 0},
                                    "change": {"runs": 1, "operations": 1}}
+
+
+def test_pairs_cover_every_bench_workload(monkeypatch):
+    root = SCRIPT.parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses
+    spec.loader.exec_module(workloads)
+    assert ab_pairs.bench_workloads(root) == list(workloads.WORKLOADS)
