@@ -9,17 +9,19 @@ repeats of a timed loop:
 
 - `conv_time_txp2_fwd_us` / `_vjp_us`: conv_time at the decoder's second
   time-extrapolation input, (20, 24, 48) in the channels-last layout that
-  conv_time and mix_agents outputs have, K = 3, padding 1 (forward without
-  a record; the VJP of a recorded call);
+  conv_time and mix_agents outputs have, K = 3, padding 1 (the forward on
+  constant operands, so nothing is recorded; the VJP of a recorded call);
 - `conv_time_reduce_fwd_us` / `_vjp_us`: the recognition reduction,
   (24, 20, 12) channels-last, K = 13, padding 0, the VJP over 3 segments;
 - `prelu_fwd_us` / `_vjp_us`: prelu at (24, 20, 48), channels-last;
-- `decode_n48_us`: one decode of 48 latent columns at N = 48, without a
-  record;
+- `decode_n48_us`: one decode of 48 latent columns at N = 48 on constant
+  parameters, so nothing is recorded;
 - `sample_futures_n48_k20_us`: one best-of-20 `sample_futures` at N = 48.
 
 The inputs are seeded, so two trees time the same arrays.
-scripts/ab_pairs.py runs this in alternation on two trees.
+scripts/ab_pairs.py runs this in alternation on two trees, so it uses only
+API that older trees share (constants are built with `ad.Value` and the
+displacement features with numpy).
 """
 
 import json
@@ -48,7 +50,6 @@ def main() -> None:
 
     from stgcvae import autodiff as ad
     from stgcvae import evaluation, graph, model, synthetic
-    from stgcvae.data import to_displacements
 
     gen = np.random.default_rng(0)
     out = {}
@@ -57,10 +58,9 @@ def main() -> None:
         x = channels_last(gen.standard_normal(shape))
         kernel = gen.standard_normal((c_out, shape[0], k))
         bias = gen.standard_normal(c_out)
-        with ad.no_record():
-            out[f"conv_time_{name}_fwd_us"] = best_us(
-                lambda: ad.conv_time(ad.Value(x), ad.Value(kernel),
-                                     ad.Value(bias), padding), number)
+        out[f"conv_time_{name}_fwd_us"] = best_us(
+            lambda: ad.conv_time(ad.Value(x), ad.Value(kernel),
+                                 ad.Value(bias), padding), number)
         y = ad.conv_time(ad.leaf(x), ad.leaf(kernel), ad.leaf(bias), padding,
                          segments)
         g = gen.standard_normal(y.shape)
@@ -71,9 +71,8 @@ def main() -> None:
 
     x = channels_last(gen.standard_normal((24, 20, 48)))
     slope = np.full(24, 0.25)
-    with ad.no_record():
-        out["prelu_fwd_us"] = best_us(
-            lambda: ad.prelu(ad.Value(x), ad.Value(slope)), 300)
+    out["prelu_fwd_us"] = best_us(
+        lambda: ad.prelu(ad.Value(x), ad.Value(slope)), 300)
     y = ad.prelu(ad.leaf(x), ad.leaf(slope))
     g = gen.standard_normal(y.shape)
     out["prelu_vjp_us"] = best_us(lambda: y.vjp(g), 300)
@@ -83,11 +82,11 @@ def main() -> None:
     obs_pos = window.positions[:m.config.obs_len]
     adj = graph.normalized_adjacency(obs_pos)
     z = gen.standard_normal((m.config.latent_len, m.config.obs_len, 48))
-    with ad.no_record():
-        p = m.traced_params()
-        obs = m.observe(p, ad.Value(to_displacements(obs_pos).values), adj)
-        out["decode_n48_us"] = best_us(
-            lambda: m.decode(p, ad.Value(z), obs), 50)
+    p = {name: ad.Value(v) for name, v in m.params.items()}
+    disp = np.zeros((2,) + obs_pos.shape[:2])
+    disp[:, 1:] = np.diff(obs_pos, axis=0).transpose(2, 0, 1)
+    obs = m.observe(p, ad.Value(disp), adj)
+    out["decode_n48_us"] = best_us(lambda: m.decode(p, ad.Value(z), obs), 50)
     out["sample_futures_n48_k20_us"] = best_us(
         lambda: evaluation.sample_futures(m, window,
                                           np.random.default_rng(11), 20), 5)

@@ -7,18 +7,16 @@ reparameterization trick. The computation record is define-by-run: every
 forward pass builds a fresh graph, so variable agent counts are free.
 
 Values are immutable after construction; gradients never mutate nodes.
-`backward` walks the part of the record that reaches a `leaf` in reverse
-topological order and returns a GradientMap of the leaves, so repeated
-calls on the same record are idempotent. A Value built from an array alone
-is a constant: no gradient is formed for it. Inside a `no_record()` block
-nothing is recorded, for forward passes that are never differentiated.
+A Value built from an array alone is a constant, and an op's result keeps
+its operands and vjp only when one of them needs a gradient, so a pass over
+constants alone records nothing. `backward` walks the record that reaches
+a `leaf` in reverse topological order and returns a GradientMap of the
+leaves, so repeated calls on the same record are idempotent.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import threading
 
 import numpy as np
 
@@ -27,33 +25,14 @@ from .errors import ContractError, DimensionError, ParameterError
 _ids = itertools.count()
 
 
-class _Mode(threading.local):
-    record = True
-
-
-_mode = _Mode()
-
-
-@contextlib.contextmanager
-def no_record():
-    """Build Values without parents or vjp inside the block (this thread
-    only), so each intermediate is freed as soon as the forward pass stops
-    using it. `backward` raises ContractError inside the block."""
-    saved, _mode.record = _mode.record, False
-    try:
-        yield
-    finally:
-        _mode.record = saved
-
-
 class Value:
     """A node in the computation record: a float64 array plus its history.
 
     `parents` holds the operand Values and `vjp` maps the incoming output
     gradient to one gradient array per parent (vector-Jacobian product), or
-    None for a parent that does not need one. Leaves, constants and every
-    Value built inside `no_record()` have no parents. `needs_grad` is set
-    on leaves and on the Values that depend on one.
+    None for a parent that does not need one. `needs_grad` is set on leaves
+    and on the Values built from one, and only the latter keep `parents`:
+    leaves, constants and Values built from constants alone have none.
     """
 
     __slots__ = ("data", "nid", "parents", "vjp", "needs_grad")
@@ -61,10 +40,11 @@ class Value:
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.nid = next(_ids)
-        if _mode.record:
-            self.parents = tuple(parents)
-            self.vjp = vjp
-            self.needs_grad = any(p.needs_grad for p in self.parents)
+        # runs for every op: stop at the first parent that needs a gradient
+        for p in parents:
+            if p.needs_grad:
+                self.parents, self.vjp, self.needs_grad = parents, vjp, True
+                break
         else:
             self.parents, self.vjp, self.needs_grad = (), None, False
 
@@ -80,7 +60,7 @@ def leaf(data) -> Value:
     """Wrap an array as a gradient-carrying leaf of a new record (an input
     whose gradient nobody reads is better a constant, `Value(data)`)."""
     v = Value(data)
-    v.needs_grad = _mode.record
+    v.needs_grad = True
     return v
 
 
@@ -488,9 +468,8 @@ class GradientMap:
 def backward(loss: Value) -> GradientMap:
     """Reverse-mode sweep from a scalar loss over the nodes of its record
     that need a gradient (see Value.needs_grad); constants and the nodes
-    built from them alone are never visited."""
-    if not _mode.record:
-        raise ContractError("backward: called inside a no_record() block")
+    built from them alone are never visited (an empty map for a constant
+    loss)."""
     if loss.data.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {loss.data.shape}")

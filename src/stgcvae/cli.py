@@ -85,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_positive(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise ParameterError(
+                f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
 def cmd_preprocess(args) -> int:
     in_dir = Path(args.input)
     if not in_dir.is_dir():
@@ -94,8 +101,7 @@ def cmd_preprocess(args) -> int:
         if not (0 < rate < math.inf and math.isfinite(1.0 / rate)):
             raise ParameterError(f"--{flag.replace('_', '-')} must be a "
                                  f"finite number of Hz > 0, got {rate}")
-    if args.stride < 1:
-        raise ParameterError(f"--stride must be >= 1, got {args.stride}")
+    _require_positive(args, "stride")
     sources = [(p, args.input_rate) for p in sorted(in_dir.glob("*.txt"))]
     if args.robot_log:
         sources.append((Path(args.robot_log), args.robot_rate))
@@ -138,10 +144,9 @@ def cmd_train(args) -> int:
     for epoch in range(cfg.epochs):
         state = training.train_epoch(state, m, train_ws, cfg, log=log)
         report = state.epoch_report
-        if report is not None:
-            print(f"epoch {epoch}: total={report.total:.4f} "
-                  f"rec={report.rec:.4f} kl={report.kl:.4f} "
-                  f"w={report.weight:.2e}")
+        print(f"epoch {epoch}: total={report.total:.4f} "
+              f"rec={report.rec:.4f} kl={report.kl:.4f} "
+              f"w={report.weight:.2e}")
         if val_ws and (epoch + 1) % cfg.val_every == 0:
             rep = evaluation.evaluate_dataset(m, val_ws, k=20, seed=cfg.seed)
             print(f"  val best-of-20 ade={rep.ade:.4f} fde={rep.fde:.4f}")
@@ -166,10 +171,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag in ("agents", "reps"):
-        if getattr(args, flag) < 1:
-            raise ParameterError(
-                f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    _require_positive(args, "agents", "reps")
     m, _ = model.load_model(args.ckpt)
     rng = np.random.default_rng(0)
     window = synthetic.make_window("const-velocity", args.agents, rng)
@@ -194,6 +196,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    _require_positive(args, "agents", "windows")
     windows = synthetic.make_corpus(args.pattern, args.agents, args.windows,
                                     seed=args.seed)
     data.save_windows(args.out, windows)

@@ -10,8 +10,10 @@ The preprocessed window cache is a single binary file (magic `STGW`).
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +35,9 @@ class Scene:
     """Observations on a common frame clock, one row per (frame, agent)
     pair, sorted by (frame, agent): frames and agents (integral numbers, as
     int64; else ParameterError) and xy (R, 2) in meters. frame_period is the
-    seconds per frame-id unit (0.4 after resampling to 2.5 Hz)."""
+    seconds per frame-id unit (0.4 after resampling to 2.5 Hz). The window
+    cache stores the name as UTF-8, so one it cannot encode raises
+    ParameterError."""
     name: str
     frames: np.ndarray
     agents: np.ndarray
@@ -42,6 +46,11 @@ class Scene:
     robot_id: int | None = None
 
     def __post_init__(self):
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParameterError(f"Scene name {self.name!r} cannot be "
+                                 "encoded as UTF-8") from None
         _check_period(self.frame_period, "frame_period")
         for name in ("frames", "agents"):
             ids = np.asarray(getattr(self, name))
@@ -75,13 +84,6 @@ class SequenceWindow:
     @property
     def includes_robot(self) -> bool:
         return self.robot_index >= 0
-
-
-@dataclass
-class DisplacementTensor:
-    """Per-frame displacements (2, T, N) plus the absolute first-frame origin."""
-    values: np.ndarray  # (2, T, N)
-    origin: np.ndarray  # (N, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +252,12 @@ def build_windows(scene: Scene, stride: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# displacement <-> absolute
+# displacements
 
 
-def to_displacements(positions: np.ndarray) -> DisplacementTensor:
-    """Convert absolute positions (T, N, 2) to per-frame displacements.
+def to_displacements(positions: np.ndarray) -> np.ndarray:
+    """Convert absolute positions (T, N, 2) to per-frame displacements
+    (2, T, N).
 
     values[:, 0, :] is zero; values[:, t, :] = pos[t] - pos[t-1] for t >= 1.
     """
@@ -262,18 +265,27 @@ def to_displacements(positions: np.ndarray) -> DisplacementTensor:
     t, n, _ = positions.shape
     values = np.zeros((2, t, n))
     values[:, 1:, :] = np.transpose(positions[1:] - positions[:-1], (2, 0, 1))
-    return DisplacementTensor(values, positions[0].copy())
-
-
-def to_absolute(disp: DisplacementTensor) -> np.ndarray:
-    """Inverse of to_displacements, up to the rounding of the cumulative
-    sum from the origin."""
-    steps = np.transpose(disp.values, (1, 2, 0))  # (T, N, 2)
-    return disp.origin[None, :, :] + np.cumsum(steps, axis=0)
+    return values
 
 
 # ---------------------------------------------------------------------------
-# STGW window cache
+# STGW window cache, and the file writes of every module
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temporary file beside `path` (`.<name>.<pid>.tmp`) and rename
+    it over `path` when the block ends; if the block raises, the temporary
+    file is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
 
 _MAGIC = b"STGW"
 _VERSION = 1
@@ -282,8 +294,9 @@ _VERSION = 1
 def save_windows(path, windows: list[SequenceWindow]) -> None:
     """Write a window cache: per window N, T, agent ids, robot index,
     float32 positions (T, N, 2) row-major little-endian, then the scene
-    name (length-prefixed UTF-8)."""
-    with open(path, "wb") as fh:
+    name (length-prefixed UTF-8). The file is written through `replacing`,
+    so a failure leaves a previous cache at `path` as it was."""
+    with replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BI", _VERSION, len(windows)))
         for w in windows:

@@ -10,10 +10,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .data import SequenceWindow, to_displacements
+from .data import SequenceWindow, replacing, to_displacements
 from .errors import (DimensionError, EmptyWindowError, MissingTruthError,
                      ParameterError)
-from .model import OUT_CHANNELS, TrajCvae, replacing
+from .model import OUT_CHANNELS, TrajCvae
 
 
 @dataclass
@@ -91,7 +91,7 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     sampled from its bivariate Gaussian.
 
     The adjacency, the prior and the decoder's observed branch are
-    computed once, without a computation record, and the k latents are
+    computed once, on constants (no record), and the k latents are
     decoded max(1, DECODE_COLUMNS // N) at a time as stacked agent columns
     (see TrajCvae.decode). The rng draws follow the order of k single
     samples: eps of sample s, then its two step noises in `full` mode.
@@ -103,7 +103,6 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     obs_len, pred_len = cfg.obs_len, cfg.seq_len - cfg.obs_len
     obs_pos = window.positions[:obs_len]
     n = obs_pos.shape[1]
-    disp = to_displacements(obs_pos)
     adj = graph.normalized_adjacency(obs_pos)
     scale = cfg.feature_scale
 
@@ -119,20 +118,20 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
 
     pred = np.empty((OUT_CHANNELS, pred_len, k * n))
     per_pass = max(1, DECODE_COLUMNS // n)
-    with ad.no_record():
-        p = model.traced_params()
-        v_obs = ad.leaf(disp.values * scale)
-        prior = model.prior_forward(p, v_obs, adj)
-        obs = model.observe(p, v_obs, adj)
-        sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
-                               ad.LOGVAR_MAX) * 0.5)
-        z = np.tile(prior.mu.data, k) + np.tile(sigma, k) * eps
-        for start in range(0, k, per_pass):
-            c = min(per_pass, k - start)
-            cols = slice(start * n, (start + c) * n)
-            out = model.decode(p, ad.Value(z[:, :, cols]), obs,
-                               np.tile(np.arange(n), c))
-            pred[:, :, cols] = out.constrained()[:, obs_len:]
+    p = model.params.constants()
+    v_obs = ad.Value(to_displacements(obs_pos) * scale)
+    prior = model.prior_forward(p, v_obs, adj)
+    obs = model.observe(p, v_obs, adj)
+    sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
+                           ad.LOGVAR_MAX) * 0.5)
+    z = (prior.mu.data[:, :, None] + sigma[:, :, None]
+         * eps.reshape(cfg.latent_len, obs_len, k, n)).reshape(eps.shape)
+    for start in range(0, k, per_pass):
+        c = min(per_pass, k - start)
+        cols = slice(start * n, (start + c) * n)
+        out = model.decode(p, ad.Value(z[:, :, cols]), obs,
+                           np.tile(np.arange(n), c))
+        pred[:, :, cols] = out.constrained()[:, obs_len:]
 
     steps = pred[0:2]  # displacement means (2, pred_len, k * N)
     if sample_mode == "full":
@@ -272,7 +271,7 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
     per window: window_id,agent_id,frame,sample_id,x,y. A window without
     agents, k < 1 or an unknown sample mode raises before anything is
-    written. The CSV is written through `model.replacing`, so a failure
+    written. The CSV is written through `data.replacing`, so a failure
     leaves a previous file as it was."""
     _require_agents(windows)
     _check_sampling(k, sample_mode)

@@ -8,14 +8,13 @@ so the networks are agent-permutation equivariant and accept any N.
 
 Parameters live in a ParamStore (named, shaped views of one float64
 vector). A forward pass wraps them in autodiff leaves via `traced_params`,
-so gradients come back keyed by parameter name.
+so gradients come back keyed by parameter name; a pass that is never
+differentiated wraps them in constants (`ParamStore.constants`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .data import replacing
 from .errors import ConfigError, DimensionError, FormatError
 
 LOGVAR_MIN, LOGVAR_MAX = ad.LOGVAR_MIN, ad.LOGVAR_MAX
@@ -122,6 +122,10 @@ class ParamStore:
 
     def traced(self) -> dict[str, ad.Value]:
         return {k: ad.leaf(v) for k, v in self._views.items()}
+
+    def constants(self) -> dict[str, ad.Value]:
+        """The parameters as constants: ops over them keep no record."""
+        return {k: ad.Value(v) for k, v in self._views.items()}
 
 
 @dataclass
@@ -427,21 +431,6 @@ class TrajCvae:
 # (float32 data) still load
 
 _MAGIC = b"STGC"
-
-
-@contextlib.contextmanager
-def replacing(path, mode: str = "w"):
-    """Open a temporary file beside `path` (`.<name>.<pid>.tmp`) and rename
-    it over `path` when the block ends; if the block raises, the temporary
-    file is removed and `path` is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_params(path, store: ParamStore, metadata: dict | None = None) -> None:

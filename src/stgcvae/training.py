@@ -12,7 +12,8 @@ from . import autodiff as ad
 from . import graph, losses
 from .data import SequenceWindow, to_displacements
 from .evaluation import require_truth
-from .errors import ConfigError, DivergenceError, FormatError, ParameterError
+from .errors import (ConfigError, DivergenceError, EmptyWindowError,
+                     FormatError, ParameterError)
 from .model import (LatentGaussian, ModelConfig, ParamStore, RecogNoise,
                     TrajCvae, build_config, load_model, read_key_values,
                     save_params)
@@ -152,7 +153,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
         columns += [*range(a, a + n), picks[-1]]
         latents += [*range(a, a + n), agents[-1] + picks[-1]]
     scaled = model.config.feature_scale * np.concatenate(
-        [to_displacements(w.positions).values for w in windows], axis=2)
+        [to_displacements(w.positions) for w in windows], axis=2)
     adj = [graph.normalized_adjacency(w.positions) for w in windows]
     adj_obs = [a[:obs] for a in adj]
 
@@ -162,7 +163,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     post = model.recog_forward(p, ad.Value(scaled), adj,
                                RecogNoise.stack(noises), agents)
     seen = model.observe(p, v_obs, adj_obs, agents)
-    best = best_prior_samples(model, p, seen, prior, picks,
+    best = best_prior_samples(model, seen, prior, picks,
                               [e[:, :, n:] for e, n in zip(eps, sizes)],
                               scaled)
     mu = ad.take_agents(ad.concat_agents(post.mu, prior.mu), latents)
@@ -204,23 +205,23 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     return list(zip(rows, reports))
 
 
-def best_prior_samples(model: TrajCvae, p: dict, seen: ad.Value,
+def best_prior_samples(model: TrajCvae, seen: ad.Value,
                        prior: LatentGaussian, picks: list[int],
                        eps: list[np.ndarray], scaled: np.ndarray) -> list[int]:
     """Per window, the index of its prior sample with the lowest mean NLL
-    over frames: window_losses' best-of-many rule, without a record.
+    over frames: window_losses' best-of-many rule, on constants (no record).
 
     Window w's PRIOR_SAMPLES latents are drawn from the prior of agent
     column picks[w] with the noise eps[w] (L, obs_len, PRIOR_SAMPLES), and
     decoded against the observed branch `seen` (TrajCvae.observe) of the
     stacked windows, whose displacement features are `scaled`."""
     copies = np.repeat(picks, PRIOR_SAMPLES)
-    with ad.no_record():
-        z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
-                              ad.Value(prior.logvar.data[:, :, copies]),
-                              np.concatenate(eps, axis=2))
-        cells, _ = losses.nll_cells(model.decode(p, z, seen, copies),
-                                    scaled[:, :, copies])
+    z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
+                          ad.Value(prior.logvar.data[:, :, copies]),
+                          np.concatenate(eps, axis=2))
+    cells, _ = losses.nll_cells(
+        model.decode(model.params.constants(), z, ad.Value(seen.data), copies),
+        scaled[:, :, copies])
     means = cells.data[0].mean(axis=0).reshape(-1, PRIOR_SAMPLES)
     return np.argmin(means, axis=1).tolist()
 
@@ -233,15 +234,18 @@ def train_epoch(state: TrainState, model: TrajCvae,
     Every batch_size windows (and at the epoch tail) one step
     param <- param - lr * mean(grad) is applied, and `log` gets the mean
     loss report of the step's windows. Windows with zero agents are
-    skipped and counted. A step's windows go through chunk_gradients in
-    chunks of consecutive windows whose n + 1 sum to at most TRAIN_COLUMNS
-    (a wider window alone); their clipped gradients are summed in window
-    order. state.epoch_report is set to the mean report over the epoch's
-    windows. A diverged window raises DivergenceError naming its index (see
-    chunk_gradients).
+    skipped and counted (EmptyWindowError if all are). A step's windows go
+    through chunk_gradients in chunks of consecutive windows whose n + 1 sum
+    to at most TRAIN_COLUMNS (a wider window alone); their clipped gradients
+    are summed in window order. state.epoch_report is set to the mean report
+    over the epoch's windows. A diverged window raises DivergenceError naming
+    its index (see chunk_gradients).
     """
     if not windows:
         raise ConfigError("train_epoch: empty window list")
+    if not any(w.n_agents for w in windows):
+        raise EmptyWindowError(
+            f"train_epoch: none of the {len(windows)} windows has an agent")
     lr = lr_schedule(state.epoch, config)
     order = state.rng.permutation(len(windows))
     live = [int(i) for i in order if windows[i].n_agents > 0]
@@ -266,8 +270,7 @@ def train_epoch(state: TrainState, model: TrajCvae,
             log.append(state.epoch, state.step,
                        _mean_report(parts[-len(step):], weight, state.epoch))
 
-    state.epoch_report = _mean_report(parts, weight, state.epoch) \
-        if parts else None
+    state.epoch_report = _mean_report(parts, weight, state.epoch)
     state.epoch += 1
     return state
 

@@ -49,3 +49,18 @@ def test_pairs_cover_every_bench_workload(monkeypatch):
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclasses
     spec.loader.exec_module(workloads)
     assert ab_pairs.bench_workloads(root) == list(workloads.WORKLOADS)
+
+
+def test_kernel_timings_run_on_this_tree():
+    """scripts/kernel_timings.py in its own process, as --kernel-pairs runs
+    it (about 5 s)."""
+    got = ab_pairs.run_kernels(SCRIPT.parents[1])
+    assert "stderr" not in got, got.get("stderr")
+    metrics = got["result"]["metrics"]
+    assert sorted(metrics) == sorted(
+        [f"conv_time_{layer}_{part}_us" for layer in ("txp2", "reduce")
+         for part in ("fwd", "vjp")]
+        + ["prelu_fwd_us", "prelu_vjp_us", "decode_n48_us",
+           "sample_futures_n48_k20_us"])
+    assert all(m["value"] > 0 and m["unit"] == "us"
+               for m in metrics.values())

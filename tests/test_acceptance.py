@@ -76,7 +76,7 @@ def test_criterion_1_gradient_check():
             0, 0.05, m.params[name].shape)
 
     pos = np.cumsum(rng.normal(0.1, 0.2, (SEQ, 2, 2)), axis=0)
-    disp = to_displacements(pos).values
+    disp = to_displacements(pos)
     adj = graph.normalized_adjacency(pos)
     lat = (cfg.latent_len, OBS, 2)
     eps = np.random.default_rng(9).standard_normal(lat)
@@ -188,7 +188,7 @@ def test_criterion_4_variable_agents():
     # output and changes nothing else
     n = 5
     w = synthetic.make_window("turn", n, rng)
-    disp = to_displacements(w.positions).values
+    disp = to_displacements(w.positions)
     adj = graph.normalized_adjacency(w.positions)
     perm = np.random.default_rng(6).permutation(n)
     disp_p = disp[:, :, perm]

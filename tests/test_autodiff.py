@@ -411,32 +411,51 @@ class TestBackward:
         np.testing.assert_array_equal(a, b)
 
 
-class TestNoRecord:
-    def test_values_keep_no_record(self):
-        x = ad.leaf(np.array([1.0, -2.0]))
-        with ad.no_record():
-            y = ad.tanh(ad.mul(x, x))
-        assert y.parents == () and y.vjp is None
+class TestRecordingRule:
+    """A result keeps its parents and vjp only when one of its operands
+    needs a gradient."""
+
+    def test_ops_over_constants_keep_no_record(self):
+        x = ad.Value(np.array([1.0, -2.0]))
+        y = ad.tanh(ad.mul(x, x))
+        assert y.parents == () and y.vjp is None and not y.needs_grad
         np.testing.assert_array_equal(y.data, np.tanh(x.data * x.data))
 
-    def test_backward_rejected_inside(self):
-        x = ad.leaf(2.0)
-        loss = ad.mul(x, x)
-        with ad.no_record(), pytest.raises(ContractError):
-            ad.backward(loss)
+    def test_op_with_a_leaf_among_its_inputs_records(self):
+        c = ad.Value(np.array([3.0, 4.0]))
+        x = ad.leaf(np.array([1.0, -2.0]))
+        y = ad.mul(c, x)
+        assert y.parents == (c, x) and y.vjp is not None and y.needs_grad
+        np.testing.assert_array_equal(
+            ad.backward(ad.sum_all(y)).get(x), c.data)
 
-    def test_recording_resumes_after_error(self):
-        with pytest.raises(RuntimeError), ad.no_record():
-            raise RuntimeError("inside")
-        x = ad.leaf(3.0)
-        assert ad.backward(ad.mul(x, x)).get(x) == pytest.approx(6.0)
+    def test_backward_of_a_constant_loss_is_empty(self):
+        x = ad.Value(2.0)
+        grads = ad.backward(ad.mul(x, x))
+        assert len(grads) == 0 and x not in grads and grads.get(x) == 0.0
+
+    def test_sampling_and_prior_choice_decode_without_record(
+            self, monkeypatch):
+        outputs, decode = [], model.TrajCvae.decode
+        monkeypatch.setattr(model.TrajCvae, "decode", lambda *a, **k:
+                            outputs.append(decode(*a, **k)) or outputs[-1])
+        m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(0))
+        window = synthetic.make_window("turn", 3, np.random.default_rng(1))
+        evaluation.sample_futures(m, window, np.random.default_rng(2), 4)
+        sampled = len(outputs)
+        assert sampled and all(o.raw.parents == () for o in outputs)
+        training.chunk_gradients(m, [window], 0, np.random.default_rng(3))
+        # best_prior_samples' decode, then the one the gradients come from
+        choice, recorded = outputs[sampled:]
+        assert choice.raw.parents == () and choice.raw.vjp is None
+        assert recorded.raw.needs_grad and recorded.raw.parents
 
 
 def test_every_op_is_used(monkeypatch):
     """Every public autodiff function runs in a training step (over two
     stacked windows), in best-of-K sampling or in bivariate_nll, so an op
-    the model stops using shows up here (the record-keeping functions leaf,
-    no_record and backward aside)."""
+    the model stops using shows up here (the record-keeping functions leaf
+    and backward aside)."""
     calls = collections.Counter()
     ops = [name for name, fn in vars(ad).items() if inspect.isfunction(fn)
            and fn.__module__ == ad.__name__ and not name.startswith("_")]
@@ -455,7 +474,7 @@ def test_every_op_is_used(monkeypatch):
         ad.leaf(np.zeros((5, 4, 3)))), np.zeros((2, 4, 3)))
 
     assert len(ops) > 20
-    unused = set(ops) - set(calls) - {"leaf", "no_record", "backward"}
+    unused = set(ops) - set(calls) - {"leaf", "backward"}
     assert not unused, f"never called: {sorted(unused)}"
 
 

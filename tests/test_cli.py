@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,25 @@ class TestPreprocess:
     def test_missing_input_dir(self, tmp_path):
         assert run(["preprocess", "--input", str(tmp_path / "nope"),
                     "--output", str(tmp_path / "c.stgw")]) == 1
+
+    def test_unencodable_scene_name_keeps_previous_cache(
+            self, toy_dataset, tmp_path, capsys):
+        cache = tmp_path / "cache.stgw"
+        argv = ["preprocess", "--input", str(toy_dataset),
+                "--output", str(cache)]
+        assert run(argv) == 0
+        before = cache.read_bytes()
+        # a file name that is not UTF-8 becomes a scene name UTF-8 cannot
+        # encode
+        (toy_dataset / os.fsdecode(b"\xff.txt")).write_text(
+            (toy_dataset / "alpha.txt").read_text())
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert "Scene name '\\udcff' cannot be encoded as UTF-8" \
+            in capsys.readouterr().err
+        assert cache.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.name.startswith(".")) == []
 
     @staticmethod
     def robot_log(tmp_path):
@@ -212,6 +232,16 @@ class TestTrainCommand:
         assert run(["train", "--data", str(synth_cache),
                     "--config", str(small_config), "--holdout", "mars",
                     "--out", str(tmp_path / "o")]) == 1
+
+    def test_cache_without_agents_exits_1(self, small_config, tmp_path,
+                                          capsys):
+        cache = tmp_path / "empty.stgw"
+        data.save_windows(cache, synthetic.make_corpus(
+            "const-velocity", 0, 3, seed=0))
+        assert run(["train", "--data", str(cache), "--config",
+                    str(small_config), "--out", str(tmp_path / "o")]) == 1
+        assert "none of the 3 windows has an agent" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "final.stgc").exists()
 
 
 class TestTrainConfigFile:
@@ -450,6 +480,14 @@ class TestBenchCommand:
 
 
 class TestGenSynthetic:
+    @pytest.mark.parametrize("flag,value", [
+        ("--agents", "-1"), ("--agents", "0"), ("--windows", "0")])
+    def test_count_below_one_exits_1(self, tmp_path, capsys, flag, value):
+        cache = tmp_path / "c.stgw"
+        assert run(["gen-synthetic", flag, value, "--out", str(cache)]) == 1
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not cache.exists()
+
     def test_const_velocity_displacements(self, tmp_path):
         cache = tmp_path / "c.stgw"
         assert run(["gen-synthetic", "--pattern", "const-velocity",

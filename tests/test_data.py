@@ -56,6 +56,10 @@ class TestScene:
         with pytest.raises(ParameterError, match=rf"^Scene {field} must be integral"):
             data.Scene("s", frames, agents, [[0.0, 0.0], [1.0, 1.0]])
 
+    def test_name_utf8_cannot_encode_rejected(self):
+        with pytest.raises(ParameterError, match=r"Scene name '\\udcff'"):
+            make_scene([], name="\udcff")
+
     def test_integral_float_ids_read_as_integers(self):
         scene = data.Scene("s", [11.0, 10.0], [1.0, 2.0], [[0, 0], [1, 1]])
         assert scene.frames.tolist() == [10, 11]
@@ -391,34 +395,13 @@ def test_array_preprocessing_matches_per_row_reference():
 class TestDisplacements:
     def test_stationary_agent_all_zero(self):
         pos = np.tile([[2.0, 3.0]], (20, 1)).reshape(20, 1, 2)
-        disp = data.to_displacements(pos)
-        assert np.all(disp.values == 0)
+        assert np.all(data.to_displacements(pos) == 0)
 
     def test_constant_velocity_unit_steps(self):
         pos = np.stack([np.arange(20.0), np.zeros(20)], axis=-1)[:, None, :]
         disp = data.to_displacements(pos)
-        assert np.all(disp.values[0, 1:, :] == 1.0)
-        assert np.all(disp.values[:, 0, :] == 0.0)
-
-    def test_zero_disp_constant_origin(self):
-        disp = data.DisplacementTensor(np.zeros((2, 5, 1)),
-                                       np.array([[5.0, 5.0]]))
-        pos = data.to_absolute(disp)
-        assert np.all(pos == 5.0)
-
-    def test_unit_x_steps(self):
-        values = np.zeros((2, 3, 1))
-        values[0, 1:, 0] = 1.0
-        pos = data.to_absolute(data.DisplacementTensor(values,
-                                                       np.zeros((1, 2))))
-        np.testing.assert_allclose(pos[:, 0, 0], [0, 1, 2])
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            pos = rng.uniform(-10, 10, (20, 4, 2))
-            back = data.to_absolute(data.to_displacements(pos))
-            assert np.max(np.abs(back - pos)) < 1e-9
+        assert np.all(disp[0, 1:, :] == 1.0)
+        assert np.all(disp[:, 0, :] == 0.0)
 
 
 class TestCache:
@@ -447,6 +430,18 @@ class TestCache:
         p.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(FormatError):
             data.load_windows(p)
+
+    def test_failed_write_leaves_previous_cache(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        window = data.SequenceWindow([1], np.zeros((20, 1, 2)), scene="s")
+        data.save_windows(p, [window])
+        before = p.read_bytes()
+        # a window built in code, past Scene's check of the name
+        bad = data.SequenceWindow([2], np.ones((20, 1, 2)), scene="\udcff")
+        with pytest.raises(UnicodeEncodeError):
+            data.save_windows(p, [window, bad])
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["cache.stgw"]
 
     def test_truncated(self, tmp_path):
         p = tmp_path / "cache.stgw"
@@ -531,15 +526,15 @@ def test_window_cache_roundtrip(ws):
                                     st.just(2)),
               elements=st.floats(-1e4, 1e4)))
 def test_displacements_and_absolute_are_inverses(positions):
-    """to_absolute(to_displacements(p)) is p, and to_displacements of
-    to_absolute(d) is d, up to the rounding of a cumulative sum."""
+    """The first frame's displacement is zero, and the first positions plus
+    a cumulative sum of the displacements give back the positions, up to
+    its rounding."""
     disp = data.to_displacements(positions)
-    assert np.all(disp.values[:, 0] == 0)
-    back = data.to_absolute(disp)
+    assert disp.shape == (2,) + positions.shape[:2]
+    assert np.all(disp[:, 0] == 0)
+    back = positions[0] + np.cumsum(np.transpose(disp, (1, 2, 0)), axis=0)
     # each frame's position is the origin plus t rounded differences
     tol = 4 * np.finfo(float).eps * positions.shape[0] * 2e4
     np.testing.assert_allclose(back, positions, rtol=0, atol=tol)
-    again = data.to_displacements(back)
-    np.testing.assert_allclose(again.values, disp.values, rtol=0,
+    np.testing.assert_allclose(data.to_displacements(back), disp, rtol=0,
                                atol=2 * tol)
-    np.testing.assert_array_equal(again.origin, disp.origin)

@@ -127,7 +127,7 @@ def reference_futures(m, window, rng, k, sample_mode):
     for _ in range(k):
         adj = graph.normalized_adjacency(obs_pos)
         p = m.traced_params()
-        v_obs = ad.leaf(to_displacements(obs_pos).values * scale)
+        v_obs = ad.leaf(to_displacements(obs_pos) * scale)
         prior = m.prior_forward(p, v_obs, adj)
         z = ad.reparameterize(prior.mu, prior.logvar,
                               rng.standard_normal(prior.mu.data.shape))

@@ -249,7 +249,7 @@ def unstacked_pass(m, window, rng):
     disp = training.to_displacements(window.positions)
     adj = training.graph.normalized_adjacency(window.positions)
     obs = cfg.obs_len
-    scaled = disp.values * cfg.feature_scale
+    scaled = disp * cfg.feature_scale
     n = window.n_agents
     p = m.traced_params()
     v_obs = ad.Value(scaled[:, :obs, :])
@@ -282,17 +282,17 @@ def clipped_gradients(p, objective):
 def reference_window_gradients(m, window, epoch, rng):
     """A training pass over one window as written before windows were
     stacked: unsegmented ops, the latents gathered as concat(posterior,
-    picked prior). The prior samples are decoded and scored without a
-    record, and the best is decoded again in the record."""
+    picked prior). The prior samples are decoded and scored on constants,
+    without a record, and the best is decoded again in the record."""
     n, scaled, p, prior, post, seen, pick, eps = unstacked_pass(m, window,
                                                                 rng)
     copies = np.full(training.PRIOR_SAMPLES, pick)
-    with ad.no_record():
-        z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
-                              ad.Value(prior.logvar.data[:, :, copies]),
-                              eps[:, :, n:])
-        cells, _ = losses.nll_cells(m.decode(p, z, seen, copies),
-                                    scaled[:, :, copies])
+    z = ad.reparameterize(ad.Value(prior.mu.data[:, :, copies]),
+                          ad.Value(prior.logvar.data[:, :, copies]),
+                          eps[:, :, n:])
+    cells, _ = losses.nll_cells(
+        m.decode(m.params.constants(), z, ad.Value(seen.data), copies),
+        scaled[:, :, copies])
     best = int(np.argmin(cells.data[0].mean(axis=0)))
     mu = ad.concat_agents(post.mu, ad.take_agents(prior.mu, [pick]))
     logvar = ad.concat_agents(post.logvar, ad.take_agents(prior.logvar,
@@ -719,7 +719,7 @@ class TestPriorTraining:
             rng = np.random.default_rng(11)
             total = 0.0
             for w in windows:
-                d = training.to_displacements(w.positions).values
+                d = training.to_displacements(w.positions)
                 a = training.graph.normalized_adjacency(w.positions)
                 p = m.traced_params()
                 prior = m.prior_forward(p, ad.leaf(d[:, :8]), a[:8])
