@@ -17,7 +17,10 @@ writes every resulting array to OUT.npz:
   log with a `#robot_id=` header), run through `parse_annotations`,
   `resample` and `build_windows` in train and infer mode at strides 1 and
   3; per run, every window's positions and agent ids (concatenated along
-  the agent axis), agent counts and robot indices.
+  the agent axis), agent counts and robot indices;
+- `loss/`: `nll_cells` (cells, weight, raw gradient) and `kl_cells` (cells,
+  the four latent gradients) on inputs on, next to and beyond every clamp
+  bound and +-0, backpropagated from signed gradients with +-0 among them.
 
 `compare` prints how many arrays differ in shape, dtype or bytes, each
 one's maximum element-wise and its norm-wise relative difference (and the
@@ -77,6 +80,67 @@ def grid() -> dict:
     for name, v in m.params.items():
         out[f"train/{name}"] = v
     out.update(preprocess())
+    out.update(loss_terms())
+    return out
+
+
+def around(*bounds) -> np.ndarray:
+    """+-0, 0.5, -0.5, and each bound with its neighbouring floats and a
+    value 2 beyond it on either side."""
+    out = [0.0, -0.0, 0.5, -0.5]
+    for b in bounds:
+        out += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                b - 2.0, b + 2.0]
+    return np.array(out)
+
+
+def loss_terms() -> dict:
+    """The loss ops' arrays on inputs drawn from `around` their clamp
+    bounds."""
+    from stgcvae import autodiff as ad
+    from stgcvae import losses, model
+
+    gen = np.random.default_rng(31)
+
+    def signed(shape):
+        g = gen.standard_normal(shape)
+        g[gen.random(shape) < 0.1] = 0.0
+        g[gen.random(shape) < 0.1] = -0.0
+        return g
+
+    def backward(cells, leaves):
+        grads = ad.backward(ad.sum_all(ad.mul(cells, ad.Value(
+            signed(cells.data.shape)))))
+        return [grads.get(v) for v in leaves]
+
+    out, means = {}, [0.0, -0.0, 0.3, -1.7]
+    for t, n in ((8, 1), (8, 5), (12, 40)):
+        key = f"loss/t{t}/n{n}"
+        raw = np.concatenate([
+            gen.choice(means, (2, t, n)),
+            gen.choice(around(model.SIGMA_S_MIN, model.LOGVAR_MAX),
+                       (2, t, n)),
+            gen.choice(around(-model.RHO_R_MAX, model.RHO_R_MAX), (1, t, n))])
+        target = raw[0:2] + gen.choice(means, (2, t, n))
+        leaf = ad.leaf(raw)
+        cells, out[f"{key}/weight"] = losses.nll_cells(
+            model.BivariateGaussianSeq(leaf), target)
+        out[f"{key}/nll"] = cells.data
+        out[f"{key}/nll_raw_grad"], = backward(cells, [leaf])
+
+        shape = (3, t, n)
+        mu_q, mu_p = gen.choice(means, shape), gen.choice(means, shape)
+        logvars = around(model.LOGVAR_MIN, model.LOGVAR_MAX)
+        lv_q, lv_p = gen.choice(logvars, shape), gen.choice(logvars, shape)
+        same = gen.random(shape) < 0.2
+        mu_p[same], lv_p[same] = mu_q[same], lv_q[same]
+        leaves = [ad.leaf(a) for a in (mu_q, lv_q, mu_p, lv_p)]
+        cells = losses.kl_cells(model.LatentGaussian(*leaves[:2]),
+                                model.LatentGaussian(*leaves[2:]))
+        out[f"{key}/kl"] = cells.data
+        for name, g in zip(("q_mu", "q_logvar", "p_mu", "p_logvar"),
+                           backward(cells, leaves)):
+            out[f"{key}/kl_{name}_grad"] = g
     return out
 
 

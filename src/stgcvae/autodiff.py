@@ -2,9 +2,12 @@
 
 The op set is exactly what the trajectory model needs: biased 1-D convolution
 along the time axis, per-frame agent mixing against a constant adjacency
-stack, a small elementwise suite on equal-shape operands, and the Gaussian
-reparameterization trick. The computation record is define-by-run: every
-forward pass builds a fresh graph, so variable agent counts are free.
+stack, the Gaussian reparameterization trick, and the few elementwise ops
+(add, mul, scale, exp, clamp, prelu, dropout) on equal-shape operands that
+the network, the sampling and the loss weighting use. The two loss terms
+are ops of their own in `losses` (Value(out, parents, vjp) works for any
+op). The computation record is define-by-run: every forward pass builds a
+fresh graph, so variable agent counts are free.
 
 Values are immutable after construction; gradients never mutate nodes.
 A Value built from an array alone is a constant, and an op's result keeps
@@ -79,11 +82,6 @@ def add(a: Value, b: Value) -> Value:
     return Value(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a: Value, b: Value) -> Value:
-    _check_elementwise(a, b, "sub")
-    return Value(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Value, b: Value) -> Value:
     _check_elementwise(a, b, "mul")
     return Value(a.data * b.data, (a, b),
@@ -95,27 +93,9 @@ def scale(x: Value, c: float) -> Value:
     return Value(x.data * c, (x,), lambda g: (g * c,))
 
 
-def neg(x: Value) -> Value:
-    return scale(x, -1.0)
-
-
 def exp(x: Value) -> Value:
     out = np.exp(x.data)
     return Value(out, (x,), lambda g: (g * out,))
-
-
-def log(x: Value) -> Value:
-    return Value(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
-def tanh(x: Value) -> Value:
-    out = np.tanh(x.data)
-    return Value(out, (x,), lambda g: (g * (1.0 - out * out),))
-
-
-def reciprocal(x: Value) -> Value:
-    out = 1.0 / x.data
-    return Value(out, (x,), lambda g: (-g * out * out,))
 
 
 def clamp(x: Value, lo=None, hi=None) -> Value:

@@ -139,21 +139,22 @@ def cmd_train(args) -> int:
     m = model.TrajCvae(mcfg, rng=np.random.default_rng(cfg.seed))
     state = training.TrainState(params=m.params,
                                 rng=np.random.default_rng(cfg.seed))
-    log = losses.MetricsLog(out_dir / "metrics.csv")
-
-    for epoch in range(cfg.epochs):
-        state = training.train_epoch(state, m, train_ws, cfg, log=log)
-        report = state.epoch_report
-        print(f"epoch {epoch}: total={report.total:.4f} "
-              f"rec={report.rec:.4f} kl={report.kl:.4f} "
-              f"w={report.weight:.2e}")
-        if val_ws and (epoch + 1) % cfg.val_every == 0:
-            rep = evaluation.evaluate_dataset(m, val_ws, k=20, seed=cfg.seed)
-            print(f"  val best-of-20 ade={rep.ade:.4f} fde={rep.fde:.4f}")
-            if rep.ade < state.best_val_metric:
-                state.best_val_metric = rep.ade
-                training.checkpoint(state, m, out_dir / "best.stgc", cfg)
-    training.checkpoint(state, m, out_dir / "final.stgc", cfg)
+    # the run's log replaces a previous one only after final.stgc is written
+    with data.replacing(out_dir / "metrics.csv") as fh:
+        log = losses.MetricsLog(fh)
+        for epoch in range(cfg.epochs):
+            state = training.train_epoch(state, m, train_ws, cfg, log=log)
+            report = state.epoch_report
+            print(f"epoch {epoch}: total={report.total:.4f} "
+                  f"rec={report.rec:.4f} kl={report.kl:.4f} "
+                  f"w={report.weight:.2e}")
+            if val_ws and (epoch + 1) % cfg.val_every == 0:
+                rep = evaluation.evaluate_dataset(m, val_ws, 20, cfg.seed)
+                print(f"  val best-of-20 ade={rep.ade:.4f} fde={rep.fde:.4f}")
+                if rep.ade < state.best_val_metric:
+                    state.best_val_metric = rep.ade
+                    training.checkpoint(state, m, out_dir / "best.stgc", cfg)
+        training.checkpoint(state, m, out_dir / "final.stgc", cfg)
     print(f"wrote {out_dir / 'final.stgc'}")
     return 0
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DimensionError, ParameterError
 from .model import (BivariateGaussianSeq, LatentGaussian, LOGVAR_MAX,
-                    RHO_R_MAX, SIGMA_S_MIN)
+                    OUT_CHANNELS, RHO_R_MAX, SIGMA_S_MIN)
 
 RHO_FLOOR = 1e-9  # lower bound on 1 - rho^2
 
@@ -52,45 +52,53 @@ def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray) -> ad.Value:
 
 def nll_cells(pred: BivariateGaussianSeq,
               target: np.ndarray) -> tuple[ad.Value, np.ndarray]:
-    """Per-cell NLL (1, T, N) of bivariate_nll, and the objective's weight
-    sigma_x * sigma_y / NLL_REF_VAR per cell as a plain array."""
-    raw = pred.raw
+    """Per-cell NLL (1, T, N) of bivariate_nll as one op of the raw
+    channels, and the objective's weight sigma_x * sigma_y / NLL_REF_VAR
+    per cell as a plain array.
+
+    It has the bits of the elementwise-op chain it replaced (the reference
+    in tests/test_losses.py): the same numpy expressions, and each fan-out
+    summed in backward's order: dx * dy's term, then dx * dx's two for dx
+    (and dy), rho * dx * dy's, then rho * rho's two for rho. raw's gradient
+    adds each channel's to zeros, so -0 becomes +0."""
+    r = pred.raw.data
     target = np.asarray(target, dtype=np.float64)
-    if raw.data.shape[1:] != target.shape[1:] or target.shape[0] != 2:
+    if target.shape[:1] != (2,) or \
+            r.shape != (OUT_CHANNELS,) + target.shape[1:]:
         raise DimensionError(
-            f"bivariate_nll: pred {raw.data.shape} vs target {target.shape}")
+            f"bivariate_nll: pred {r.shape} vs target {target.shape}")
+    s_x = np.clip(r[2:3], SIGMA_S_MIN, LOGVAR_MAX)
+    s_y = np.clip(r[3:4], SIGMA_S_MIN, LOGVAR_MAX)
+    r_c = np.clip(r[4:5], -RHO_R_MAX, RHO_R_MAX)
+    rho = np.tanh(r_c)
+    e_x, e_y = target[0:1] - r[0:1], target[1:2] - r[1:2]
+    inv_sx, inv_sy = np.exp(s_x * -1.0), np.exp(s_y * -1.0)
+    dx, dy = e_x * inv_sx, e_y * inv_sy
+    one_m_r2 = 1.0 - rho * rho
+    floored = np.clip(one_m_r2, RHO_FLOOR, None)
+    quad = (dx * dx + dy * dy) - (rho * (dx * dy)) * 2.0
+    inv = 1.0 / floored
+    nll = ((s_x + s_y) + np.log(floored) * 0.5) + quad * (inv * 0.5)
+    nll += math.log(2 * math.pi)
 
-    mu_x, mu_y = _channel(raw, 0), _channel(raw, 1)
-    s_x = ad.clamp(_channel(raw, 2), SIGMA_S_MIN, LOGVAR_MAX)
-    s_y = ad.clamp(_channel(raw, 3), SIGMA_S_MIN, LOGVAR_MAX)
-    rho = ad.tanh(ad.clamp(_channel(raw, 4), -RHO_R_MAX, RHO_R_MAX))
-
-    tx = ad.Value(target[0:1])
-    ty = ad.Value(target[1:2])
-
-    inv_sx = ad.exp(ad.neg(s_x))
-    inv_sy = ad.exp(ad.neg(s_y))
-    dx = ad.mul(ad.sub(tx, mu_x), inv_sx)
-    dy = ad.mul(ad.sub(ty, mu_y), inv_sy)
-
-    one_m_r2 = ad.clamp(ad.sub(ad.Value(np.ones_like(rho.data)),
-                               ad.mul(rho, rho)), lo=RHO_FLOOR)
-    quad = ad.sub(ad.add(ad.mul(dx, dx), ad.mul(dy, dy)),
-                  ad.scale(ad.mul(rho, ad.mul(dx, dy)), 2.0))
-    nll = ad.add(
-        ad.add(ad.add(s_x, s_y), ad.scale(ad.log(one_m_r2), 0.5)),
-        ad.mul(quad, ad.scale(ad.reciprocal(one_m_r2), 0.5)))
-    nll = ad.add(nll, ad.Value(np.full_like(rho.data, math.log(2 * math.pi))))
-    return nll, np.exp(s_x.data + s_y.data) / NLL_REF_VAR
-
-
-def _channel(x: ad.Value, i: int) -> ad.Value:
-    # keep the channel axis so elementwise shapes line up: (1, T, N)
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gx[i:i + 1] = g
-        return (gx,)
-    return ad.Value(x.data[i:i + 1], (x,), vjp)
+        g_quad = g * (inv * 0.5)
+        g_cross = -g_quad * 2.0  # of rho * (dx * dy)
+        g_dx = (g_cross * rho) * dy + g_quad * dx + g_quad * dx
+        g_dy = (g_cross * rho) * dx + g_quad * dy + g_quad * dy
+        g_floored = -((g * quad) * 0.5) * inv * inv + (g * 0.5) / floored
+        # np.clip passes the gradient where it kept its input
+        g_rr = -(g_floored * (floored == one_m_r2))  # of rho * rho
+        g_rho = g_cross * (dx * dy) + g_rr * rho + g_rr * rho
+        gr = np.zeros_like(r)
+        gr[0:1] += -(g_dx * inv_sx)
+        gr[1:2] += -(g_dy * inv_sy)
+        gr[2:3] += ((g_dx * e_x) * inv_sx * -1.0 + g) * (s_x == r[2:3])
+        gr[3:4] += ((g_dy * e_y) * inv_sy * -1.0 + g) * (s_y == r[3:4])
+        gr[4:5] += g_rho * one_m_r2 * (r_c == r[4:5])
+        return (gr,)
+
+    return ad.Value(nll, (pred.raw,), vjp), np.exp(s_x + s_y) / NLL_REF_VAR
 
 
 def kl_diag_gaussians(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
@@ -100,16 +108,28 @@ def kl_diag_gaussians(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
 
 
 def kl_cells(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
-    """KL(q || p) of each latent entry (L, T, N), for kl_diag_gaussians."""
-    if q.mu.data.shape != p.mu.data.shape:
-        raise DimensionError(
-            f"kl_diag_gaussians: q {q.mu.data.shape} vs p {p.mu.data.shape}")
-    var_ratio = ad.exp(ad.sub(q.logvar, p.logvar))
-    dmu = ad.sub(q.mu, p.mu)
-    mahal = ad.mul(ad.mul(dmu, dmu), ad.exp(ad.neg(p.logvar)))
-    return ad.scale(
-        ad.sub(ad.add(ad.sub(p.logvar, q.logvar), ad.add(var_ratio, mahal)),
-               ad.Value(np.ones_like(q.mu.data))), 0.5)
+    """KL(q || p) of each latent entry (L, T, N), for kl_diag_gaussians, as
+    one op with the bits of the chain it replaced (see nll_cells): p.logvar's
+    gradient sums the Mahalanobis, then the variance-ratio, then the
+    log-ratio term."""
+    shapes = [v.data.shape for v in (q.mu, q.logvar, p.mu, p.logvar)]
+    if len(set(shapes)) != 1:
+        raise DimensionError(f"kl_diag_gaussians: q mu, logvar and p mu, "
+                             f"logvar have shapes {shapes}")
+    q_lv, p_lv = q.logvar.data, p.logvar.data
+    var_ratio = np.exp(q_lv - p_lv)
+    dmu = q.mu.data - p.mu.data
+    sq, inv_pv = dmu * dmu, np.exp(p_lv * -1.0)
+    out = (((p_lv - q_lv) + (var_ratio + sq * inv_pv)) - 1.0) * 0.5
+
+    def vjp(g):
+        g = g * 0.5
+        g_dmu = (g * inv_pv) * dmu + (g * inv_pv) * dmu
+        g_ratio = g * var_ratio
+        g_plv = ((g * sq) * inv_pv * -1.0 + -g_ratio) + g
+        return g_dmu, g_ratio + -g, -g_dmu, g_plv
+
+    return ad.Value(out, (q.mu, q.logvar, p.mu, p.logvar), vjp)
 
 
 def anneal_weight(epoch: int) -> float:
@@ -181,16 +201,15 @@ def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
 
 
 class MetricsLog:
-    """Plain-text CSV loss log: epoch,step,total,rec,kl,w_kl."""
+    """Plain-text CSV loss log: epoch,step,total,rec,kl,w_kl, written to an
+    open text file (the CLI opens it with data.replacing)."""
 
     HEADER = "epoch,step,total,rec,kl,w_kl"
 
-    def __init__(self, path):
-        self.path = path
-        with open(path, "w") as fh:
-            fh.write(self.HEADER + "\n")
+    def __init__(self, fh):
+        self.fh = fh
+        fh.write(self.HEADER + "\n")
 
     def append(self, epoch: int, step: int, report: LossReport):
-        with open(self.path, "a") as fh:
-            fh.write(f"{epoch},{step},{report.total!r},{report.rec!r},"
-                     f"{report.kl!r},{report.weight!r}\n")
+        self.fh.write(f"{epoch},{step},{report.total!r},{report.rec!r},"
+                      f"{report.kl!r},{report.weight!r}\n")

@@ -228,11 +228,12 @@ def overfit_run(tmp_path_factory):
     state = training.TrainState(params=m.params,
                                 rng=np.random.default_rng(tc.seed))
     log_path = tmp_path_factory.mktemp("overfit") / "loss.csv"
-    log = losses.MetricsLog(log_path)
-    t0 = time.perf_counter()
-    for _ in range(tc.epochs):
-        state = training.train_epoch(state, m, corpus, tc, log=log)
-    wall = time.perf_counter() - t0
+    with open(log_path, "w") as fh:
+        log = losses.MetricsLog(fh)
+        t0 = time.perf_counter()
+        for _ in range(tc.epochs):
+            state = training.train_epoch(state, m, corpus, tc, log=log)
+        wall = time.perf_counter() - t0
 
     report = evaluation.evaluate_dataset(m, corpus, k=20, seed=1)
     rows = []

@@ -233,6 +233,21 @@ class TestTrainCommand:
                     "--config", str(small_config), "--holdout", "mars",
                     "--out", str(tmp_path / "o")]) == 1
 
+    def test_failed_run_keeps_the_previous_log(self, synth_cache,
+                                               small_config, tmp_path):
+        """A train that fails into an --out of an earlier run leaves that
+        run's metrics.csv beside its final.stgc, byte for byte."""
+        out = tmp_path / "run"
+        train_once(synth_cache, small_config, out)
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"metrics.csv", "final.stgc"} <= set(kept)
+        cache = tmp_path / "empty.stgw"
+        data.save_windows(cache, synthetic.make_corpus(
+            "const-velocity", 0, 3, seed=0))
+        assert run(["train", "--data", str(cache), "--config",
+                    str(small_config), "--out", str(out)]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
     def test_cache_without_agents_exits_1(self, small_config, tmp_path,
                                           capsys):
         cache = tmp_path / "empty.stgw"

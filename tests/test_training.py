@@ -426,9 +426,10 @@ class TestChunks:
 
         monkeypatch.setattr(training, "chunk_gradients", counted)
         m_chunk, state = fresh()
-        log = losses.MetricsLog(tmp_path / "metrics.csv")
-        for _ in range(cfg.epochs):
-            training.train_epoch(state, m_chunk, windows, cfg, log=log)
+        with open(tmp_path / "metrics.csv", "w") as fh:
+            log = losses.MetricsLog(fh)
+            for _ in range(cfg.epochs):
+                training.train_epoch(state, m_chunk, windows, cfg, log=log)
 
         assert sum(sizes) == 64 and max(sizes) > 1  # windows did stack
         for name, want in m_seq.params.items():
