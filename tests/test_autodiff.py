@@ -151,6 +151,8 @@ class TestElementwise:
             ad.prelu(ad.leaf(np.zeros((3, 4, 2))), ad.leaf(0.25))
 
     @pytest.mark.parametrize("build", [
+        lambda x: ad.dropout(x, ad.dropout_factor(
+            (3, 4, 2), 0.5, np.random.default_rng(1))),
         lambda x: ad.exp(ad.scale(x, 0.5)),
         lambda x: ad.mul(x, x),
         lambda x: ad.prelu(x, ad.leaf(np.full(3, 0.25))),
