@@ -10,7 +10,14 @@ writes every resulting array to OUT.npz:
 - `window_gradients` gradients and loss components for N agents in
   {1, 2, 3, 5, 12, 40}, every synthetic pattern, feature_scale {1, 4} and
   epoch {0, 50};
-- best-of-20 `sample_futures` in `latent` and `full` mode at the same N;
+- best-of-20 `sample_futures` in `latent` and `full` mode at the same N,
+  and `best_of_k`'s (ade, fde) of such a draw;
+- one-sample `sample_futures` (`sample1/`) in both modes for N in
+  {1, 12, 48};
+- `normalized_adjacency` (`adjacency/`) for N in {1, 2, 12, 48} and T in
+  {8, 20}, of random positions and of rounded ones with co-located pairs;
+- `chunk_gradients` rows and losses (`chunk/`) of multi-window chunks of
+  the agent counts in CHUNKS;
 - the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows;
 - `preprocess/`: annotation files written to a temporary directory (25 Hz
   frame ids sampled every 10 frames with jitter and gaps, and a 10 Hz robot
@@ -41,6 +48,7 @@ import numpy as np
 AGENTS = (1, 2, 3, 5, 12, 40)
 SCALES = (1.0, 4.0)
 EPOCHS = (0, 50)
+CHUNKS = ((1, 2, 3), (6, 5, 4, 3), (4,) * 5)
 
 
 def grid() -> dict:
@@ -68,6 +76,26 @@ def grid() -> dict:
                     evaluation.sample_futures(m, window,
                                               np.random.default_rng(11), 20,
                                               mode)
+                out[f"best/s{scale:g}/n{n}/{mode}"] = np.array(
+                    evaluation.best_of_k(m, window, 20,
+                                         np.random.default_rng(11), mode))
+        for n in (1, 12, 48):
+            window = synthetic.make_window("turn", n, np.random.default_rng(n))
+            for mode in ("latent", "full"):
+                out[f"sample1/s{scale:g}/n{n}/{mode}"] = \
+                    evaluation.sample_futures(m, window,
+                                              np.random.default_rng(13), 1,
+                                              mode)
+        for sizes in CHUNKS:
+            windows = [synthetic.make_window(
+                synthetic.PATTERNS[i % len(synthetic.PATTERNS)], n,
+                np.random.default_rng(i)) for i, n in enumerate(sizes)]
+            key = f"chunk/s{scale:g}/{'-'.join(map(str, sizes))}"
+            for i, (row, report) in enumerate(training.chunk_gradients(
+                    m, windows, 0, np.random.default_rng(17))):
+                out[f"{key}/w{i}/row"] = row
+                out[f"{key}/w{i}/loss"] = np.array(
+                    [report.total, report.rec, report.kl])
 
     m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
                        rng=np.random.default_rng(5))
@@ -79,8 +107,27 @@ def grid() -> dict:
         state = training.train_epoch(state, m, windows, cfg)
     for name, v in m.params.items():
         out[f"train/{name}"] = v
+    out.update(adjacency())
     out.update(preprocess())
     out.update(loss_terms())
+    return out
+
+
+def adjacency() -> dict:
+    """`normalized_adjacency` of random positions, and of the same rounded
+    to whole metres with the first agent moved onto the last."""
+    from stgcvae import graph
+
+    gen = np.random.default_rng(29)
+    out = {}
+    for t in (8, 20):
+        for n in (1, 2, 12, 48):
+            pos = gen.uniform(-5, 5, (t, n, 2))
+            out[f"adjacency/t{t}/n{n}"] = graph.normalized_adjacency(pos)
+            pos = np.round(pos)
+            pos[:, 0] = pos[:, -1]
+            out[f"adjacency/t{t}/n{n}/colocated"] = \
+                graph.normalized_adjacency(pos)
     return out
 
 

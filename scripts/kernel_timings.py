@@ -16,7 +16,10 @@ repeats of a timed loop:
 - `prelu_fwd_us` / `_vjp_us`: prelu at (24, 20, 48), channels-last;
 - `decode_n48_us`: one decode of 48 latent columns at N = 48 on constant
   parameters, so nothing is recorded;
-- `sample_futures_n48_k20_us`: one best-of-20 `sample_futures` at N = 48.
+- `sample_futures_n48_k20_us`: one best-of-20 `sample_futures` at N = 48;
+- `sample_n12_k1_us`: one single-sample `sample_futures` at N = 12;
+- `normalized_adjacency_n48_t20_us`: the adjacency of a (20, 48, 2)
+  position block.
 
 The inputs are seeded, so two trees time the same arrays.
 scripts/ab_pairs.py runs this in alternation on two trees, so it uses only
@@ -90,6 +93,13 @@ def main() -> None:
     out["sample_futures_n48_k20_us"] = best_us(
         lambda: evaluation.sample_futures(m, window,
                                           np.random.default_rng(11), 20), 5)
+    window = synthetic.make_window("turn", 12, np.random.default_rng(2))
+    rng = np.random.default_rng(13)
+    out["sample_n12_k1_us"] = best_us(
+        lambda: evaluation.sample_futures(m, window, rng, 1), 200)
+    positions = gen.uniform(-5, 5, (20, 48, 2))
+    out["normalized_adjacency_n48_t20_us"] = best_us(
+        lambda: graph.normalized_adjacency(positions), 200)
     print(json.dumps(out))
 
 

@@ -202,28 +202,34 @@ def dropout(x: Value, factor: np.ndarray) -> Value:
 # convolution and agent mixing
 
 
-def _padded_windows(x: np.ndarray, padding: int, k: int):
-    """A (C_in, T + 2*padding, N) zero-padded x and its read-only
-    (C_in, T', N, K) view of every length-K window along time.
+def _padded(x: np.ndarray, padding: int) -> np.ndarray:
+    """A (C_in, T + 2*padding, N) zero-padded x.
 
     An unpadded C- or F-contiguous x is used as it is: a copy would have
     x's own layout. Any other x is copied in np.pad's memory order (Fortran
     only for an F- and not C-contiguous x). At K = 1 the column matrix is a
     view of the result, and a view of another layout rounds differently,
     so a strided x is copied even when unpadded."""
+    if not padding and (x.flags.c_contiguous or x.flags.f_contiguous):
+        return x
     c_in, t, n = x.shape
-    if padding or not (x.flags.c_contiguous or x.flags.f_contiguous):
-        xp = np.zeros((c_in, t + 2 * padding, n),
-                      order="F" if x.flags.fnc else "C")
-        xp[:, padding:padding + t, :] = x
-    else:
-        xp = x
+    xp = np.zeros((c_in, t + 2 * padding, n),
+                  order="F" if x.flags.fnc else "C")
+    xp[:, padding:padding + t, :] = x
+    return xp
+
+
+def _padded_windows(x: np.ndarray, padding: int, k: int) -> np.ndarray:
+    """The read-only (C_in, T', N, K) view of every length-K window along
+    time of the zero-padded x (see _padded)."""
+    xp = _padded(x, padding)
+    c_in, t_padded, n = xp.shape
     s_c, s_t, s_n = xp.strides
     # the ndarray constructor builds the same view as as_strided, 6x faster
-    win = np.ndarray((c_in, t + 2 * padding - k + 1, n, k), xp.dtype, xp, 0,
+    win = np.ndarray((c_in, t_padded - k + 1, n, k), xp.dtype, xp, 0,
                      (s_c, s_t, s_n, s_t))
     win.flags.writeable = False
-    return xp, win
+    return win
 
 
 def _tap_columns(x: np.ndarray, padding: int, k: int) -> np.ndarray:
@@ -275,8 +281,8 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
     # so it makes the same BLAS call, with the same bits.
     t_out = t + 2 * padding - k + 1
     if k == 1:  # a view of the padded input, whose layout sets the bits
-        xp = _padded_windows(x.data, padding, k)[0]
-        cols = xp.transpose(1, 2, 0).reshape(t_out * n, c_in)
+        cols = _padded(x.data, padding).transpose(1, 2, 0).reshape(
+            t_out * n, c_in)
     else:
         cols = _tap_columns(x.data, padding, k)
     taps = kernel.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
@@ -288,7 +294,7 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         # rebuilt from x, which the record keeps anyway, so the record does
         # not hold a padded copy of every convolution input; the gather
         # copies runs of agents here, which beat one copy per tap
-        win = _padded_windows(x.data, padding, k)[1]
+        win = _padded_windows(x.data, padding, k)
         # per segment, kernel columns ordered (frame, agent)
         parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
         for c, gk_seg in parts:
@@ -305,6 +311,10 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         if not x.needs_grad:  # a constant input: the first layers
             return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
+        if k == 1 and not padding:
+            gx = (kernel.data[:, :, 0].T @ g_cols).reshape(c_in, t, n)
+            gx += 0.0  # turns -0 into +0, as adding to a zeroed buffer does
+            return gx, gk, gb
         gxp = np.zeros((c_in, t + 2 * padding, n))
         # one product per tap: a single transposed-convolution GEMM would
         # sum in another order

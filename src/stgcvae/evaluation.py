@@ -93,8 +93,10 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     The adjacency, the prior and the decoder's observed branch are
     computed once, on constants (no record), and the k latents are
     decoded max(1, DECODE_COLUMNS // N) at a time as stacked agent columns
-    (see TrajCvae.decode). The rng draws follow the order of k single
-    samples: eps of sample s, then its two step noises in `full` mode.
+    (see TrajCvae.decode); a pass of one sample decodes the agents as they
+    are. The rng draws follow the order of k single samples: eps of sample
+    s, then its two step noises in `full` mode. `latent` mode reads only
+    the two mean channels of the decoded frames.
     """
     _check_sampling(k, sample_mode)
     if window.n_agents == 0:
@@ -105,18 +107,23 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     n = obs_pos.shape[1]
     adj = graph.normalized_adjacency(obs_pos)
     scale = cfg.feature_scale
+    full = sample_mode == "full"
 
-    # column s * N + i of every array below is agent i of sample s
-    eps = np.empty((cfg.latent_len, obs_len, k * n))
-    e1, e2 = np.empty((2, pred_len, k * n))
-    for s in range(k):
-        sample = slice(s * n, (s + 1) * n)
-        eps[:, :, sample] = rng.standard_normal((cfg.latent_len, obs_len, n))
-        if sample_mode == "full":
+    # eps[s] is the latent noise of sample s; column s * N + i of every
+    # (..., k * N) array below is agent i of sample s
+    shape = (cfg.latent_len, obs_len, n)
+    if full:
+        eps = np.empty((k,) + shape)
+        e1, e2 = np.empty((2, pred_len, k * n))
+        for s in range(k):
+            sample = slice(s * n, (s + 1) * n)
+            eps[s] = rng.standard_normal(shape)
             e1[:, sample] = rng.standard_normal((pred_len, n))
             e2[:, sample] = rng.standard_normal((pred_len, n))
+    else:  # the stream of k draws of one sample's eps each
+        eps = rng.standard_normal((k,) + shape)
 
-    pred = np.empty((OUT_CHANNELS, pred_len, k * n))
+    pred = np.empty((OUT_CHANNELS if full else 2, pred_len, k * n))
     per_pass = max(1, DECODE_COLUMNS // n)
     p = model.params.constants()
     v_obs = ad.Value(to_displacements(obs_pos) * scale)
@@ -124,17 +131,20 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     obs = model.observe(p, v_obs, adj)
     sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
                            ad.LOGVAR_MAX) * 0.5)
-    z = (prior.mu.data[:, :, None] + sigma[:, :, None]
-         * eps.reshape(cfg.latent_len, obs_len, k, n)).reshape(eps.shape)
+    z = np.empty(shape[:2] + (k, n))
+    np.multiply(sigma[:, :, None], eps.transpose(1, 2, 0, 3), out=z)
+    z += prior.mu.data[:, :, None]
+    z = z.reshape(shape[:2] + (k * n,))
     for start in range(0, k, per_pass):
         c = min(per_pass, k - start)
         cols = slice(start * n, (start + c) * n)
         out = model.decode(p, ad.Value(z[:, :, cols]), obs,
-                           np.tile(np.arange(n), c))
-        pred[:, :, cols] = out.constrained()[:, obs_len:]
+                           None if c == 1 else np.tile(np.arange(n), c))
+        pred[:, :, cols] = out.constrained()[:, obs_len:] if full \
+            else out.data[0:2, obs_len:]
 
     steps = pred[0:2]  # displacement means (2, pred_len, k * N)
-    if sample_mode == "full":
+    if full:
         sx, sy, rho = pred[2:5]
         steps[0] += sx * e1
         steps[1] += sy * (rho * e1 + np.sqrt(np.maximum(1 - rho ** 2, 0)) * e2)
@@ -166,7 +176,8 @@ def best_of_k(model: TrajCvae, window: SequenceWindow, k: int = 20,
     rng = rng or np.random.default_rng(0)
     preds = sample_futures(model, window, rng, k, sample_mode)
     truth = window.positions[model.config.obs_len:]
-    dist = np.linalg.norm(preds - truth, axis=-1)  # (k, pred_len, N)
+    dx, dy = np.moveaxis(preds - truth, -1, 0)
+    dist = np.sqrt(dx * dx + dy * dy)  # (k, pred_len, N), see graph
     ades = np.mean(dist.reshape(k, -1), axis=1)
     fdes = np.mean(dist[:, -1], axis=1)
     if oracle_per_metric:

@@ -19,8 +19,11 @@ def normalized_adjacency(positions: np.ndarray) -> np.ndarray:
     <= 1.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    # per-axis (T, N, N) differences: the bits of np.linalg.norm over a
+    # (T, N, N, 2) difference tensor, which adds the two squares to 0
+    dx = positions[:, :, None, 0] - positions[:, None, :, 0]
+    dy = positions[:, :, None, 1] - positions[:, None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
     with np.errstate(divide="ignore"):  # the diagonal's distance is 0
         raw = np.where(dist > CO_LOCATION_EPS, 1.0 / dist, 0.0)
     a_hat = raw + np.eye(raw.shape[-1])

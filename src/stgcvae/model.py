@@ -92,6 +92,9 @@ class ParamStore:
         self.vector = np.concatenate([np.zeros(0),
                                       *map(np.ravel, arrays.values())])
         self._views = self.views(self.vector)
+        # wrapped once: each constant reads its view, so in-place updates of
+        # `vector` (SGD steps, __setitem__) reach it
+        self._constants = {k: ad.Value(v) for k, v in self._views.items()}
 
     def views(self, row: np.ndarray) -> dict[str, np.ndarray]:
         """{name: shaped view} of a vector laid out like `vector`."""
@@ -124,8 +127,9 @@ class ParamStore:
         return {k: ad.leaf(v) for k, v in self._views.items()}
 
     def constants(self) -> dict[str, ad.Value]:
-        """The parameters as constants: ops over them keep no record."""
-        return {k: ad.Value(v) for k, v in self._views.items()}
+        """The parameters as constants, over the views of `vector`: ops
+        over them keep no record. The same Values at every call."""
+        return self._constants
 
 
 @dataclass

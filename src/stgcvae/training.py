@@ -181,15 +181,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
                            for leaf in p.values()], axis=1)
     del traced
-    # per window, np.sum of each parameter's squares, summed in order; np.sum
-    # adds a pairwise sum to 0, reduceat that of all but the first entry to
-    # the first, so a 0 goes before each parameter
-    starts = model.params.offsets[:-1]
-    squares = np.insert(rows, starts, 0.0, axis=1)
-    squares *= squares
-    starts = starts + np.arange(len(starts))
-    norms = np.sqrt(np.add.accumulate(np.add.reduceat(squares, starts, axis=1),
-                                      axis=1)[:, -1])
+    norms = gradient_norms(rows, model.params.offsets)
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
     if not finite.all():
         i = int(np.argmin(finite))
@@ -203,6 +195,19 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
             f"first non-finite parameter: {bad}")
     rows *= (CLIP_NORM / np.maximum(norms, CLIP_NORM))[:, None]
     return list(zip(rows, reports))
+
+
+def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
+    """The global norm of each row of a (windows, P) gradient array whose
+    parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
+    each parameter's squares (np.add.reduce of a row's slice adds its
+    pairwise sum to 0, as np.sum does), summed in parameter order, then the
+    root."""
+    squares = rows * rows
+    sums = np.empty((len(rows), len(offsets) - 1))
+    for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        np.add.reduce(squares[:, a:b], axis=1, out=sums[:, j])
+    return np.sqrt(np.add.accumulate(sums, axis=1)[:, -1])
 
 
 def best_prior_samples(model: TrajCvae, seen: ad.Value,

@@ -61,6 +61,7 @@ def test_kernel_timings_run_on_this_tree():
         [f"conv_time_{layer}_{part}_us" for layer in ("txp2", "reduce")
          for part in ("fwd", "vjp")]
         + ["prelu_fwd_us", "prelu_vjp_us", "decode_n48_us",
-           "sample_futures_n48_k20_us"])
+           "sample_futures_n48_k20_us", "sample_n12_k1_us",
+           "normalized_adjacency_n48_t20_us"])
     assert all(m["value"] > 0 and m["unit"] == "us"
                for m in metrics.values())

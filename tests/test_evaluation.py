@@ -145,6 +145,51 @@ def reference_futures(m, window, rng, k, sample_mode):
     return np.stack(futures)
 
 
+def replaced_sample_futures(m, window, rng, k, sample_mode):
+    """sample_futures before it drew latent-mode noise in one call, decoded
+    one-sample passes without a gather and copied only the mean channels
+    in latent mode: per-sample draws into column slices, an np.tile gather
+    at every pass and constrained() in both modes."""
+    cfg = m.config
+    obs_len, pred_len = cfg.obs_len, cfg.seq_len - cfg.obs_len
+    obs_pos = window.positions[:obs_len]
+    n = obs_pos.shape[1]
+    adj = graph.normalized_adjacency(obs_pos)
+    scale = cfg.feature_scale
+    eps = np.empty((cfg.latent_len, obs_len, k * n))
+    e1, e2 = np.empty((2, pred_len, k * n))
+    for s in range(k):
+        sample = slice(s * n, (s + 1) * n)
+        eps[:, :, sample] = rng.standard_normal((cfg.latent_len, obs_len, n))
+        if sample_mode == "full":
+            e1[:, sample] = rng.standard_normal((pred_len, n))
+            e2[:, sample] = rng.standard_normal((pred_len, n))
+    pred = np.empty((model.OUT_CHANNELS, pred_len, k * n))
+    per_pass = max(1, evaluation.DECODE_COLUMNS // n)
+    p = {name: ad.Value(v) for name, v in m.params.items()}
+    v_obs = ad.Value(to_displacements(obs_pos) * scale)
+    prior = m.prior_forward(p, v_obs, adj)
+    obs = m.observe(p, v_obs, adj)
+    sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
+                           ad.LOGVAR_MAX) * 0.5)
+    z = (prior.mu.data[:, :, None] + sigma[:, :, None]
+         * eps.reshape(cfg.latent_len, obs_len, k, n)).reshape(eps.shape)
+    for start in range(0, k, per_pass):
+        c = min(per_pass, k - start)
+        cols = slice(start * n, (start + c) * n)
+        out = m.decode(p, ad.Value(z[:, :, cols]), obs,
+                       np.tile(np.arange(n), c))
+        pred[:, :, cols] = out.constrained()[:, obs_len:]
+    steps = pred[0:2]
+    if sample_mode == "full":
+        sx, sy, rho = pred[2:5]
+        steps[0] += sx * e1
+        steps[1] += sy * (rho * e1 + np.sqrt(np.maximum(1 - rho ** 2, 0)) * e2)
+    steps = np.transpose(steps.reshape(2, pred_len, k, n), (2, 1, 3, 0)) \
+        / scale
+    return obs_pos[-1] + np.cumsum(steps, axis=1)
+
+
 PAPER = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
                        rng=np.random.default_rng(0))
 
@@ -162,6 +207,18 @@ class TestSampleFutures:
         want = reference_futures(PAPER, w, np.random.default_rng(3), k, mode)
         assert got.shape == (k, 12, n, 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["latent", "full"])
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    @pytest.mark.parametrize("n", [1, 5, 12, 40, 70])
+    def test_bytes_of_replaced_function(self, n, k, mode):
+        w = synthetic.make_window("stop", n, np.random.default_rng(n + 1))
+        got = evaluation.sample_futures(PAPER, w, np.random.default_rng(4),
+                                        k, mode)
+        want = replaced_sample_futures(PAPER, w, np.random.default_rng(4), k,
+                                       mode)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_one_adjacency_and_prior_pass(self, monkeypatch):
         calls = []

@@ -117,6 +117,17 @@ class TestAdjacencySeries:
             got = graph.normalized_adjacency(pos)
             assert got.tobytes() == per_frame_reference(pos).tobytes()
 
+    @pytest.mark.parametrize("t", [8, 20])
+    def test_bit_identical_to_per_frame_loop_in_crowds(self, t):
+        rng = np.random.default_rng(t)
+        for trial in range(40):
+            pos = rng.uniform(-5, 5, (t, rng.integers(1, 49), 2))
+            if trial % 2:  # co-located pairs and exact integer distances
+                pos[:, 0] = pos[:, -1]
+                pos = np.round(pos)
+            got = graph.normalized_adjacency(pos)
+            assert got.tobytes() == per_frame_reference(pos).tobytes()
+
 
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 8),

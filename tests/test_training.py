@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgcvae import autodiff as ad
-from stgcvae import losses, model, synthetic, training
+from stgcvae import evaluation, losses, model, synthetic, training
 from stgcvae.errors import (ConfigError, DivergenceError, FormatError,
                             MissingTruthError, ParameterError)
 
@@ -590,6 +590,66 @@ class TestGradientRows:
         want, norms = per_name_gradients(*passes[-1])
         assert norms[0] > 1e-3
         self.assert_rows_equal(m, [row], want)
+
+
+def insert_reference_norms(rows, offsets):
+    """The gradient norm gradient_norms replaced: a 0 inserted before each
+    parameter's squares, then np.add.reduceat and np.add.accumulate."""
+    starts = offsets[:-1]
+    squares = np.insert(rows, starts, 0.0, axis=1)
+    squares *= squares
+    starts = starts + np.arange(len(starts))
+    return np.sqrt(np.add.accumulate(np.add.reduceat(squares, starts, axis=1),
+                                     axis=1)[:, -1])
+
+
+class TestGradientNorms:
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4, 5, 6])
+    def test_bits_of_insert_reference(self, windows):
+        offsets = model.init_params(model.ModelConfig(),
+                                    np.random.default_rng(0)).offsets
+        rng = np.random.default_rng(windows)
+        for _ in range(20):
+            shape = (windows, offsets[-1])
+            # entries from 1e-12 to 1e13 in size, both signs, with zeros
+            rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 13,
+                                                                    shape)
+            rows[rng.random(shape) < 0.05] = 0.0
+            got = training.gradient_norms(rows, offsets)
+            assert got.shape == (windows,)
+            assert got.tobytes() == \
+                insert_reference_norms(rows, offsets).tobytes()
+
+
+class TestParamStoreConstants:
+    def test_constants_follow_the_sgd_step(self):
+        m, state, windows = small_setup()
+        constants = m.params.constants()
+        before = m.params.copy()
+        training.train_epoch(state, m, windows,
+                             training.TrainConfig(epochs=1, batch_size=2))
+        assert m.params.vector.tobytes() != before.vector.tobytes()
+        assert m.params.constants() is constants
+        twin = model.TrajCvae(m.config, params=m.params.copy())
+        for n in (1, 3):
+            w = synthetic.make_window("turn", n, np.random.default_rng(n))
+            got = evaluation.sample_futures(m, w, np.random.default_rng(2), 3)
+            want = evaluation.sample_futures(twin, w,
+                                             np.random.default_rng(2), 3)
+            assert got.tobytes() == want.tobytes()
+
+    def test_copy_gets_its_own_constants(self):
+        store = model.init_params(SMALL, np.random.default_rng(0))
+        twin = store.copy()
+        assert list(twin.constants()) == store.names()
+        for name, v in twin.constants().items():
+            assert not v.needs_grad
+            assert v.data.tobytes() == store[name].tobytes()
+            assert np.shares_memory(v.data, twin.vector)
+            assert not np.shares_memory(v.data, store.vector)
+        twin["dec.out.b"] = np.ones_like(twin["dec.out.b"])
+        assert twin.constants()["dec.out.b"].data.tolist() == [1.0] * 5
+        assert not store.constants()["dec.out.b"].data.any()
 
 
 class TestSplit:
