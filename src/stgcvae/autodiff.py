@@ -311,10 +311,6 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         if not x.needs_grad:  # a constant input: the first layers
             return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
-        if k == 1 and not padding:
-            gx = (kernel.data[:, :, 0].T @ g_cols).reshape(c_in, t, n)
-            gx += 0.0  # turns -0 into +0, as adding to a zeroed buffer does
-            return gx, gk, gb
         gxp = np.zeros((c_in, t + 2 * padding, n))
         # one product per tap: a single transposed-convolution GEMM would
         # sum in another order

@@ -177,7 +177,7 @@ def best_of_k(model: TrajCvae, window: SequenceWindow, k: int = 20,
     preds = sample_futures(model, window, rng, k, sample_mode)
     truth = window.positions[model.config.obs_len:]
     dx, dy = np.moveaxis(preds - truth, -1, 0)
-    dist = np.sqrt(dx * dx + dy * dy)  # (k, pred_len, N), see graph
+    dist = graph.distance(dx, dy)  # (k, pred_len, N)
     ades = np.mean(dist.reshape(k, -1), axis=1)
     fdes = np.mean(dist[:, -1], axis=1)
     if oracle_per_metric:

@@ -129,6 +129,22 @@ class TestAdjacencySeries:
             assert got.tobytes() == per_frame_reference(pos).tobytes()
 
 
+def test_distance_has_the_bits_of_linalg_norm():
+    """distance(dx, dy) against np.linalg.norm over the stacked axis, on
+    signed zeros, subnormals, overflowing squares, inf and NaN."""
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-200, 1e200, -1e300,
+                        np.inf, -np.inf, np.nan, 3.0, -4.0])
+    dx, dy = np.meshgrid(special, special)
+    scaled = rng.standard_normal((2, 500)) * 10.0 ** rng.uniform(-30, 30,
+                                                                 (2, 500))
+    for ax, ay in ((dx, dy), tuple(scaled)):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = graph.distance(ax, ay)
+            want = np.linalg.norm(np.stack([ax, ay], axis=-1), axis=-1)
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 8),
                                     st.just(2)),
