@@ -22,7 +22,8 @@ The output JSON holds `description`, `environment` (bench/run.py's, from
 the first run), `summary` and `runs`. The summary gives, per workload and
 metric, each side's median and quartiles (statistics.quantiles, exclusive
 method), the parent's interquartile range, the relative change of the
-medians and in how many pairs the change read higher; `<workload>.failed`
+medians and in how many pairs the change read higher and in how many
+lower (a tied pair counts for neither); `<workload>.failed`
 counts failed runs and operations per side. `runs` holds every run's
 result line, or its exit code and the end of its stderr if it failed.
 """
@@ -127,6 +128,7 @@ def summarize(runs: list[dict]) -> dict:
                 "parent_iqr": p_q3 - p_q1,
                 "change_q1": c_q1, "change_q3": c_q3,
                 "pairs_change_higher": sum(c > p for p, c in zip(par, chg)),
+                "pairs_change_lower": sum(c < p for p, c in zip(par, chg)),
                 "pairs": len(complete)}
         summary[f"{workload}.failed"] = failed
     return summary

@@ -428,7 +428,10 @@ def reparameterize(mu: Value, logvar: Value, eps: np.ndarray) -> Value:
 class GradientMap:
     """Gradients of the leaves that the loss depends on, keyed by node id;
     other nodes read as zero. `backward` drops each interior node's
-    gradient once its vjp has run, so only the leaves' are kept.
+    gradient once its vjp has run, so only the leaves' are kept. The map
+    keeps no node: a record whose caller keeps no reference to it is freed
+    node by node during the sweep, and a kept loss keeps its record (see
+    backward).
 
     Every stored gradient is C-contiguous, which the next VJP's BLAS calls
     rely on for their bits. A returned array may be shared with other nodes'
@@ -455,15 +458,48 @@ def backward(loss: Value) -> GradientMap:
     """Reverse-mode sweep from a scalar loss over the nodes of its record
     that need a gradient (see Value.needs_grad); constants and the nodes
     built from them alone are never visited (an empty map for a constant
-    loss)."""
+    loss).
+
+    The sweep pops each node off its walk order and keeps no other
+    reference to it, nor to the loss. So a record whose caller keeps no
+    reference to it, as in `backward(box.pop())` from a one-item list
+    (training.chunk_gradients), is freed node by node: each node right
+    after its vjp has run, and with it the activations only that vjp read.
+    A caller that keeps the loss keeps the whole record, and a second call
+    gives the same bits. Freeing early needs the callee to hold the only
+    reference to its argument, as it does on CPython 3.11; on 3.10
+    (unverified) at worst nothing is freed before backward returns, with
+    the same bits.
+    """
     if loss.data.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {loss.data.shape}")
     if not loss.needs_grad:
         return GradientMap({})
 
-    # iterative topological order (records can be thousands of nodes deep);
-    # skipping the constant parts leaves the order of the rest as it was
+    grads = {loss.nid: np.ones_like(loss.data)}
+    order = _walk_order(loss)
+    del loss
+    while order:
+        node = order.pop()
+        if node.vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node.vjp(grads.pop(node.nid))):
+            if not parent.needs_grad:
+                continue
+            acc = grads.get(parent.nid)
+            # C order without a copy where pg has it; accumulation builds
+            # a new array, so sharing pg is safe
+            grads[parent.nid] = np.asarray(pg, order="C") if acc is None \
+                else acc + pg
+    return GradientMap(grads)
+
+
+def _walk_order(loss: Value) -> list[Value]:
+    """The nodes of loss's record that need a gradient, each after all of
+    its parents (so backward walks the list from its end); iterative, as
+    records can be thousands of nodes deep. Skipping the constant parts
+    leaves the order of the rest as it was."""
     order = []
     seen = {loss.nid}
     stack = [(loss, iter(loss.parents))]
@@ -476,18 +512,4 @@ def backward(loss: Value) -> GradientMap:
         elif child.needs_grad and child.nid not in seen:
             seen.add(child.nid)
             stack.append((child, iter(child.parents)))
-
-    grads = {loss.nid: np.ones_like(loss.data)}
-    for node in reversed(order):
-        if node.vjp is None:
-            continue
-        g = grads.pop(node.nid)
-        for parent, pg in zip(node.parents, node.vjp(g)):
-            if not parent.needs_grad:
-                continue
-            acc = grads.get(parent.nid)
-            # C order without a copy where pg has it; accumulation builds
-            # a new array, so sharing pg is safe
-            grads[parent.nid] = np.asarray(pg, order="C") if acc is None \
-                else acc + pg
-    return GradientMap(grads)
+    return order

@@ -129,6 +129,9 @@ def cmd_train(args) -> int:
         cfg.seed = args.seed
     if args.holdout:
         train_ws, val_ws = training.make_split(windows, args.holdout)
+        # validation samples every held-out window: fail before training
+        evaluation.require_agents(val_ws, [
+            i for i, w in enumerate(windows) if w.scene == args.holdout])
     else:
         train_ws, val_ws = windows, []
     if not train_ws:

@@ -129,8 +129,7 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     v_obs = ad.Value(to_displacements(obs_pos) * scale)
     prior = model.prior_forward(p, v_obs, adj)
     obs = model.observe(p, v_obs, adj)
-    sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
-                           ad.LOGVAR_MAX) * 0.5)
+    sigma = np.exp(prior.logvar.data * 0.5)  # the prior clamps logvar
     z = np.empty(shape[:2] + (k, n))
     np.multiply(sigma[:, :, None], eps.transpose(1, 2, 0, 3), out=z)
     z += prior.mu.data[:, :, None]
@@ -232,7 +231,7 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
     """
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")
-    _require_agents(windows)
+    require_agents(windows)
     require_truth(windows)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     rows = []
@@ -268,11 +267,14 @@ def require_truth(windows: list[SequenceWindow], labels=None) -> None:
                 "scored (an infer-mode cache has NaN future frames)")
 
 
-def _require_agents(windows: list[SequenceWindow]) -> None:
+def require_agents(windows: list[SequenceWindow], labels=None) -> None:
+    """EmptyWindowError naming the first window without agents by its label
+    (default: its index)."""
     empty = next((i for i, w in enumerate(windows) if w.n_agents == 0), None)
     if empty is not None:
         raise EmptyWindowError(
-            f"window {empty} (scene {windows[empty].scene!r}) has no agents, "
+            f"window {empty if labels is None else labels[empty]} "
+            f"(scene {windows[empty].scene!r}) has no agents, "
             "so there is nothing to sample")
 
 
@@ -284,7 +286,7 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
     agents, k < 1 or an unknown sample mode raises before anything is
     written. The CSV is written through `data.replacing`, so a failure
     leaves a previous file as it was."""
-    _require_agents(windows)
+    require_agents(windows)
     _check_sampling(k, sample_mode)
     obs_len = model.config.obs_len
     streams = np.random.SeedSequence(seed).spawn(len(windows))

@@ -175,12 +175,14 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     pred = model.decode(p, z, seen, columns, decoded)
     objective, reports = losses.window_losses(
         pred, scaled[:, :, columns], post, prior, epoch, sizes, 1)
-    traced = ad.backward(objective)
-    # free the record, then the gradients, before the copies below
+    # hand backward the only reference to the record, so that it frees each
+    # node as it walks past it (see ad.backward)
+    box = [objective]
     del objective, pred, z, mu, logvar, prior, post, seen
+    traced = ad.backward(box.pop())
     rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
                            for leaf in p.values()], axis=1)
-    del traced
+    del traced  # rows holds a copy of every gradient
     norms = gradient_norms(rows, model.params.offsets)
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
     if not finite.all():
@@ -202,11 +204,12 @@ def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
     parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
     each parameter's squares (np.add.reduce of a row's slice adds its
     pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root."""
-    squares = rows * rows
+    root. Each block is squared on its own, so no second (windows, P)
+    array is built."""
     sums = np.empty((len(rows), len(offsets) - 1))
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        np.add.reduce(squares[:, a:b], axis=1, out=sums[:, j])
+        block = rows[:, a:b]
+        np.add.reduce(block * block, axis=1, out=sums[:, j])
     return np.sqrt(np.add.accumulate(sums, axis=1)[:, -1])
 
 
@@ -262,12 +265,13 @@ def train_epoch(state: TrainState, model: TrajCvae,
     weight = losses.anneal_weight(state.epoch)
     for start in range(0, len(live), config.batch_size):
         step = live[start:start + config.batch_size]
-        acc = 0.0
+        # the bits of 0.0 + row + ..., without a new array per row
+        acc = np.zeros_like(model.params.vector)
         for chunk in _chunks(step, windows):
             for row, report in chunk_gradients(
                     model, [windows[i] for i in chunk], state.epoch,
                     state.rng, labels=chunk):
-                acc = acc + row
+                acc += row
                 parts.append((report.rec, report.kl))
         model.params.vector -= lr * acc / len(step)
         state.step += 1

@@ -36,9 +36,16 @@ def test_summary_of_complete_pairs():
     assert (m["parent_q1"], m["parent_q3"]) == (9.5, 12.5)
     assert m["parent_iqr"] == 3.0
     assert (m["change_q1"], m["change_q3"]) == (10.5, 14.5)
-    assert m["pairs_change_higher"] == 4
+    assert (m["pairs_change_higher"], m["pairs_change_lower"]) == (4, 1)
     assert summary["w.failed"] == {"parent": {"runs": 0, "operations": 0},
                                    "change": {"runs": 1, "operations": 1}}
+    # a tied pair counts for neither side
+    tied = ab_pairs.summarize([run(1, "parent", 5.0, workload="t"),
+                               run(1, "change", 5.0, workload="t"),
+                               run(2, "parent", 5.0, workload="t"),
+                               run(2, "change", 4.0, workload="t")])["t.m"]
+    assert (tied["pairs"], tied["pairs_change_higher"],
+            tied["pairs_change_lower"]) == (2, 0, 1)
 
 
 def test_pairs_cover_every_bench_workload(monkeypatch):

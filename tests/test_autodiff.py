@@ -7,6 +7,8 @@ are also checked against the einsum code they replaced.
 
 import collections
 import inspect
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -392,6 +394,43 @@ class TestBackward:
         g1 = ad.backward(loss).get(x)
         g2 = ad.backward(loss).get(x)
         np.testing.assert_array_equal(g1, g2)
+
+    @staticmethod
+    def watched_record():
+        """(leaf, [loss], probe) of a record whose upstream node's vjp sets
+        probe["alive"] to whether the data of the exp node downstream of it
+        is still alive. Value takes no weak reference, its array does."""
+        x = ad.leaf(np.array([0.5, -1.0]))
+        probe = {}
+
+        def vjp(g):
+            probe["alive"] = watched() is not None
+            return (g,)
+
+        down = ad.exp(ad.Value(x.data * 2.0, (x,), vjp))
+        watched = weakref.ref(down.data)
+        return x, [ad.sum_all(down)], probe
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before CPython 3.11 a caller keeps its references to a "
+               "call's arguments until the call returns, so backward does "
+               "not hold the record's only reference")
+    def test_handed_over_record_is_freed_as_walked(self):
+        x, box, probe = self.watched_record()
+        got = ad.backward(box.pop()).get(x)
+        assert probe == {"alive": False}
+        kept_x, kept, _ = self.watched_record()
+        assert got.tobytes() == ad.backward(kept[0]).get(kept_x).tobytes()
+
+    def test_kept_loss_keeps_the_record(self):
+        x, box, probe = self.watched_record()
+        g1 = ad.backward(box[0]).get(x)
+        assert probe == {"alive": True}
+        probe.clear()
+        g2 = ad.backward(box[0]).get(x)
+        assert probe == {"alive": True}
+        assert g1.tobytes() == g2.tobytes()
 
     def test_tanh_linear_net_vs_finite_diff(self):
         # a 1x1 conv_time is an affine map over channels; exp is the

@@ -223,6 +223,23 @@ class TestTrainCommand:
         assert "epoch" not in captured.out
         assert not (tmp_path / "o" / "final.stgc").exists()
 
+    def test_held_out_window_without_agents_fails_before_training(
+            self, small_config, tmp_path, capsys):
+        # the empty window is the held-out scene's third, the cache's sixth
+        cache = tmp_path / "mixed.stgw"
+        data.save_windows(cache, synthetic.make_corpus(
+            "const-velocity", 2, 3, seed=0) + synthetic.make_corpus(
+            "stop", 2, 2, seed=1) + synthetic.make_corpus("stop", 0, 1,
+                                                          seed=2))
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text(small_config.read_text() + "val_every=1\n")
+        assert run(["train", "--data", str(cache), "--config", str(cfg),
+                    "--holdout", "stop", "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "window 5 (scene 'stop') has no agents" in captured.err
+        assert "epoch 0:" not in captured.out
+        assert not (tmp_path / "o" / "final.stgc").exists()
+
     def test_missing_cache(self, small_config, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.stgw"),
                     "--config", str(small_config),
