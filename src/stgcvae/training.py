@@ -182,7 +182,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     traced = ad.backward(box.pop())
     rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
                            for leaf in p.values()], axis=1)
-    del traced  # rows holds a copy of every gradient
+    del traced  # free the gradients before the squares of the norm
     norms = gradient_norms(rows, model.params.offsets)
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
     if not finite.all():
@@ -204,12 +204,11 @@ def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
     parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
     each parameter's squares (np.add.reduce of a row's slice adds its
     pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root. Each block is squared on its own, so no second (windows, P)
-    array is built."""
+    root."""
+    squares = rows * rows
     sums = np.empty((len(rows), len(offsets) - 1))
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        block = rows[:, a:b]
-        np.add.reduce(block * block, axis=1, out=sums[:, j])
+        np.add.reduce(squares[:, a:b], axis=1, out=sums[:, j])
     return np.sqrt(np.add.accumulate(sums, axis=1)[:, -1])
 
 
