@@ -87,8 +87,11 @@ CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
 # 2.4.6), 16, 20 and 24 columns reached a peak RSS of 47.4, 48.2 and 49.6
 # MiB, against 47.75 MiB for the earlier rule (n + PRIOR_SAMPLES within 36,
 # all 8 prior samples recorded); over 10 runs, 20 columns read 48.4 MiB
-# (+1.4 %) and trained 1.14 times as many windows per second. A window of
-# 20 or more agents always runs alone.
+# (+1.4 %) and trained 1.14 times as many windows per second. Since
+# backward frees the record as it walks it, 20, 24 and 32 columns read
+# 46.7, 47.7 and 49.2 MiB, and 32 trained 1.12 times as many windows per
+# second as 20 (5 pairs each). A window of 20 or more agents always runs
+# alone.
 TRAIN_COLUMNS = 20
 
 
@@ -182,7 +185,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     traced = ad.backward(box.pop())
     rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
                            for leaf in p.values()], axis=1)
-    del traced  # free the gradients before the squares of the norm
+    del traced  # rows holds a copy of every gradient
     norms = gradient_norms(rows, model.params.offsets)
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
     if not finite.all():
@@ -204,11 +207,12 @@ def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
     parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
     each parameter's squares (np.add.reduce of a row's slice adds its
     pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root."""
-    squares = rows * rows
+    root. Each block is squared on its own, so no second (windows, P)
+    array is built."""
     sums = np.empty((len(rows), len(offsets) - 1))
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        np.add.reduce(squares[:, a:b], axis=1, out=sums[:, j])
+        block = rows[:, a:b]
+        np.add.reduce(block * block, axis=1, out=sums[:, j])
     return np.sqrt(np.add.accumulate(sums, axis=1)[:, -1])
 
 
