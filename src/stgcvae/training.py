@@ -207,8 +207,8 @@ def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
     parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
     each parameter's squares (np.add.reduce of a row's slice adds its
     pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root. Each block is squared on its own, so no second (windows, P)
-    array is built."""
+    root. Each block is squared on its own: one (windows, P) array of
+    squares raised the train job's peak RSS (see README, "Memory")."""
     sums = np.empty((len(rows), len(offsets) - 1))
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
         block = rows[:, a:b]
