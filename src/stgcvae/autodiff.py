@@ -9,11 +9,19 @@ are ops of their own in `losses` (Value(out, parents, vjp) works for any
 op). The computation record is define-by-run: every forward pass builds a
 fresh graph, so variable agent counts are free.
 
-Values are immutable after construction; gradients never mutate nodes.
-A Value built from an array alone is a constant, and an op's result keeps
-its operands and vjp only when one of them needs a gradient, so a pass over
-constants alone records nothing. `backward` walks the record that reaches
-a `leaf` in reverse topological order and returns a GradientMap of the
+The record is kept apart from the data. A Value is a float64 array plus
+a Node (nid, parents, vjp, needs_grad); a recorded op links its operands'
+nodes, and each VJP closes over only the arrays or shapes it reads, never
+over an operand Value. So an activation that no VJP reads is freed as soon
+as the forward drops its Value, while its node stays in the record (as
+reverse-mode frameworks keep only what each derivative saves for backward,
+PyTorch's save_for_backward). Values are immutable after construction;
+gradients never mutate nodes. A Value built from an array alone is a
+constant and has no node, and an op's result gets a node only when one of
+its operands needs a gradient, so a pass over constants alone builds none.
+A constant that a recorded op takes as an operand gets a node without
+parents, kept on its Value. `backward` walks the record that reaches a
+`leaf` in reverse topological order and returns a GradientMap of the
 leaves, so repeated calls on the same record are idempotent.
 """
 
@@ -28,28 +36,72 @@ from .errors import ContractError, DimensionError, ParameterError
 _ids = itertools.count()
 
 
-class Value:
-    """A node in the computation record: a float64 array plus its history.
+class Node:
+    """A Value's place in the computation record, without its data.
 
-    `parents` holds the operand Values and `vjp` maps the incoming output
-    gradient to one gradient array per parent (vector-Jacobian product), or
-    None for a parent that does not need one. `needs_grad` is set on leaves
-    and on the Values built from one, and only the latter keep `parents`:
-    leaves, constants and Values built from constants alone have none.
+    `parents` holds one node per operand, constants included, and `vjp`
+    maps the incoming output gradient to one gradient array per parent
+    (vector-Jacobian product), or None for a parent that does not need
+    one. `needs_grad` is set on leaves and on the nodes recorded from one;
+    the node of a constant has neither parents nor vjp.
     """
 
-    __slots__ = ("data", "nid", "parents", "vjp", "needs_grad")
+    __slots__ = ("nid", "parents", "vjp", "needs_grad")
+
+    def __init__(self, parents=(), vjp=None, needs_grad=False):
+        self.nid = next(_ids)
+        self.parents, self.vjp, self.needs_grad = parents, vjp, needs_grad
+
+
+def _link(v: "Value") -> Node:
+    """v's node, made (and kept on v) for a constant operand."""
+    if v.node is None:
+        v.node = Node()
+    return v.node
+
+
+class Value:
+    """A float64 array and its node in the computation record (see Node),
+    or None outside every record: constants and the Values built from
+    constants alone. Leaves and the Values built from one have a node that
+    needs a gradient. `Value(data, parents, vjp)` records any op: given
+    the operand Values, it links their nodes when one needs a gradient.
+
+    `nid`, `parents`, `vjp` and `needs_grad` read the node's (None, (),
+    None and False without one), and `vjp` can be replaced on a recorded
+    Value.
+    """
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.nid = next(_ids)
+        self.node = None
         # runs for every op: stop at the first parent that needs a gradient
         for p in parents:
-            if p.needs_grad:
-                self.parents, self.vjp, self.needs_grad = parents, vjp, True
+            if p.node is not None and p.node.needs_grad:
+                self.node = Node(tuple(map(_link, parents)), vjp, True)
                 break
-        else:
-            self.parents, self.vjp, self.needs_grad = (), None, False
+
+    @property
+    def nid(self):
+        return None if self.node is None else self.node.nid
+
+    @property
+    def parents(self) -> tuple:
+        return () if self.node is None else self.node.parents
+
+    @property
+    def vjp(self):
+        return None if self.node is None else self.node.vjp
+
+    @vjp.setter
+    def vjp(self, fn):
+        self.node.vjp = fn
+
+    @property
+    def needs_grad(self) -> bool:
+        return self.node is not None and self.node.needs_grad
 
     @property
     def shape(self):
@@ -63,7 +115,7 @@ def leaf(data) -> Value:
     """Wrap an array as a gradient-carrying leaf of a new record (an input
     whose gradient nobody reads is better a constant, `Value(data)`)."""
     v = Value(data)
-    v.needs_grad = True
+    v.node = Node(needs_grad=True)
     return v
 
 
@@ -83,9 +135,13 @@ def add(a: Value, b: Value) -> Value:
 
 
 def mul(a: Value, b: Value) -> Value:
+    """Elementwise product; the VJP keeps each operand's array only where
+    the other operand needs a gradient."""
     _check_elementwise(a, b, "mul")
-    return Value(a.data * b.data, (a, b),
-                 lambda g: (g * b.data, g * a.data))
+    ka = a.data if b.needs_grad else None
+    kb = b.data if a.needs_grad else None
+    return Value(a.data * b.data, (a, b), lambda g: (
+        None if kb is None else g * kb, None if ka is None else g * ka))
 
 
 def scale(x: Value, c: float) -> Value:
@@ -100,17 +156,19 @@ def exp(x: Value) -> Value:
 
 def clamp(x: Value, lo=None, hi=None) -> Value:
     """Clip to [lo, hi]; gradient passes through only inside the bounds."""
+    xd = x.data
+
     def vjp(g):
-        # the mask comes from x, which the record keeps anyway, so a pass
-        # without a record does not build it
-        inside = np.ones_like(x.data, dtype=bool)
+        # the mask comes from x's array, so a pass without a record does
+        # not build it
+        inside = np.ones_like(xd, dtype=bool)
         if lo is not None:
-            inside &= x.data >= lo
+            inside &= xd >= lo
         if hi is not None:
-            inside &= x.data <= hi
+            inside &= xd <= hi
         return (g * inside,)
 
-    return Value(np.clip(x.data, lo, hi), (x,), vjp)
+    return Value(np.clip(xd, lo, hi), (x,), vjp)
 
 
 # Segments: windows stacked along the agent axis of (C, T, N) tensors share
@@ -153,20 +211,20 @@ def prelu(x: Value, slope: Value, segments=None) -> Value:
     # x > 0, else x * s, with the bits of x times that factor, signed zeros
     # included: np.minimum and np.maximum return their second operand on a
     # tie, so min(0, -0) is -0, and adding -0 changes nothing.
-    s = slope.data.reshape(-1, 1, 1) + 0.0
-    out = np.minimum(0.0, x.data)
+    xd, s = x.data, slope.data.reshape(-1, 1, 1) + 0.0
+    out = np.minimum(0.0, xd)
     out *= s
-    out += np.maximum(x.data, -0.0)
+    out += np.maximum(xd, -0.0)
 
     def vjp(g):
         # multiplies by 1 or s instead of np.where, which costs ten times
         # more, with masks of 1.0 and 0.0: numpy casts a bool operand
-        # element by element. The record keeps x, so it keeps no mask.
-        pos = (x.data > 0).astype(np.float64)
+        # element by element. The VJP keeps x's array, so it keeps no mask.
+        pos = (xd > 0).astype(np.float64)
         neg = 1.0 - pos
-        gs_full = g * x.data
+        gs_full = g * xd
         gs_full *= neg
-        parts, gs = _segment_grads(segments, g.shape[2], slope.data.shape)
+        parts, gs = _segment_grads(segments, g.shape[2], s.shape[:1])
         for c, gs_seg in parts:
             gs_full[:, :, c].sum(axis=(1, 2), out=gs_seg)
         del gs_full
@@ -285,16 +343,17 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
             t_out * n, c_in)
     else:
         cols = _tap_columns(x.data, padding, k)
-    taps = kernel.data.transpose(1, 2, 0).reshape(c_in * k, c_out)
+    xd, kd, x_grad = x.data, kernel.data, x.needs_grad
+    taps = kd.transpose(1, 2, 0).reshape(c_in * k, c_out)
     out = cols @ taps
     out += bias.data
     out = out.reshape(t_out, n, c_out).transpose(2, 0, 1)
 
     def vjp(g):
-        # rebuilt from x, which the record keeps anyway, so the record does
-        # not hold a padded copy of every convolution input; the gather
+        # rebuilt from x's array, which the VJP keeps anyway, so the record
+        # does not hold a padded copy of every convolution input; the gather
         # copies runs of agents here, which beat one copy per tap
-        win = _padded_windows(x.data, padding, k)
+        win = _padded_windows(xd, padding, k)
         # per segment, kernel columns ordered (frame, agent)
         parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
         for c, gk_seg in parts:
@@ -308,14 +367,14 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
         gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
         gk = gk.swapaxes(-1, -2).swapaxes(-2, -3)
-        if not x.needs_grad:  # a constant input: the first layers
+        if not x_grad:  # a constant input: the first layers
             return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
         gxp = np.zeros((c_in, t + 2 * padding, n))
         # one product per tap: a single transposed-convolution GEMM would
         # sum in another order
         for j in range(k):
-            gxp[:, j:j + t_out, :] += (kernel.data[:, :, j].T @ g_cols
+            gxp[:, j:j + t_out, :] += (kd[:, :, j].T @ g_cols
                                        ).reshape(c_in, t_out, n)
         return (gxp[:, padding:padding + t, :] if padding else gxp), gk, gb
 
@@ -344,8 +403,10 @@ def mix_agents(x: Value, adj, segments=None) -> Value:
         np.matmul(a.transpose(0, 2, 1), x.data[:, :, c].transpose(1, 2, 0),
                   out=out[:, c])
 
+    shape = out.shape
+
     def vjp(g):
-        gx = np.empty_like(out)
+        gx = np.empty(shape)
         for a, c in zip(blocks, cols):
             np.matmul(a, g[:, :, c].transpose(1, 2, 0), out=gx[:, c])
         return (gx.transpose(2, 0, 1),)
@@ -383,9 +444,10 @@ def take_agents(x: Value, index) -> Value:
     """Gather agent columns of a (C, T, N) tensor: out[:, :, j] =
     x[:, :, index[j]]. Indices may repeat; their gradients add up."""
     index = np.asarray(index, dtype=np.intp)
+    shape = x.data.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.add.at(gx, (slice(None), slice(None), index), g)
         return (gx,)
 
@@ -442,7 +504,7 @@ class GradientMap:
         self._grads = grads
 
     def get(self, v: Value) -> np.ndarray:
-        g = self._grads.get(v.nid)
+        g = self._grads.get(v.nid)  # None for a Value outside every record
         if g is None:
             return np.zeros_like(v.data)
         return g
@@ -456,15 +518,14 @@ class GradientMap:
 
 def backward(loss: Value) -> GradientMap:
     """Reverse-mode sweep from a scalar loss over the nodes of its record
-    that need a gradient (see Value.needs_grad); constants and the nodes
-    built from them alone are never visited (an empty map for a constant
-    loss).
+    that need a gradient (see Node.needs_grad); constants are never
+    visited (an empty map for a constant loss).
 
     The sweep pops each node off its walk order and keeps no other
     reference to it, nor to the loss. So a record whose caller keeps no
     reference to it, as in `backward(box.pop())` from a one-item list
     (training.chunk_gradients), is freed node by node: each node right
-    after its vjp has run, and with it the activations only that vjp read.
+    after its vjp has run, and with it the arrays only that vjp read.
     A caller that keeps the loss keeps the whole record, and a second call
     gives the same bits. Freeing early needs the callee to hold the only
     reference to its argument, as it does on CPython 3.11; on 3.10
@@ -478,7 +539,7 @@ def backward(loss: Value) -> GradientMap:
         return GradientMap({})
 
     grads = {loss.nid: np.ones_like(loss.data)}
-    order = _walk_order(loss)
+    order = _walk_order(loss.node)
     del loss
     while order:
         node = order.pop()
@@ -495,7 +556,7 @@ def backward(loss: Value) -> GradientMap:
     return GradientMap(grads)
 
 
-def _walk_order(loss: Value) -> list[Value]:
+def _walk_order(loss: Node) -> list[Node]:
     """The nodes of loss's record that need a gradient, each after all of
     its parents (so backward walks the list from its end); iterative, as
     records can be thousands of nodes deep. Skipping the constant parts

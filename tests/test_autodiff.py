@@ -463,8 +463,13 @@ class TestRecordingRule:
     def test_op_with_a_leaf_among_its_inputs_records(self):
         c = ad.Value(np.array([3.0, 4.0]))
         x = ad.leaf(np.array([1.0, -2.0]))
+        assert c.node is None
         y = ad.mul(c, x)
-        assert y.parents == (c, x) and y.vjp is not None and y.needs_grad
+        assert y.parents == (c.node, x.node) and y.vjp is not None \
+            and y.needs_grad
+        # the constant operand's node is kept on it, without a record
+        assert c.node.parents == () and c.node.vjp is None \
+            and not c.needs_grad
         np.testing.assert_array_equal(
             ad.backward(ad.sum_all(y)).get(x), c.data)
 
@@ -482,12 +487,84 @@ class TestRecordingRule:
         window = synthetic.make_window("turn", 3, np.random.default_rng(1))
         evaluation.sample_futures(m, window, np.random.default_rng(2), 4)
         sampled = len(outputs)
-        assert sampled and all(o.raw.parents == () for o in outputs)
+        assert sampled and all(o.raw.node is None for o in outputs)
         training.chunk_gradients(m, [window], 0, np.random.default_rng(3))
         # best_prior_samples' decode, then the one the gradients come from
         choice, recorded = outputs[sampled:]
         assert choice.raw.parents == () and choice.raw.vjp is None
         assert recorded.raw.needs_grad and recorded.raw.parents
+
+
+class TestWhatTheRecordKeeps:
+    """A node keeps no data, and each VJP only the arrays it reads, so an
+    activation that no VJP reads is freed once the forward drops it."""
+
+    ADJ = np.random.default_rng(7).uniform(0, 1, (4, 5, 5))
+
+    @staticmethod
+    def chain(conv_input):
+        """(leaves, [loss], conv input, conv output) of a recorded
+        conv_time -> mix_agents -> prelu chain; conv_input(x) builds the
+        convolution's input from the leaf x."""
+        gen = np.random.default_rng(5)
+        x = ad.leaf(gen.uniform(-1, 1, (3, 4, 5)))
+        w = ad.leaf(gen.uniform(-1, 1, (2, 3, 1)))
+        b = ad.leaf(gen.uniform(-1, 1, 2))
+        slope = ad.leaf(np.full(2, 0.25))
+        h = conv_input(x)
+        conv = ad.conv_time(h, w, b)
+        loss = ad.sum_all(ad.prelu(ad.mix_agents(
+            conv, TestWhatTheRecordKeeps.ADJ), slope))
+        return (x, w, b, slope), [loss], h, conv
+
+    def test_unread_activation_is_freed_in_the_forward(self):
+        leaves, box, _, conv = self.chain(lambda x: x)
+        watched = weakref.ref(conv.data)
+        del conv  # mix_agents' VJP reads only the adjacency
+        assert watched() is None
+        got = ad.backward(box.pop())
+        kept_leaves, kept, _, kept_conv = self.chain(lambda x: x)
+        want = ad.backward(kept[0])
+        for a, b in zip(leaves, kept_leaves, strict=True):
+            assert got.get(a).tobytes() == want.get(b).tobytes()
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="see TestBackward.test_handed_over_record_is_freed_as_walked")
+    def test_convolution_input_lives_until_backward(self):
+        _, box, h, conv = self.chain(lambda x: ad.add(x, x))
+        watched = weakref.ref(h.data)
+        del h, conv  # conv_time's VJP reads its input's array
+        assert watched() is not None
+        ad.backward(box.pop())
+        assert watched() is None
+
+    def test_no_vjp_of_a_training_record_keeps_a_value(self, monkeypatch):
+        checked, backward = [], ad.backward
+
+        def inspecting(loss):
+            stack, nodes = [loss.node], {}
+            while stack:
+                node = stack.pop()
+                if node.nid not in nodes:
+                    nodes[node.nid] = node
+                    stack.extend(node.parents)
+            for node in nodes.values():
+                for cell in getattr(node.vjp, "__closure__", None) or ():
+                    held = cell.cell_contents
+                    items = held if isinstance(held, (list, tuple)) \
+                        else (held,)
+                    assert not any(isinstance(v, ad.Value) for v in items), \
+                        f"{node.vjp.__qualname__} keeps a Value"
+                checked.append(node)
+            return backward(loss)
+
+        monkeypatch.setattr(ad, "backward", inspecting)
+        m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(0))
+        windows = [synthetic.make_window("turn", 3, np.random.default_rng(1)),
+                   synthetic.make_window("stop", 2, np.random.default_rng(4))]
+        training.chunk_gradients(m, windows, 0, np.random.default_rng(2))
+        assert len(checked) > 100
 
 
 def test_every_op_is_used(monkeypatch):
