@@ -224,14 +224,16 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
     """Mean per-window best-of-k ADE/FDE with a per-scene breakdown.
 
     Every window must hold at least one agent, or EmptyWindowError names
-    the first that does not, and finite positions at all its frames, or
-    MissingTruthError names the first that does not. Each window gets its
+    the first that does not, the model's seq_len frames, or DimensionError
+    names the first that does not, and finite positions at all its frames,
+    or MissingTruthError names the first that does not. Each window gets its
     own rng stream derived from (seed, index), so the report is
     reproducible regardless of evaluation order.
     """
     if not windows:
         raise ParameterError("evaluate_dataset: empty window list")
     require_agents(windows)
+    require_frames(windows, model.config.seq_len)
     require_truth(windows)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     rows = []
@@ -255,16 +257,20 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         param_count=model.count_params())
 
 
-def require_truth(windows: list[SequenceWindow], labels=None) -> None:
+def require_truth(windows: list[SequenceWindow], labels=None,
+                  frames=None) -> None:
     """MissingTruthError naming the first window with a non-finite position
-    by its label (default: its index)."""
+    in its first `frames` frames (default: all) by its label (default: its
+    index)."""
     for i, w in enumerate(windows):
-        if not np.all(np.isfinite(w.positions)):
+        if not np.all(np.isfinite(w.positions[:frames])):
             raise MissingTruthError(
                 f"window {i if labels is None else labels[i]} "
-                f"(scene {w.scene!r}) has non-finite positions; "
-                "only windows with all frames observed can be trained or "
-                "scored (an infer-mode cache has NaN future frames)")
+                f"(scene {w.scene!r}) has non-finite positions"
+                + ("" if frames is None else f" in its first {frames} frames")
+                + "; only the future frames may be unobserved (NaN, as in "
+                "an infer-mode cache), and only to predict, not to train "
+                "or score")
 
 
 def require_agents(windows: list[SequenceWindow], labels=None) -> None:
@@ -278,17 +284,35 @@ def require_agents(windows: list[SequenceWindow], labels=None) -> None:
             "so there is nothing to sample")
 
 
+def require_frames(windows: list[SequenceWindow], seq_len: int,
+                   labels=None) -> None:
+    """DimensionError naming the first window whose frame count is not the
+    model's seq_len, by its label (default: its index)."""
+    bad = next((i for i, w in enumerate(windows)
+                if w.positions.shape[0] != seq_len), None)
+    if bad is not None:
+        raise DimensionError(
+            f"window {bad if labels is None else labels[bad]} "
+            f"(scene {windows[bad].scene!r}) has "
+            f"{windows[bad].positions.shape[0]} frames; the model reads "
+            f"seq_len = {seq_len}")
+
+
 def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
                        k: int = 20, seed: int = 0,
                        sample_mode: str = "latent") -> None:
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
     per window: window_id,agent_id,frame,sample_id,x,y. A window without
-    agents, k < 1 or an unknown sample mode raises before anything is
-    written. The CSV is written through `data.replacing`, so a failure
-    leaves a previous file as it was."""
-    require_agents(windows)
-    _check_sampling(k, sample_mode)
+    agents or not of seq_len frames, a non-finite observed position (future
+    frames may be NaN, as in an infer-mode cache), k < 1 or an unknown
+    sample mode raises before anything is written. The CSV is written
+    through `data.replacing`, so a failure leaves a previous file as it
+    was."""
     obs_len = model.config.obs_len
+    require_agents(windows)
+    require_frames(windows, model.config.seq_len)
+    require_truth(windows, frames=obs_len)
+    _check_sampling(k, sample_mode)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     with replacing(path) as fh:
         fh.write("window_id,agent_id,frame,sample_id,x,y\n")

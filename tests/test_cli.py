@@ -438,6 +438,45 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "error: window 1 (scene 'void') has no agents" in err
 
+    def test_predict_with_non_finite_observed_position_exits_1(
+            self, synth_cache, small_config, tmp_path, capsys):
+        # without the check, the NaN reaches every agent through the
+        # adjacency and every sample row reads nan,nan
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        window = synthetic.make_window("turn", 3, np.random.default_rng(0))
+        window.positions[3, 1] = np.nan
+        cache = tmp_path / "gap.stgw"
+        data.save_windows(cache, [window])
+        export = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert run(["predict", "--ckpt", str(ckpt), "--data", str(cache),
+                    "--k", "2", "--out", str(export)]) == 1
+        err = capsys.readouterr().err
+        assert "error: window 0 (scene 'turn') has non-finite positions " \
+            "in its first 8 frames" in err
+        assert not export.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_window_of_the_wrong_length_exits_1(self, synth_cache,
+                                                small_config, tmp_path,
+                                                capsys, command):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        window = synthetic.make_window("turn", 2, np.random.default_rng(0))
+        cache = tmp_path / "short.stgw"
+        data.save_windows(cache, [data.SequenceWindow(
+            window.agent_ids, window.positions[:12], scene="short")])
+        export = tmp_path / "preds.csv"
+        argv = [command, "--ckpt", str(ckpt), "--data", str(cache),
+                "--k", "2"]
+        if command == "predict":
+            argv += ["--out", str(export)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: window 0 (scene 'short') has 12 frames; the model " \
+            "reads seq_len = 20" in captured.err
+        assert "ade" not in captured.out and not export.exists()
+
     def test_rejected_predict_keeps_previous_file(self, synth_cache,
                                                   small_config, tmp_path,
                                                   capsys):
