@@ -284,16 +284,14 @@ def require_agents(windows: list[SequenceWindow], labels=None) -> None:
             "so there is nothing to sample")
 
 
-def require_frames(windows: list[SequenceWindow], seq_len: int,
-                   labels=None) -> None:
-    """DimensionError naming the first window whose frame count is not the
-    model's seq_len, by its label (default: its index)."""
+def require_frames(windows: list[SequenceWindow], seq_len: int) -> None:
+    """DimensionError naming the first window, by its index, whose frame
+    count is not the model's seq_len."""
     bad = next((i for i, w in enumerate(windows)
                 if w.positions.shape[0] != seq_len), None)
     if bad is not None:
         raise DimensionError(
-            f"window {bad if labels is None else labels[bad]} "
-            f"(scene {windows[bad].scene!r}) has "
+            f"window {bad} (scene {windows[bad].scene!r}) has "
             f"{windows[bad].positions.shape[0]} frames; the model reads "
             f"seq_len = {seq_len}")
 
