@@ -9,20 +9,16 @@ are ops of their own in `losses` (Value(out, parents, vjp) works for any
 op). The computation record is define-by-run: every forward pass builds a
 fresh graph, so variable agent counts are free.
 
-The record is kept apart from the data. A Value is a float64 array plus
-a Node (nid, parents, vjp, needs_grad); a recorded op links its operands'
-nodes, and each VJP closes over only the arrays or shapes it reads, never
-over an operand Value. So an activation that no VJP reads is freed as soon
-as the forward drops its Value, while its node stays in the record (as
-reverse-mode frameworks keep only what each derivative saves for backward,
-PyTorch's save_for_backward). Values are immutable after construction;
-gradients never mutate nodes. A Value built from an array alone is a
-constant and has no node, and an op's result gets a node only when one of
-its operands needs a gradient, so a pass over constants alone builds none.
-A constant that a recorded op takes as an operand gets a node without
-parents, kept on its Value. `backward` walks the record that reaches a
-`leaf` in reverse topological order and returns a GradientMap of the
-leaves, so repeated calls on the same record are idempotent.
+A Value is a float64 array plus its Node in the record (nid, parents, vjp,
+needs_grad). A recorded op links its operands' nodes, and its VJP closes
+over only the arrays or shapes it reads, never over an operand Value, so
+an activation that no VJP reads is freed once the forward drops its Value.
+A Value built from an array alone is a constant without a node, and an
+op's result gets one only when an operand needs a gradient, so a pass over
+constants alone builds none. Gradients never mutate a Value or a node.
+`backward` walks the record that reaches a `leaf` in reverse topological
+order and returns a GradientMap of the leaves, so repeated calls on the
+same record are idempotent.
 """
 
 from __future__ import annotations
@@ -37,13 +33,11 @@ _ids = itertools.count()
 
 
 class Node:
-    """A Value's place in the computation record, without its data.
-
-    `parents` holds one node per operand, constants included, and `vjp`
-    maps the incoming output gradient to one gradient array per parent
-    (vector-Jacobian product), or None for a parent that does not need
-    one. `needs_grad` is set on leaves and on the nodes recorded from one;
-    the node of a constant has neither parents nor vjp.
+    """A Value's place in the record, without its data. `parents` holds one
+    node per operand, and `vjp` maps the output gradient to one gradient
+    per parent (vector-Jacobian product), or None where a parent needs
+    none. `needs_grad` is set on leaves and on the nodes recorded from one.
+    A constant operand gets a node without parents, kept on its Value.
     """
 
     __slots__ = ("nid", "parents", "vjp", "needs_grad")
@@ -61,15 +55,10 @@ def _link(v: "Value") -> Node:
 
 
 class Value:
-    """A float64 array and its node in the computation record (see Node),
-    or None outside every record: constants and the Values built from
-    constants alone. Leaves and the Values built from one have a node that
-    needs a gradient. `Value(data, parents, vjp)` records any op: given
-    the operand Values, it links their nodes when one needs a gradient.
-
-    `nid`, `parents`, `vjp` and `needs_grad` read the node's (None, (),
-    None and False without one), and `vjp` can be replaced on a recorded
-    Value.
+    """A float64 array and its `node` (see Node), None outside every
+    record. `Value(data, parents, vjp)` records any op over the operand
+    Values `parents`. `nid`, `parents`, `vjp` and `needs_grad` read the
+    node's, and `vjp` can be replaced on a recorded Value.
     """
 
     __slots__ = ("data", "node")
