@@ -523,6 +523,7 @@ class TestWhatTheRecordKeeps:
         del conv  # mix_agents' VJP reads only the adjacency
         assert watched() is None
         got = ad.backward(box.pop())
+        # the same chain with its convolution output kept alive
         kept_leaves, kept, _, kept_conv = self.chain(lambda x: x)
         want = ad.backward(kept[0])
         for a, b in zip(leaves, kept_leaves, strict=True):
