@@ -544,7 +544,7 @@ class TestWhatTheRecordKeeps:
         checked, backward = [], ad.backward
 
         def inspecting(loss):
-            stack, nodes = [loss.node], {}
+            stack, nodes = [loss], {}
             while stack:
                 node = stack.pop()
                 if node.nid not in nodes:
