@@ -20,8 +20,15 @@ w = ad.leaf(rng.normal(size=(4, 3, 3)) * 0.3)  # (out, in, kernel)
 b = ad.leaf(rng.normal(size=4) * 0.1)
 slope = ad.leaf(np.full(4, 0.25))
 
+
+def mean_square(h):
+    """mean(h ** 2): the sum of every cell, scaled by 1 / cell count."""
+    sq = ad.mul(h, h)
+    return ad.scale(ad.sum_all(sq), 1.0 / sq.data.size)
+
+
 h = ad.prelu(ad.conv_time(x, w, b, padding=1), slope)
-y = ad.mean_all(ad.mul(h, h))
+y = mean_square(h)
 print(f"y = {float(y.data):.6f}")
 
 grads = ad.backward(y)
@@ -35,6 +42,6 @@ for idx in [(0, 0, 0), (3, 2, 1)]:
         w2 = w.data.copy()
         w2[idx] += delta
         h2 = ad.prelu(ad.conv_time(x, ad.leaf(w2), b, padding=1), slope)
-        return float(ad.mean_all(ad.mul(h2, h2)).data)
+        return float(mean_square(h2).data)
     fd = (f(eps) - f(-eps)) / (2 * eps)
     print(f"w{idx}: analytic {gw[idx]: .8f}  fd {fd: .8f}")

@@ -5,7 +5,7 @@ Subpackages:
     data       - ETH/UCY-style parsing, resampling, windowing, caches
     graph      - per-frame weighted adjacency construction and normalization
     model      - prior / recognition / decoder networks and checkpoints
-    losses     - bivariate Gaussian NLL, KL divergence, annealing schedule
+    losses     - the training objective: per-cell NLL and KL ops, annealing
     training   - SGD loop, splits, train-state checkpointing
     evaluation - best-of-K ADE/FDE, baselines, latency benchmarking
     synthetic  - synthetic corpus generation for desk-scale experiments

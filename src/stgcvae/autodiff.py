@@ -2,12 +2,13 @@
 
 The op set is exactly what the trajectory model needs: biased 1-D convolution
 along the time axis, per-frame agent mixing against a constant adjacency
-stack, the Gaussian reparameterization trick, and the few elementwise ops
-(add, mul, scale, exp, clamp, prelu, dropout) on equal-shape operands that
-the network, the sampling and the loss weighting use. The two loss terms
-are ops of their own in `losses` (Value(out, parents, vjp) works for any
-op). The computation record is define-by-run: every forward pass builds a
-fresh graph, so variable agent counts are free.
+stack, the Gaussian reparameterization trick (of a logvar the model has
+bounded), and the few elementwise ops (add, mul, scale, exp, clamp, prelu,
+dropout) on equal-shape operands that the network, the sampling and the
+loss weighting use. The two loss terms are ops of their own in `losses`
+(Value(out, parents, vjp) works for any op). The computation record is
+define-by-run: every forward pass builds a fresh graph, so variable agent
+counts are free.
 
 A Value is a float64 array plus its Node in the record (nid, parents, vjp,
 needs_grad). A recorded op links its operands' nodes, and its VJP closes
@@ -448,19 +449,13 @@ def sum_all(x: Value) -> Value:
     return Value(np.sum(x.data), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def mean_all(x: Value) -> Value:
-    return scale(sum_all(x), 1.0 / x.data.size)
-
-
-LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
-
-
 def reparameterize(mu: Value, logvar: Value, eps: np.ndarray) -> Value:
     """Pathwise Gaussian sample mu + exp(logvar/2) * eps, eps ~ N(0, I).
 
-    eps holds standard-normal draws of mu's shape. logvar is clamped to
-    [-10, 10] before exponentiation. Gradients flow to mu and logvar only;
-    eps is a constant of the record.
+    eps holds standard-normal draws of mu's shape. logvar must already be
+    bounded, as the model's latent heads clamp it (model.LOGVAR_MIN and
+    LOGVAR_MAX); it is exponentiated as given. Gradients flow to mu and
+    logvar only; eps is a constant of the record.
     """
     if mu.data.shape != logvar.data.shape:
         raise DimensionError(
@@ -468,7 +463,7 @@ def reparameterize(mu: Value, logvar: Value, eps: np.ndarray) -> Value:
     if eps.shape != mu.data.shape:
         raise DimensionError(
             f"reparameterize: eps {eps.shape} vs mu {mu.data.shape}")
-    sigma = exp(scale(clamp(logvar, LOGVAR_MIN, LOGVAR_MAX), 0.5))
+    sigma = exp(scale(logvar, 0.5))
     return add(mu, mul(sigma, Value(eps)))
 
 

@@ -92,6 +92,12 @@ def _require_positive(args, *flags) -> None:
                 f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
 
+def _require_seed(args) -> None:
+    """numpy takes no negative seed; --seed is unset (None) where optional."""
+    if args.seed is not None and args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
+
+
 def cmd_preprocess(args) -> int:
     in_dir = Path(args.input)
     if not in_dir.is_dir():
@@ -121,10 +127,12 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_seed(args)
     windows = data.load_windows(args.data)
     evaluation.require_truth(windows)
     mcfg, cfg = training.read_config(args.config) if args.config \
         else (model.ModelConfig(), training.TrainConfig())
+    evaluation.require_frames(windows, mcfg.seq_len)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.holdout:
@@ -163,6 +171,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _require_seed(args)
     m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
     if not windows:
@@ -188,6 +197,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _require_seed(args)
     m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
     if not windows:
@@ -201,6 +211,7 @@ def cmd_predict(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     _require_positive(args, "agents", "windows")
+    _require_seed(args)
     windows = synthetic.make_corpus(args.pattern, args.agents, args.windows,
                                     seed=args.seed)
     data.save_windows(args.out, windows)
@@ -223,7 +234,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StgcvaeError, FileNotFoundError, NotADirectoryError) as exc:
+    except (StgcvaeError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -1,4 +1,6 @@
-"""Training objective: bivariate Gaussian NLL + annealed KL divergence."""
+"""The training objective, window_losses: bivariate Gaussian NLL + annealed
+KL divergence + the best prior sample's NLL, from the per-cell ops nll_cells
+and kl_cells."""
 
 from __future__ import annotations
 
@@ -36,25 +38,18 @@ class LossReport:
     rec: float
     kl: float
     weight: float
-    epoch: int
-
-
-def bivariate_nll(pred: BivariateGaussianSeq, target: np.ndarray) -> ad.Value:
-    """Mean negative log-likelihood of target displacements under the
-    predicted per-(agent, frame) bivariate Gaussians.
-
-    pred.raw: (5, T, N) raw channels (mu_x, mu_y, s_x, s_y, r); target:
-    (2, T, N). sigma = exp(s) with s clamped, rho = tanh(r), and 1 - rho^2
-    is floored at 1e-9 before the log and the division.
-    """
-    return ad.mean_all(nll_cells(pred, target)[0])
 
 
 def nll_cells(pred: BivariateGaussianSeq,
               target: np.ndarray) -> tuple[ad.Value, np.ndarray]:
-    """Per-cell NLL (1, T, N) of bivariate_nll as one op of the raw
-    channels, and the objective's weight sigma_x * sigma_y / NLL_REF_VAR
-    per cell as a plain array.
+    """Negative log-likelihood (1, T, N) of each target displacement under
+    its predicted bivariate Gaussian, as one op of the raw channels, and the
+    objective's weight sigma_x * sigma_y / NLL_REF_VAR per cell as a plain
+    array.
+
+    pred.raw: (5, T, N) raw channels (mu_x, mu_y, s_x, s_y, r); target:
+    (2, T, N). sigma = exp(s) with s clamped, rho = tanh(r), and 1 - rho^2
+    is floored at RHO_FLOOR before the log and the division.
 
     It has the bits of the elementwise-op chain it replaced (the reference
     in tests/test_losses.py): the same numpy expressions, and each fan-out
@@ -66,7 +61,7 @@ def nll_cells(pred: BivariateGaussianSeq,
     if target.shape[:1] != (2,) or \
             r.shape != (OUT_CHANNELS,) + target.shape[1:]:
         raise DimensionError(
-            f"bivariate_nll: pred {r.shape} vs target {target.shape}")
+            f"nll_cells: pred {r.shape} vs target {target.shape}")
     s_x = np.clip(r[2:3], SIGMA_S_MIN, LOGVAR_MAX)
     s_y = np.clip(r[3:4], SIGMA_S_MIN, LOGVAR_MAX)
     r_c = np.clip(r[4:5], -RHO_R_MAX, RHO_R_MAX)
@@ -101,20 +96,14 @@ def nll_cells(pred: BivariateGaussianSeq,
     return ad.Value(nll, (pred.raw,), vjp), np.exp(s_x + s_y) / NLL_REF_VAR
 
 
-def kl_diag_gaussians(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
-    """KL(q || p) for diagonal Gaussians, summed over latent channels and
-    time, then averaged over agents."""
-    return ad.scale(ad.sum_all(kl_cells(q, p)), 1.0 / q.mu.data.shape[-1])
-
-
 def kl_cells(q: LatentGaussian, p: LatentGaussian) -> ad.Value:
-    """KL(q || p) of each latent entry (L, T, N), for kl_diag_gaussians, as
-    one op with the bits of the chain it replaced (see nll_cells): p.logvar's
+    """KL(q || p) of diagonal Gaussians per latent entry (L, T, N), as one op
+    with the bits of the chain it replaced (see nll_cells): p.logvar's
     gradient sums the Mahalanobis, then the variance-ratio, then the
     log-ratio term."""
     shapes = [v.data.shape for v in (q.mu, q.logvar, p.mu, p.logvar)]
     if len(set(shapes)) != 1:
-        raise DimensionError(f"kl_diag_gaussians: q mu, logvar and p mu, "
+        raise DimensionError(f"kl_cells: q mu, logvar and p mu, "
                              f"logvar have shapes {shapes}")
     q_lv, p_lv = q.logvar.data, p.logvar.data
     var_ratio = np.exp(q_lv - p_lv)
@@ -141,16 +130,15 @@ def anneal_weight(epoch: int) -> float:
 
 def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
                   q: LatentGaussian, p: LatentGaussian, epoch: int,
-                  agents: list[int], prior_samples: int = 0
-                  ) -> tuple[ad.Value, list[LossReport]]:
+                  agents: list[int]) -> tuple[ad.Value, list[LossReport]]:
     """Training loss of windows stacked along the agent axis: per window,
     rec + w_kl(epoch) * kl over all output frames.
 
     Window w has agents[w] latent columns in q and p. In pred and target it
-    has agents[w] columns, one per agent, then prior_samples columns that
-    decode latents drawn from the conditional prior for one agent, whose
-    target columns repeat that agent's. Each window's columns follow the
-    previous window's.
+    has agents[w] columns, one per agent, then one column that decodes its
+    best prior sample, whose target column repeats its agent's. The sample
+    is chosen beforehand (training.best_prior_samples holds the rule). Each
+    window's columns follow the previous window's.
 
     rec covers the agent columns only, and each reported total is exactly
     rec + w_kl * kl. The traced objective, returned with the reports, is
@@ -158,21 +146,17 @@ def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
     gradients, since the columns of different windows do not interact. A
     window's objective differs from its reported total in two ways. Its
     NLL is weighted by the predicted variance (NLL_REF_VAR). And the
-    weighted NLL of the prior sample with the lowest mean NLL over frames
-    is added (best-of-many, Bhattacharyya et al. 2018; the other samples
-    carry no gradient). Otherwise the prior's only training signal is the
-    KL at weight w_kl <= 0.005, so under plain SGD it stays near its
-    initialization, and best-of-K evaluation samples an untrained
-    distribution. Since only the best sample counts, training picks it
-    beforehand without a record and passes that one (prior_samples=1; see
-    training.chunk_gradients): the same objective, summed in another
-    order.
+    weighted NLL of its prior column, averaged over frames, is added
+    (best-of-many, Bhattacharyya et al. 2018). Otherwise the prior's only
+    training signal is the KL at weight w_kl <= 0.005, so under plain SGD it
+    stays near its initialization, and best-of-K evaluation samples an
+    untrained distribution.
     """
     if sum(agents) != q.mu.data.shape[2] or \
-            sum(agents) + len(agents) * prior_samples != pred.data.shape[2]:
+            sum(agents) + len(agents) != pred.data.shape[2]:
         raise DimensionError(
-            f"window_losses: {agents} agents and {prior_samples} prior "
-            f"samples per window vs {q.mu.data.shape[2]} latent and "
+            f"window_losses: {agents} agents and one prior sample per "
+            f"window vs {q.mu.data.shape[2]} latent and "
             f"{pred.data.shape[2]} decoded columns")
     cells, weight = nll_cells(pred, target)
     kl = kl_cells(q, p)
@@ -187,13 +171,10 @@ def window_losses(pred: BivariateGaussianSeq, target: np.ndarray,
         kl_w = float(np.sum(kl.data[:, :, row:row + n])) * (1.0 / n)
         mask[:, :, col:col + n] = 1.0 / (t * n)
         kl_mask[:, :, row:row + n] = w * (1.0 / n)
-        if prior_samples:
-            samples = cells.data[0, :, col + n:col + n + prior_samples]
-            best = col + n + int(np.argmin(samples.mean(axis=0)))
-            mask[:, :, best] = 1.0 / t
+        mask[:, :, col + n] = 1.0 / t
         reports.append(LossReport(total=rec + w * kl_w, rec=rec, kl=kl_w,
-                                  weight=w, epoch=epoch))
-        col += n + prior_samples
+                                  weight=w))
+        col += n + 1
         row += n
     objective = ad.add(ad.sum_all(ad.mul(cells, ad.Value(mask * weight))),
                        ad.sum_all(ad.mul(kl, ad.Value(kl_mask))))

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .data import replacing
 from .errors import ConfigError, DimensionError, FormatError
 
-LOGVAR_MIN, LOGVAR_MAX = ad.LOGVAR_MIN, ad.LOGVAR_MAX
+LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0  # latent logvar bounds (see _heads)
 
 IN_CHANNELS = 2   # per-frame displacement (dx, dy)
 OUT_CHANNELS = 5  # (mu_x, mu_y, s_x, s_y, r)
@@ -279,6 +279,8 @@ def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
 
 
 def _heads(embed, params, prefix, segments=None):
+    """mu and logvar clamped to [LOGVAR_MIN, LOGVAR_MAX], which the latent's
+    users (reparameterize, sample_futures) exponentiate as given."""
     mu = _layer(embed, params, prefix + ".head.mu", segments=segments)
     logvar = _layer(embed, params, prefix + ".head.logvar", segments=segments)
     return mu, ad.clamp(logvar, LOGVAR_MIN, LOGVAR_MAX)

@@ -33,6 +33,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("lr_initial", "lr_after"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
@@ -177,7 +179,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
         axis=2))
     pred = model.decode(p, z, seen, columns, decoded)
     objective, reports = losses.window_losses(
-        pred, scaled[:, :, columns], post, prior, epoch, sizes, 1)
+        pred, scaled[:, :, columns], post, prior, epoch, sizes)
     # hand backward the only reference to the record, so that it frees each
     # node as it walks past it (see ad.backward)
     box = [objective]
@@ -220,7 +222,8 @@ def best_prior_samples(model: TrajCvae, seen: ad.Value,
                        prior: LatentGaussian, picks: list[int],
                        eps: list[np.ndarray], scaled: np.ndarray) -> list[int]:
     """Per window, the index of its prior sample with the lowest mean NLL
-    over frames: window_losses' best-of-many rule, on constants (no record).
+    over frames, on constants (no record): the best-of-many rule, decided
+    here only. window_losses adds the chosen sample's weighted NLL.
 
     Window w's PRIOR_SAMPLES latents are drawn from the prior of agent
     column picks[w] with the noise eps[w] (L, obs_len, PRIOR_SAMPLES), and
@@ -280,9 +283,9 @@ def train_epoch(state: TrainState, model: TrajCvae,
         state.step += 1
         if log is not None:
             log.append(state.epoch, state.step,
-                       _mean_report(parts[-len(step):], weight, state.epoch))
+                       _mean_report(parts[-len(step):], weight))
 
-    state.epoch_report = _mean_report(parts, weight, state.epoch)
+    state.epoch_report = _mean_report(parts, weight)
     state.epoch += 1
     return state
 
@@ -303,12 +306,12 @@ def _chunks(indices: list[int], windows: list[SequenceWindow]):
         yield chunk
 
 
-def _mean_report(parts, weight: float, epoch: int) -> losses.LossReport:
+def _mean_report(parts, weight: float) -> losses.LossReport:
     """Mean of window reports given as (rec, kl) pairs; as in every report,
     total = rec + weight * kl exactly."""
     rec, kl = (float(v) for v in np.mean(parts, axis=0))
     return losses.LossReport(total=rec + weight * kl, rec=rec, kl=kl,
-                             weight=weight, epoch=epoch)
+                             weight=weight)
 
 
 def make_split(windows: list[SequenceWindow],

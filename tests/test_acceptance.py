@@ -46,18 +46,20 @@ def announce(n, ok, detail=""):
 
 
 def _toy_loss(m, disp, adj, eps):
-    """Deterministic training-shaped loss: NLL + 0.005 * KL with a frozen
-    reparameterization draw, so finite differences are well defined."""
+    """Deterministic training-shaped loss: mean NLL + 0.005 * KL averaged
+    over agents, with a frozen reparameterization draw, so finite
+    differences are well defined."""
     p = m.traced_params()
     v_full = ad.leaf(disp)
     v_obs = ad.leaf(disp[:, :OBS, :])
     prior = m.prior_forward(p, v_obs, adj[:OBS])
     post = m.recog_forward(p, v_full, adj)
-    sigma = ad.exp(ad.scale(post.logvar, 0.5))
-    z = ad.add(post.mu, ad.mul(sigma, ad.Value(eps)))
+    z = ad.reparameterize(post.mu, post.logvar, eps)
     pred = m.decode(p, z, m.observe(p, v_obs, adj[:OBS]))
-    nll = losses.bivariate_nll(pred, disp)
-    kl = losses.kl_diag_gaussians(post, prior)
+    cells, _ = losses.nll_cells(pred, disp)
+    nll = ad.scale(ad.sum_all(cells), 1.0 / cells.data.size)
+    kl = ad.scale(ad.sum_all(losses.kl_cells(post, prior)),
+                  1.0 / disp.shape[2])
     return ad.add(nll, ad.scale(kl, 0.005)), p
 
 
@@ -119,19 +121,21 @@ def test_criterion_1_gradient_check():
 
 
 def test_criterion_2_loss_analytics():
+    # one cell and one agent: the mean NLL and the per-agent KL are sums
     raw = np.zeros((5, 1, 1))
-    nll = float(losses.bivariate_nll(
-        model.BivariateGaussianSeq(ad.leaf(raw)), np.zeros((2, 1, 1))).data)
+    cells, _ = losses.nll_cells(model.BivariateGaussianSeq(ad.leaf(raw)),
+                                np.zeros((2, 1, 1)))
+    nll = float(ad.sum_all(cells).data)
     ok_nll = abs(nll - math.log(2 * math.pi)) < 1e-9
 
     q = model.LatentGaussian(ad.leaf(np.ones((1, 1, 1))),
                              ad.leaf(np.zeros((1, 1, 1))))
     p = model.LatentGaussian(ad.leaf(np.zeros((1, 1, 1))),
                              ad.leaf(np.zeros((1, 1, 1))))
-    kl = float(losses.kl_diag_gaussians(q, p).data)
+    kl = float(ad.sum_all(losses.kl_cells(q, p)).data)
     ok_kl = abs(kl - 0.5) < 1e-12
 
-    kl_self = float(losses.kl_diag_gaussians(q, q).data)
+    kl_self = float(ad.sum_all(losses.kl_cells(q, q)).data)
     ok_self = kl_self == 0.0
 
     ok_w = losses.anneal_weight(0) == 0.0

@@ -276,6 +276,87 @@ class TestTrainCommand:
         assert not (tmp_path / "o" / "final.stgc").exists()
 
 
+class TestUserErrors:
+    """Bad flags and paths exit 1 with a typed error, before anything is
+    written."""
+
+    @pytest.mark.parametrize("command", ["train", "train-config", "evaluate",
+                                         "predict", "gen-synthetic"])
+    def test_negative_seed_exits_1(self, synth_cache, small_config, tmp_path,
+                                   capsys, command):
+        out = tmp_path / "out"
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run") \
+            if command in ("evaluate", "predict") else None
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(small_config.read_text() + "seed = -3\n")
+        argv = {
+            "train": ["train", "--data", synth_cache, "--config",
+                      small_config, "--out", out, "--seed", "-1"],
+            "train-config": ["train", "--data", synth_cache, "--config",
+                             seeded, "--out", out],
+            "evaluate": ["evaluate", "--ckpt", ckpt, "--data", synth_cache,
+                         "--seed", "-1"],
+            "predict": ["predict", "--ckpt", ckpt, "--data", synth_cache,
+                        "--out", out, "--seed", "-1"],
+            "gen-synthetic": ["gen-synthetic", "--out", out, "--seed", "-1"],
+        }[command]
+        capsys.readouterr()
+        assert run([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert ("error: seed must be >= 0" if command == "train-config"
+                else "error: --seed must be >= 0, got -1") in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--data"), ("evaluate", "--ckpt"), ("train", "--data"),
+        ("train", "--config"), ("train", "--out"), ("predict", "--out"),
+        ("gen-synthetic", "--out")])
+    def test_directory_or_file_in_the_wrong_place_exits_1(
+            self, synth_cache, small_config, tmp_path, capsys, command, flag):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run") \
+            if command in ("evaluate", "predict") else None
+        argv = {
+            "evaluate": {"--ckpt": ckpt, "--data": synth_cache},
+            "train": {"--data": synth_cache, "--config": small_config,
+                      "--out": tmp_path / "o"},
+            "predict": {"--ckpt": ckpt, "--data": synth_cache,
+                        "--out": tmp_path / "preds.csv"},
+            "gen-synthetic": {"--out": tmp_path / "c.stgw"},
+        }[command]
+        # a directory where a file is expected; train's --out is a
+        # directory, so there a file
+        wrong = tmp_path / "wrong"
+        if (command, flag) == ("train", "--out"):
+            wrong.write_text("kept\n")
+        else:
+            wrong.mkdir()
+        argv[flag] = wrong
+        capsys.readouterr()
+        assert run([command] + [str(a) for kv in argv.items()
+                                for a in kv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert wrong.is_dir() or wrong.read_text() == "kept\n"
+        assert list(tmp_path.rglob(".*.tmp")) == []
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_train_window_of_the_wrong_length_exits_1(
+            self, synth_cache, small_config, tmp_path, capsys, alone):
+        # with three 2-agent windows the short one shares their chunk
+        window = synthetic.make_window("turn", 2, np.random.default_rng(0))
+        short = data.SequenceWindow(window.agent_ids, window.positions[:12],
+                                    scene="short")
+        before = [] if alone else data.load_windows(synth_cache)
+        cache = tmp_path / "short.stgw"
+        data.save_windows(cache, before + [short])
+        out = tmp_path / "o"
+        assert run(["train", "--data", str(cache), "--config",
+                    str(small_config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: window {len(before)} (scene 'short') has 12 " \
+            "frames; the model reads seq_len = 20" in captured.err
+        assert "epoch" not in captured.out and not out.exists()
+
+
 class TestTrainConfigFile:
     def config(self, tmp_path, text, name="train.cfg"):
         cfg = tmp_path / name

@@ -170,8 +170,8 @@ def replaced_sample_futures(m, window, rng, k, sample_mode):
     v_obs = ad.Value(to_displacements(obs_pos) * scale)
     prior = m.prior_forward(p, v_obs, adj)
     obs = m.observe(p, v_obs, adj)
-    sigma = np.exp(np.clip(prior.logvar.data, ad.LOGVAR_MIN,
-                           ad.LOGVAR_MAX) * 0.5)
+    sigma = np.exp(np.clip(prior.logvar.data, model.LOGVAR_MIN,
+                           model.LOGVAR_MAX) * 0.5)
     z = (prior.mu.data[:, :, None] + sigma[:, :, None]
          * eps.reshape(cfg.latent_len, obs_len, k, n)).reshape(eps.shape)
     for start in range(0, k, per_pass):

@@ -35,17 +35,29 @@ def dense_nll_oracle(raw, target):
     return total / (t * n)
 
 
+def mean_nll(pred, target):
+    """The mean of nll_cells over every (agent, frame) cell."""
+    cells, _ = losses.nll_cells(pred, target)
+    return ad.scale(ad.sum_all(cells), 1.0 / cells.data.size)
+
+
+def mean_kl(q, p):
+    """kl_cells summed over latent channels and time, averaged over agents."""
+    return ad.scale(ad.sum_all(losses.kl_cells(q, p)),
+                    1.0 / q.mu.data.shape[-1])
+
+
 class TestBivariateNll:
     def test_at_mean_unit_sigma(self):
         pred = raw_from(0.0, 0.0, 0.0, 0.0, 0.0)
-        nll = losses.bivariate_nll(pred, np.zeros((2, 1, 1)))
+        nll = mean_nll(pred, np.zeros((2, 1, 1)))
         assert float(nll.data) == pytest.approx(math.log(2 * math.pi), abs=1e-9)
 
     def test_unit_offset(self):
         pred = raw_from(0.0, 0.0, 0.0, 0.0, 0.0)
         target = np.zeros((2, 1, 1))
         target[0] = 1.0
-        nll = losses.bivariate_nll(pred, target)
+        nll = mean_nll(pred, target)
         assert float(nll.data) == pytest.approx(math.log(2 * math.pi) + 0.5,
                                                 abs=1e-9)
 
@@ -54,7 +66,7 @@ class TestBivariateNll:
         for _ in range(10):
             raw = rng.uniform(-1, 1, (5, 4, 3))
             target = rng.uniform(-1, 1, (2, 4, 3))
-            ours = float(losses.bivariate_nll(
+            ours = float(mean_nll(
                 BivariateGaussianSeq(ad.leaf(raw)), target).data)
             assert ours == pytest.approx(dense_nll_oracle(raw, target),
                                          abs=1e-10)
@@ -73,7 +85,7 @@ class TestBivariateNll:
         clipped[2:4] = np.clip(clipped[2:4], losses.SIGMA_S_MIN,
                                losses.LOGVAR_MAX)
         clipped[4] = np.clip(clipped[4], -losses.RHO_R_MAX, losses.RHO_R_MAX)
-        ours = float(losses.bivariate_nll(
+        ours = float(mean_nll(
             BivariateGaussianSeq(ad.leaf(raw)), target).data)
         assert np.isfinite(ours)
         assert ours == pytest.approx(dense_nll_oracle(clipped, target),
@@ -81,7 +93,7 @@ class TestBivariateNll:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            losses.bivariate_nll(raw_from(0, 0, 0, 0, 0, t=3),
+            mean_nll(raw_from(0, 0, 0, 0, 0, t=3),
                                  np.zeros((2, 4, 1)))
 
     def test_minimized_at_target_mean(self):
@@ -90,7 +102,7 @@ class TestBivariateNll:
         raw = rng.uniform(-0.5, 0.5, (5, 3, 2))
         target = raw[0:2].copy()
         val = BivariateGaussianSeq(ad.leaf(raw))
-        grads = ad.backward(losses.bivariate_nll(val, target))
+        grads = ad.backward(mean_nll(val, target))
         g = grads.get(val.raw)
         assert np.max(np.abs(g[0:2])) < 1e-12
 
@@ -99,7 +111,7 @@ class TestBivariateNll:
         raw = rng.uniform(-1, 1, (5, 3, 2))
         target = rng.uniform(-1, 1, (2, 3, 2))
         leaf = ad.leaf(raw)
-        grads = ad.backward(losses.bivariate_nll(
+        grads = ad.backward(mean_nll(
             BivariateGaussianSeq(leaf), target))
         g = grads.get(leaf)
         h = 1e-6
@@ -122,11 +134,11 @@ class TestKl:
         rng = np.random.default_rng(0)
         mu = rng.uniform(-1, 1, (4, 8, 3))
         lv = rng.uniform(-1, 1, (4, 8, 3))
-        kl = losses.kl_diag_gaussians(latent(mu, lv), latent(mu, lv))
+        kl = mean_kl(latent(mu, lv), latent(mu, lv))
         assert float(kl.data) == 0.0
 
     def test_unit_shift_half(self):
-        kl = losses.kl_diag_gaussians(latent([[[1.0]]], [[[0.0]]]),
+        kl = mean_kl(latent([[[1.0]]], [[[0.0]]]),
                                       latent([[[0.0]]], [[[0.0]]]))
         assert float(kl.data) == pytest.approx(0.5, abs=1e-12)
 
@@ -137,14 +149,14 @@ class TestKl:
                        rng.uniform(-2, 2, (3, 4, 2)))
             p = latent(rng.uniform(-2, 2, (3, 4, 2)),
                        rng.uniform(-2, 2, (3, 4, 2)))
-            assert float(losses.kl_diag_gaussians(q, p).data) >= 0.0
+            assert float(mean_kl(q, p).data) >= 0.0
 
     def test_monte_carlo_oracle(self):
         # KL(q || p) = E_q[log q - log p], estimated over 1e6 samples
         rng = np.random.default_rng(2)
         mu_q, lv_q = 0.4, np.log(0.8)
         mu_p, lv_p = -0.3, np.log(1.7)
-        kl = float(losses.kl_diag_gaussians(
+        kl = float(mean_kl(
             latent([[[mu_q]]], [[[lv_q]]]), latent([[[mu_p]]], [[[lv_p]]])).data)
         n = 1_000_000
         x = mu_q + np.sqrt(np.exp(lv_q)) * rng.standard_normal(n)
@@ -156,7 +168,7 @@ class TestKl:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            losses.kl_diag_gaussians(latent(np.zeros((2, 1, 1)),
+            mean_kl(latent(np.zeros((2, 1, 1)),
                                             np.zeros((2, 1, 1))),
                                      latent(np.zeros((3, 1, 1)),
                                             np.zeros((3, 1, 1))))
@@ -165,13 +177,13 @@ class TestKl:
         rng = np.random.default_rng(3)
         arrs = [rng.uniform(-1, 1, (2, 3, 2)) for _ in range(4)]
         leaves = [ad.leaf(a) for a in arrs]
-        loss = losses.kl_diag_gaussians(
+        loss = mean_kl(
             LatentGaussian(leaves[0], leaves[1]),
             LatentGaussian(leaves[2], leaves[3]))
         grads = ad.backward(loss)
 
         def value(vals):
-            return float(losses.kl_diag_gaussians(
+            return float(mean_kl(
                 LatentGaussian(ad.leaf(vals[0]), ad.leaf(vals[1])),
                 LatentGaussian(ad.leaf(vals[2]), ad.leaf(vals[3]))).data)
 
@@ -338,7 +350,7 @@ class TestFusedLossOps:
     def test_kl_grid(self, seed):
         gen = np.random.default_rng(seed)
         shape = (3, 8, 5)
-        logvars = on_and_around(ad.LOGVAR_MIN, ad.LOGVAR_MAX)
+        logvars = on_and_around(model.LOGVAR_MIN, model.LOGVAR_MAX)
         arrays = [clamp_grid([0.0, -0.0, 0.7, -1.3], shape, gen),
                   clamp_grid(logvars, shape, gen),
                   clamp_grid([0.0, -0.0, 0.7, -1.3], shape, gen),
@@ -455,9 +467,10 @@ class TestAnnealing:
 
 class TestTotalLoss:
     def _parts(self, epoch, same_latents=False):
+        # two agent columns, then the window's prior sample
         rng = np.random.default_rng(4)
-        pred = BivariateGaussianSeq(ad.leaf(rng.uniform(-1, 1, (5, 20, 2))))
-        target = rng.uniform(-1, 1, (2, 20, 2))
+        pred = BivariateGaussianSeq(ad.leaf(rng.uniform(-1, 1, (5, 20, 3))))
+        target = rng.uniform(-1, 1, (2, 20, 3))
         q = latent(rng.uniform(-1, 1, (3, 8, 2)), rng.uniform(-1, 1, (3, 8, 2)))
         if same_latents:
             p = latent(q.mu.data.copy(), q.logvar.data.copy())
@@ -484,7 +497,7 @@ class TestMetricsLog:
     def test_csv_lines(self, tmp_path):
         path = tmp_path / "metrics.csv"
         report = losses.LossReport(total=1.5, rec=1.0, kl=25.0,
-                                   weight=0.02, epoch=3)
+                                   weight=0.02)
         with open(path, "w") as fh:
             losses.MetricsLog(fh).append(3, 11, report)
         lines = path.read_text().splitlines()

@@ -156,6 +156,24 @@ class TestEncoders:
                              m.recog_noise(3, np.random.default_rng(11)))
         assert not np.array_equal(t1.mu.data, t2.mu.data)
 
+    def test_clamp_floor_collapses_to_mu(self):
+        # both latent heads clamp a logvar far below the floor to LOGVAR_MIN,
+        # so a reparameterized sample lies exp(-5) ~ 0.007 from mu
+        rng = np.random.default_rng(0)
+        v, a = make_inputs(2, rng)
+        m = model.TrajCvae(CFG, rng=rng)
+        for prefix in ("prior", "recog"):
+            name = f"{prefix}.head.logvar"
+            m.params[name + ".w"] = np.zeros_like(m.params[name + ".w"])
+            m.params[name + ".b"] = np.full_like(m.params[name + ".b"], -1e9)
+        p = m.traced_params()
+        for latent in (m.prior_forward(p, ad.leaf(v[:, :8, :]), a[:8]),
+                       m.recog_forward(p, ad.leaf(v), a)):
+            assert np.all(latent.logvar.data == model.LOGVAR_MIN)
+            out = ad.reparameterize(latent.mu, latent.logvar,
+                                    np.ones(latent.shape))
+            np.testing.assert_allclose(out.data, latent.mu.data, atol=1e-2)
+
     def test_recog_matches_prior_grid(self):
         rng = np.random.default_rng(3)
         v, a = make_inputs(5, rng)

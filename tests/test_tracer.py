@@ -34,4 +34,4 @@ def test_traced_training_and_sampling():
         assert f"autodiff.{kind}.bwd" in spans
     # the default config's record, constant operands included, for one
     # window and for two stacked ones
-    assert t.backward_nodes == [137, 137]
+    assert t.backward_nodes == [136, 136]

@@ -124,6 +124,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=named):
             training.TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        # numpy takes no negative seed
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            training.TrainConfig(seed=-1)
+        assert training.TrainConfig(seed=0).seed == 0
+
     def test_lr_switch_default_is_three_fifths_of_epochs(self):
         assert training.TrainConfig().lr_switch_epoch == 150
         assert training.TrainConfig(epochs=10).lr_switch_epoch == 6
@@ -301,14 +307,17 @@ def reference_window_gradients(m, window, epoch, rng):
     columns = [*range(n), pick]
     pred = m.decode(p, z, seen, columns)
     objective, (report,) = losses.window_losses(
-        pred, scaled[:, :, columns], post, prior, epoch, [n], 1)
+        pred, scaled[:, :, columns], post, prior, epoch, [n])
     return clipped_gradients(p, objective), report
 
 
 def all_samples_window_gradients(m, window, epoch, rng):
     """The pass that recorded all PRIOR_SAMPLES prior decodes, the 7 that
     lose the best-of-many comparison included: (gradients, report, index
-    of the best prior sample)."""
+    of the best prior sample). Its objective is window_losses' as it was
+    written for k recorded prior samples: the agents' weighted mean NLL,
+    the best sample's weighted NLL averaged over frames, and the annealed
+    KL averaged over agents."""
     n, scaled, p, prior, post, seen, pick, eps = unstacked_pass(m, window,
                                                                 rng)
     copies = np.full(training.PRIOR_SAMPLES, pick)
@@ -318,11 +327,21 @@ def all_samples_window_gradients(m, window, epoch, rng):
     z = ad.reparameterize(mu, logvar, eps)
     columns = np.concatenate([np.arange(n), copies])
     pred = m.decode(p, z, seen, columns)
-    objective, (report,) = losses.window_losses(
-        pred, scaled[:, :, columns], post, prior, epoch, [n],
-        training.PRIOR_SAMPLES)
-    cells, _ = losses.nll_cells(pred, scaled[:, :, columns])
+    cells, weight = losses.nll_cells(pred, scaled[:, :, columns])
+    kl = losses.kl_cells(post, prior)
+    t, w = cells.data.shape[1], losses.anneal_weight(epoch)
     best = int(np.argmin(cells.data[0, :, n:].mean(axis=0)))
+    mask = np.zeros(cells.data.shape)
+    mask[:, :, :n] = 1.0 / (t * n)
+    mask[:, :, n + best] = 1.0 / t
+    objective = ad.add(
+        ad.sum_all(ad.mul(cells, ad.Value(mask * weight))),
+        ad.sum_all(ad.mul(kl, ad.Value(np.full(kl.data.shape,
+                                               w * (1.0 / n))))))
+    rec = float(np.sum(cells.data[:, :, :n])) * (1.0 / (t * n))
+    kl_w = float(np.sum(kl.data)) * (1.0 / n)
+    report = losses.LossReport(total=rec + w * kl_w, rec=rec, kl=kl_w,
+                               weight=w)
     return clipped_gradients(p, objective), report, best
 
 
@@ -801,28 +820,50 @@ class TestPriorTraining:
             training.train_epoch(state, m, windows, cfg)
         assert best_nll() < before - 0.5
 
-    def test_best_of_k_picks_the_closest_sample(self):
-        # one agent column, then 4 prior samples of it; the third is exact
+    def test_best_of_k_picks_the_closest_sample(self, monkeypatch):
+        # two windows of 1 and 2 agents; each decodes PRIOR_SAMPLES prior
+        # samples of its picked agent, all at sigma 1 and rho 0, and one of
+        # them (the third, then the sixth) has the future as its mean
+        k = training.PRIOR_SAMPLES
         rng = np.random.default_rng(2)
-        target = np.tile(rng.normal(size=(2, 20, 1)), (1, 1, 5))
-        raw = rng.normal(size=(5, 20, 5))
-        raw[0:2, :, 3] = target[:, :, 0]
-        raw[2:5, :, 3] = 0.0
-        leaf = ad.leaf(raw)
+        scaled = rng.normal(size=(2, 20, 3))
+        picks, exact = [0, 2], [2, 5]
+        raw = np.zeros((5, 20, 2 * k))
+        for w, (pick, e) in enumerate(zip(picks, exact)):
+            raw[0:2, :, w * k:(w + 1) * k] = scaled[:, :, [pick]] \
+                + rng.normal(size=(2, 20, k))
+            raw[0:2, :, w * k + e] = scaled[:, :, pick]
+        m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        decoded = []
+        monkeypatch.setattr(m, "decode", lambda p, z, seen, columns:
+                            decoded.append(list(columns))
+                            or model.BivariateGaussianSeq(ad.Value(raw)))
+        zeros = np.zeros((SMALL.latent_len, SMALL.obs_len, 3))
+        prior = model.LatentGaussian(ad.Value(zeros), ad.Value(zeros))
+        eps = [rng.standard_normal((SMALL.latent_len, SMALL.obs_len, k))
+               for _ in picks]
+        assert training.best_prior_samples(m, ad.Value(np.zeros(1)), prior,
+                                           picks, eps, scaled) == exact
+        assert decoded == [[0] * k + [2] * k]
+
+    def test_window_losses_adds_the_given_prior_column(self):
+        # one agent column, then its chosen prior sample's
+        rng = np.random.default_rng(2)
+        target = np.tile(rng.normal(size=(2, 20, 1)), (1, 1, 2))
+        leaf = ad.leaf(rng.normal(size=(5, 20, 2)))
         q = model.LatentGaussian(ad.leaf(np.zeros((3, 8, 1))),
                                  ad.leaf(np.zeros((3, 8, 1))))
         objective, (report,) = losses.window_losses(
-            model.BivariateGaussianSeq(leaf), target, q, q, 0, [1], 4)
+            model.BivariateGaussianSeq(leaf), target, q, q, 0, [1])
         cells, weight = losses.nll_cells(model.BivariateGaussianSeq(leaf),
                                          target)
         per_column = (cells.data * weight)[0].mean(axis=0)
         assert float(objective.data) == pytest.approx(
-            per_column[0] + per_column[3], abs=1e-12)
+            per_column[0] + per_column[1], abs=1e-12)
         assert report.rec == pytest.approx(cells.data[0, :, 0].mean(),
                                            abs=1e-12)
         g = ad.backward(objective).get(leaf)
-        assert np.all(g[:, :, [1, 2, 4]] == 0)
-        assert np.any(g[:, :, 0] != 0) and np.any(g[:, :, 3] != 0)
+        assert np.any(g[:, :, 0] != 0) and np.any(g[:, :, 1] != 0)
 
 
 class TestVarianceWeightedObjective:
@@ -831,9 +872,11 @@ class TestVarianceWeightedObjective:
     grow as the fit sharpens; the reported loss stays the plain NLL."""
 
     def mean_gradient(self, s):
+        # two agent columns, then a prior sample of the first agent
         rng = np.random.default_rng(5)
         target = rng.normal(size=(2, 20, 2))
-        raw = np.zeros((5, 20, 2))
+        target = np.concatenate([target, target[:, :, :1]], axis=2)
+        raw = np.zeros((5, 20, 3))
         raw[0:2] = target + 0.3
         raw[2:4] = s
         leaf = ad.leaf(raw)
@@ -841,16 +884,21 @@ class TestVarianceWeightedObjective:
                                  ad.leaf(np.zeros((3, 8, 2))))
         objective, _ = losses.window_losses(model.BivariateGaussianSeq(leaf),
                                             target, q, q, 0, [2])
-        plain = ad.backward(losses.bivariate_nll(
-            model.BivariateGaussianSeq(leaf), target)).get(leaf)
+        cells, _ = losses.nll_cells(model.BivariateGaussianSeq(leaf), target)
+        plain = ad.backward(ad.scale(ad.sum_all(cells),
+                                     1.0 / cells.data.size)).get(leaf)
         return ad.backward(objective).get(leaf)[0:2], plain[0:2]
 
     def test_mean_gradient_independent_of_sigma(self):
         broad, plain_broad = self.mean_gradient(0.0)
         sharp, plain_sharp = self.mean_gradient(-2.0)
         cells = 20 * 2
-        np.testing.assert_allclose(broad, 0.3 / losses.NLL_REF_VAR / cells,
+        np.testing.assert_allclose(broad[:, :, :2],
+                                   0.3 / losses.NLL_REF_VAR / cells,
                                    rtol=1e-12)
+        # the prior sample's NLL is averaged over its 20 frames only
+        np.testing.assert_allclose(broad[:, :, 2],
+                                   0.3 / losses.NLL_REF_VAR / 20, rtol=1e-12)
         np.testing.assert_allclose(sharp, broad, rtol=1e-12)
         # the plain NLL's gradient is e^4 times larger at the sharper sigma
         np.testing.assert_allclose(plain_sharp, plain_broad * np.exp(4.0),
