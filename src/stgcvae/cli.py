@@ -129,17 +129,14 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     _require_seed(args)
     windows = data.load_windows(args.data)
-    evaluation.require_truth(windows)
     mcfg, cfg = training.read_config(args.config) if args.config \
         else (model.ModelConfig(), training.TrainConfig())
-    evaluation.require_frames(windows, mcfg.seq_len)
+    # fail before anything is written, naming windows by their cache index
+    data.check_windows(windows, mcfg.seq_len)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.holdout:
         train_ws, val_ws = training.make_split(windows, args.holdout)
-        # validation samples every held-out window: fail before training
-        evaluation.require_agents(val_ws, [
-            i for i, w in enumerate(windows) if w.scene == args.holdout])
     else:
         train_ws, val_ws = windows, []
     if not train_ws:
@@ -174,8 +171,6 @@ def cmd_evaluate(args) -> int:
     _require_seed(args)
     m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
-    if not windows:
-        raise StgcvaeError("cache holds no windows")
     report = evaluation.evaluate_dataset(
         m, windows, k=args.k, seed=args.seed, sample_mode=args.sample_mode,
         oracle_per_metric=args.oracle_per_metric)
@@ -200,8 +195,6 @@ def cmd_predict(args) -> int:
     _require_seed(args)
     m, _ = model.load_model(args.ckpt)
     windows = data.load_windows(args.data)
-    if not windows:
-        raise StgcvaeError("cache holds no windows")
     evaluation.export_predictions(args.out, m, windows, k=args.k,
                                   seed=args.seed,
                                   sample_mode=args.sample_mode)

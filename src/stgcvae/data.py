@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, ParameterError, ParseError
+from .errors import (DimensionError, EmptyWindowError, FormatError,
+                     IntegrityError, MissingTruthError, ParameterError,
+                     ParseError)
 
 log = logging.getLogger(__name__)
 
@@ -86,6 +88,34 @@ class SequenceWindow:
         return self.robot_index >= 0
 
 
+def check_windows(windows: list[SequenceWindow], seq_len: int,
+                  frames: int | None = None) -> None:
+    """The window contract of training, scoring and prediction, checked in
+    one pass: ParameterError for an empty list; then, for the first window
+    that breaks it, named `window i (scene s)` by its index in the list,
+    EmptyWindowError if it has no agents, DimensionError if its frame count
+    is not seq_len, and MissingTruthError if a position in its first
+    `frames` frames (default: all) is not finite."""
+    if not windows:
+        raise ParameterError("no windows")
+    for i, w in enumerate(windows):
+        name = f"window {i} (scene {w.scene!r})"
+        if w.n_agents == 0:
+            raise EmptyWindowError(
+                f"{name} has no agents, so there is nothing to sample")
+        if w.positions.shape[0] != seq_len:
+            raise DimensionError(
+                f"{name} has {w.positions.shape[0]} frames; the model reads "
+                f"seq_len = {seq_len}")
+        if not np.all(np.isfinite(w.positions[:frames])):
+            raise MissingTruthError(
+                f"{name} has non-finite positions"
+                + ("" if frames is None else f" in its first {frames} frames")
+                + "; only the future frames may be unobserved (NaN, as in "
+                "an infer-mode cache), and only to predict, not to train "
+                "or score")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -94,6 +124,18 @@ def _check_period(period, name: str) -> None:
     if not (math.isfinite(period) and period > 0):
         raise ParameterError(
             f"{name} must be a finite number of seconds > 0, got {period!r}")
+
+
+def read_lines(path, error=ParseError):
+    """(line number, line) of each line of a UTF-8 text file, numbered from
+    1; a line that is not UTF-8 raises `error` naming file:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:  # undecodable bytes were escaped to lone surrogates
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line
 
 
 def _integral(text: str) -> int:
@@ -109,42 +151,42 @@ def parse_annotations(path, name: str | None = None,
     `#robot_id=` header must be integral numbers ("780" or "780.0").
 
     Raises ParseError (with file:line) on malformed lines, nan and infinite
-    values included, IntegrityError on duplicate (frame, agent) pairs and
-    ParameterError on a frame_period that is not a finite number > 0.
+    values and bytes that are not UTF-8 included, IntegrityError on
+    duplicate (frame, agent) pairs and ParameterError on a frame_period
+    that is not a finite number > 0.
     """
     path = Path(path)
     robot_id = None
     rows = {}  # (frame, agent) -> (x, y)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("#robot_id="):
-                    try:
-                        robot_id = _integral(line.split("=", 1)[1])
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: bad robot_id "
-                                         f"header {line!r}")
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                key = _integral(parts[0]), _integral(parts[1])
-                x, y = float(parts[2]), float(parts[3])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: ids must be integral "
-                                 f"numbers and x, y numbers in {line!r}")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(
-                    f"{path}:{lineno}: non-finite coordinate in {line!r}")
-            if key in rows:
-                raise IntegrityError(
-                    f"{path}:{lineno}: duplicate (frame, agent) {key}")
-            rows[key] = x, y
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#robot_id="):
+                try:
+                    robot_id = _integral(line.split("=", 1)[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad robot_id "
+                                     f"header {line!r}")
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(
+                f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            key = _integral(parts[0]), _integral(parts[1])
+            x, y = float(parts[2]), float(parts[3])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: ids must be integral "
+                             f"numbers and x, y numbers in {line!r}")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(
+                f"{path}:{lineno}: non-finite coordinate in {line!r}")
+        if key in rows:
+            raise IntegrityError(
+                f"{path}:{lineno}: duplicate (frame, agent) {key}")
+        rows[key] = x, y
     keys = np.array(list(rows), dtype=np.int64).reshape(-1, 2)
     return Scene(name or path.stem, keys[:, 0], keys[:, 1],
                  list(rows.values()), frame_period=frame_period,

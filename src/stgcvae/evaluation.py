@@ -10,9 +10,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .data import SequenceWindow, replacing, to_displacements
-from .errors import (DimensionError, EmptyWindowError, MissingTruthError,
-                     ParameterError)
+from .data import (SequenceWindow, check_windows, replacing,
+                   to_displacements)
+from .errors import DimensionError, EmptyWindowError, ParameterError
 from .model import OUT_CHANNELS, TrajCvae
 
 
@@ -223,18 +223,12 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
                      oracle_per_metric: bool = False) -> EvalReport:
     """Mean per-window best-of-k ADE/FDE with a per-scene breakdown.
 
-    Every window must hold at least one agent, or EmptyWindowError names
-    the first that does not, the model's seq_len frames, or DimensionError
-    names the first that does not, and finite positions at all its frames,
-    or MissingTruthError names the first that does not. Each window gets its
+    The windows must keep data.check_windows' contract at all their frames;
+    the first that does not raises its typed error. Each window gets its
     own rng stream derived from (seed, index), so the report is
     reproducible regardless of evaluation order.
     """
-    if not windows:
-        raise ParameterError("evaluate_dataset: empty window list")
-    require_agents(windows)
-    require_frames(windows, model.config.seq_len)
-    require_truth(windows)
+    check_windows(windows, model.config.seq_len)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     rows = []
     for window, ss in zip(windows, streams):
@@ -257,59 +251,17 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         param_count=model.count_params())
 
 
-def require_truth(windows: list[SequenceWindow], labels=None,
-                  frames=None) -> None:
-    """MissingTruthError naming the first window with a non-finite position
-    in its first `frames` frames (default: all) by its label (default: its
-    index)."""
-    for i, w in enumerate(windows):
-        if not np.all(np.isfinite(w.positions[:frames])):
-            raise MissingTruthError(
-                f"window {i if labels is None else labels[i]} "
-                f"(scene {w.scene!r}) has non-finite positions"
-                + ("" if frames is None else f" in its first {frames} frames")
-                + "; only the future frames may be unobserved (NaN, as in "
-                "an infer-mode cache), and only to predict, not to train "
-                "or score")
-
-
-def require_agents(windows: list[SequenceWindow], labels=None) -> None:
-    """EmptyWindowError naming the first window without agents by its label
-    (default: its index)."""
-    empty = next((i for i, w in enumerate(windows) if w.n_agents == 0), None)
-    if empty is not None:
-        raise EmptyWindowError(
-            f"window {empty if labels is None else labels[empty]} "
-            f"(scene {windows[empty].scene!r}) has no agents, "
-            "so there is nothing to sample")
-
-
-def require_frames(windows: list[SequenceWindow], seq_len: int) -> None:
-    """DimensionError naming the first window, by its index, whose frame
-    count is not the model's seq_len."""
-    bad = next((i for i, w in enumerate(windows)
-                if w.positions.shape[0] != seq_len), None)
-    if bad is not None:
-        raise DimensionError(
-            f"window {bad} (scene {windows[bad].scene!r}) has "
-            f"{windows[bad].positions.shape[0]} frames; the model reads "
-            f"seq_len = {seq_len}")
-
-
 def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
                        k: int = 20, seed: int = 0,
                        sample_mode: str = "latent") -> None:
     """CSV of sampled futures plus ground truth (sample_id = -1), one block
-    per window: window_id,agent_id,frame,sample_id,x,y. A window without
-    agents or not of seq_len frames, a non-finite observed position (future
-    frames may be NaN, as in an infer-mode cache), k < 1 or an unknown
-    sample mode raises before anything is written. The CSV is written
-    through `data.replacing`, so a failure leaves a previous file as it
-    was."""
+    per window: window_id,agent_id,frame,sample_id,x,y. A window that breaks
+    data.check_windows' contract at its observed frames (future frames may
+    be NaN, as in an infer-mode cache), k < 1 or an unknown sample mode
+    raises before anything is written. The CSV is written through
+    `data.replacing`, so a failure leaves a previous file as it was."""
     obs_len = model.config.obs_len
-    require_agents(windows)
-    require_frames(windows, model.config.seq_len)
-    require_truth(windows, frames=obs_len)
+    check_windows(windows, model.config.seq_len, frames=obs_len)
     _check_sampling(k, sample_mode)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     with replacing(path) as fh:

@@ -23,13 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import replacing
+from .data import read_lines, replacing
 from .errors import ConfigError, DimensionError, FormatError
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0  # latent logvar bounds (see _heads)
 
 IN_CHANNELS = 2   # per-frame displacement (dx, dy)
 OUT_CHANNELS = 5  # (mu_x, mu_y, s_x, s_y, r)
+# Width of every temporal convolution but the recognition reduction
+# (Social-STGCNN's); each is padded by 1 to keep its frame count.
+TCN_KERNEL = 3
 
 # Guards for the output distribution channels. The latent clamp above bounds
 # the loss value, but near-degenerate output Gaussians also blow up the NLL
@@ -49,7 +52,6 @@ class ModelConfig:
     seq_len: int = 20
     prior_blocks: int = 3    # GCN+TCN pairs in the prior encoder
     recog_blocks: int = 2    # GCN+TCN pairs in the recognition encoder
-    tcn_kernel: int = 3
     dropout: float = 0.1
     noise_std: float = 0.01
     # Multiplier applied to displacement features on the way into the
@@ -63,7 +65,7 @@ class ModelConfig:
         if self.feature_scale <= 0:
             raise ConfigError("feature_scale must be positive")
         for name in ("embed_channels", "latent_len", "obs_len", "seq_len",
-                     "prior_blocks", "recog_blocks", "tcn_kernel"):
+                     "prior_blocks", "recog_blocks"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.prior_blocks <= self.recog_blocks:
@@ -173,7 +175,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     prelu slopes 0.25. Deterministic under the generator's state."""
     arrays = {}
     c, p = IN_CHANNELS, config.embed_channels
-    k, l = config.tcn_kernel, config.latent_len
+    k, l = TCN_KERNEL, config.latent_len
 
     def conv(name, c_out, c_in, width):
         bound = np.sqrt(1.0 / (c_in * width))
@@ -246,28 +248,21 @@ def _txp(v, params, name, segments=None):
     return ad.prelu(h, params[name + ".slope"], segments)
 
 
-def _block_kernels(blocks: int, tcn_kernel: int,
-                   last_tcn_kernel: int) -> list[tuple[int, int]]:
-    """(width, padding) of each block's TCN in stgcnn_embed. A TCN of width
-    tcn_kernel is padded to keep the frame count (for an odd width)."""
-    widths = [tcn_kernel] * (blocks - 1) + [last_tcn_kernel]
-    return [(w, (tcn_kernel - 1) // 2 if w == tcn_kernel else 0)
-            for w in widths]
-
-
 def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
-                 blocks: int, tcn_kernel: int, last_tcn_kernel: int,
-                 dropout=(), segments=None) -> ad.Value:
+                 blocks: int, last_padding: int, dropout=(),
+                 segments=None) -> ad.Value:
     """Alternating GCN / TCN blocks with identity residuals.
 
-    A residual connects block input to block output whenever shapes match
-    (i.e. from the second block on, when the time length is preserved).
+    Each TCN is padded by 1, the last by `last_padding` (1 for the prior's,
+    0 for the recognition reduction). A residual connects block input to
+    block output whenever shapes match (i.e. from the second block on, when
+    the time length is preserved).
     `dropout` holds each block's dropout factors (see
     autodiff.dropout_factor), or is empty for no dropout.
     """
     h = v
-    kernels = _block_kernels(blocks, tcn_kernel, last_tcn_kernel)
-    for i, (_, padding) in enumerate(kernels):
+    paddings = [1] * (blocks - 1) + [last_padding]
+    for i, padding in enumerate(paddings):
         block_in = h
         h = _gcn(h, adj, params, f"{prefix}.block{i}.gcn", segments)
         h = _tcn(h, params, f"{prefix}.block{i}.tcn", padding, segments)
@@ -324,15 +319,13 @@ class TrajCvae:
         """Draw the noise of a training-mode recognition pass over n agents,
         in the order the pass applies it."""
         cfg = self.config
-        t = cfg.seq_len
         factors = []
-        for width, padding in _block_kernels(
-                cfg.recog_blocks, cfg.tcn_kernel, cfg.reduce_kernel):
-            t += 2 * padding - width + 1
+        for t in [cfg.seq_len] * (cfg.recog_blocks - 1) + [cfg.obs_len]:
             if cfg.dropout > 0.0:
                 factors.append(ad.dropout_factor(
                     (cfg.embed_channels, t, n), cfg.dropout, rng))
-        mu = rng.standard_normal((cfg.latent_len, t, n)) * cfg.noise_std
+        mu = rng.standard_normal((cfg.latent_len, cfg.obs_len, n)) \
+            * cfg.noise_std
         return RecogNoise(factors, mu)
 
     def prior_forward(self, p: dict, v_obs: ad.Value,
@@ -346,8 +339,7 @@ class TrajCvae:
             raise DimensionError(
                 f"prior_forward: expected {cfg.obs_len} frames, got "
                 f"{v_obs.data.shape[1]}")
-        embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks,
-                             cfg.tcn_kernel, cfg.tcn_kernel,
+        embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks, 1,
                              segments=segments)
         return LatentGaussian(*_heads(embed, p, "prior", segments))
 
@@ -366,8 +358,7 @@ class TrajCvae:
             raise DimensionError(
                 f"recog_forward: expected {cfg.seq_len} frames, got "
                 f"{v_full.data.shape[1]}")
-        embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks,
-                             cfg.tcn_kernel, cfg.reduce_kernel,
+        embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks, 0,
                              dropout=() if noise is None else noise.dropout,
                              segments=segments)
         mu, logvar = _heads(embed, p, "recog", segments)
@@ -522,19 +513,19 @@ def load_model(path) -> tuple[TrajCvae, dict]:
 
 
 def read_key_values(path, error=FormatError) -> dict[str, tuple[str, str]]:
-    """{key: ("file:line", value)} of a flat `key = value` text file. Blank
-    lines and lines starting with `#` are skipped; a line without `=` or a
-    repeated key raises `error` naming the file and line."""
+    """{key: ("file:line", value)} of a flat `key = value` UTF-8 text file.
+    Blank lines and lines starting with `#` are skipped; a line that is not
+    UTF-8, or without `=`, or a repeated key raises `error` naming the file
+    and line."""
     entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            key, eq, value = (s.strip() for s in line.partition("="))
-            if not (key or eq) or key.startswith("#"):
-                continue
-            if not eq or key in entries:
-                raise error(f"{path}:{lineno}: " + (
-                    f"{key} is set twice" if eq else "expected key=value"))
-            entries[key] = f"{path}:{lineno}", value
+    for lineno, line in read_lines(path, error):
+        key, eq, value = (s.strip() for s in line.partition("="))
+        if not (key or eq) or key.startswith("#"):
+            continue
+        if not eq or key in entries:
+            raise error(f"{path}:{lineno}: " + (
+                f"{key} is set twice" if eq else "expected key=value"))
+        entries[key] = f"{path}:{lineno}", value
     return entries
 
 

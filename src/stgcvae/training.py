@@ -10,10 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph, losses
-from .data import SequenceWindow, to_displacements
-from .evaluation import require_truth
-from .errors import (ConfigError, DivergenceError, EmptyWindowError,
-                     FormatError, ParameterError)
+from .data import SequenceWindow, check_windows, to_displacements
+from .errors import ConfigError, DivergenceError, FormatError, ParameterError
 from .model import (LatentGaussian, ModelConfig, ParamStore, RecogNoise,
                     TrajCvae, build_config, load_model, read_key_values,
                     save_params)
@@ -65,7 +63,6 @@ class TrainState:
     epoch: int = 0
     step: int = 0
     best_val_metric: float = float("inf")
-    skipped_windows: int = 0
     # mean loss report over the windows of the last epoch run (not saved)
     epoch_report: losses.LossReport | None = None
 
@@ -85,15 +82,8 @@ CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
 # record while their sum of n + 1 (the agents and the best prior sample)
 # stays within this (see train_epoch). A pass costs about the same for 1 to
 # 6 agents, so wider chunks train faster, but the record sets the train
-# job's peak memory. In the benchmark's train-small job (1-6 agents, numpy
-# 2.4.6), 16, 20 and 24 columns reached a peak RSS of 47.4, 48.2 and 49.6
-# MiB, against 47.75 MiB for the earlier rule (n + PRIOR_SAMPLES within 36,
-# all 8 prior samples recorded); over 10 runs, 20 columns read 48.4 MiB
-# (+1.4 %) and trained 1.14 times as many windows per second. Since
-# backward frees the record as it walks it, 20, 24 and 32 columns read
-# 46.7, 47.7 and 49.2 MiB, and 32 trained 1.12 times as many windows per
-# second as 20 (5 pairs each). A window of 20 or more agents always runs
-# alone.
+# job's peak memory (README "Memory" and ROADMAP item 6 have the
+# measurements). A window of 20 or more agents always runs alone.
 TRAIN_COLUMNS = 20
 
 
@@ -134,12 +124,13 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     gradient as its own pass would, up to rounding.
 
     A window whose gradient has a global norm above CLIP_NORM is scaled
-    down to it. A non-finite loss or norm raises MissingTruthError if a
-    window of the chunk has a non-finite position (see
-    evaluation.require_truth), else DivergenceError naming the window (as
-    `window {labels[i]}: `, given labels) and the first parameter whose
-    value is not finite (or, if every value is, the first whose gradient
-    is not).
+    down to it. A non-finite loss or norm raises DivergenceError naming the
+    window (as `window {labels[i]}: `, given labels) and the first
+    parameter whose value is not finite (or, if every value is, the first
+    whose gradient is not). The windows are not checked here (train_epoch
+    checks its list with data.check_windows): a window with a non-finite
+    position passed straight to chunk_gradients or window_gradients raises
+    DivergenceError.
     """
     obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
@@ -192,7 +183,6 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
     if not finite.all():
         i = int(np.argmin(finite))
-        require_truth(windows, labels)
         bad = next((name for row in (model.params.vector, rows[i])
                     for name, v in model.params.views(row).items()
                     if not np.all(np.isfinite(v))), None)
@@ -247,30 +237,25 @@ def train_epoch(state: TrainState, model: TrajCvae,
 
     Every batch_size windows (and at the epoch tail) one step
     param <- param - lr * mean(grad) is applied, and `log` gets the mean
-    loss report of the step's windows. Windows with zero agents are
-    skipped and counted (EmptyWindowError if all are). A step's windows go
-    through chunk_gradients in chunks of consecutive windows whose n + 1 sum
-    to at most TRAIN_COLUMNS (a wider window alone); their clipped gradients
-    are summed in window order. state.epoch_report is set to the mean report
-    over the epoch's windows. A diverged window raises DivergenceError naming
-    its index (see chunk_gradients).
+    loss report of the step's windows. The windows must keep
+    data.check_windows' contract; the first that does not raises its typed
+    error, naming its index, before any step. A step's windows go through
+    chunk_gradients in chunks of consecutive windows whose n + 1 sum to at
+    most TRAIN_COLUMNS (a wider window alone); their clipped gradients are
+    summed in window order. state.epoch_report is set to the mean report
+    over the epoch's windows. A diverged window raises DivergenceError
+    naming its index (see chunk_gradients).
     """
-    if not windows:
-        raise ConfigError("train_epoch: empty window list")
-    if not any(w.n_agents for w in windows):
-        raise EmptyWindowError(
-            f"train_epoch: none of the {len(windows)} windows has an agent")
+    check_windows(windows, model.config.seq_len)
     lr = lr_schedule(state.epoch, config)
-    order = state.rng.permutation(len(windows))
-    live = [int(i) for i in order if windows[i].n_agents > 0]
-    state.skipped_windows += len(order) - len(live)
+    order = state.rng.permutation(len(windows)).tolist()
 
     # (rec, kl) of every window this epoch; floats only, since keeping the
     # reports would keep every window's computation record alive
     parts: list[tuple[float, float]] = []
     weight = losses.anneal_weight(state.epoch)
-    for start in range(0, len(live), config.batch_size):
-        step = live[start:start + config.batch_size]
+    for start in range(0, len(order), config.batch_size):
+        step = order[start:start + config.batch_size]
         # the bits of 0.0 + row + ..., without a new array per row
         acc = np.zeros_like(model.params.vector)
         for chunk in _chunks(step, windows):
@@ -337,7 +322,6 @@ def checkpoint(state: TrainState, model: TrajCvae, path,
     meta = asdict(model.config)
     meta.update(epoch=state.epoch, step=state.step,
                 best_val_metric=state.best_val_metric,
-                skipped_windows=state.skipped_windows,
                 rng_state=json.dumps(state.rng.bit_generator.state))
     if config is not None:
         meta["seed"] = config.seed
@@ -382,6 +366,5 @@ def restore(path) -> tuple[TrainState, TrajCvae]:
                        epoch=field("epoch", _count, "0"),
                        step=field("step", _count, "0"),
                        best_val_metric=field("best_val_metric", _metric,
-                                             "inf"),
-                       skipped_windows=field("skipped_windows", _count, "0"))
+                                             "inf"))
     return state, model

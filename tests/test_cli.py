@@ -272,8 +272,24 @@ class TestTrainCommand:
             "const-velocity", 0, 3, seed=0))
         assert run(["train", "--data", str(cache), "--config",
                     str(small_config), "--out", str(tmp_path / "o")]) == 1
-        assert "none of the 3 windows has an agent" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "final.stgc").exists()
+        assert "window 0 (scene 'const-velocity') has no agents" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_window_without_agents_among_others_exits_1(
+            self, synth_cache, small_config, tmp_path, capsys):
+        # training no longer skips such a window: it names it by its index
+        windows = data.load_windows(synth_cache)
+        windows.insert(2, data.SequenceWindow([], np.zeros((20, 0, 2)),
+                                              scene="void"))
+        cache = tmp_path / "void.stgw"
+        data.save_windows(cache, windows)
+        out = tmp_path / "o"
+        assert run(["train", "--data", str(cache), "--config",
+                    str(small_config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: window 2 (scene 'void') has no agents" in captured.err
+        assert "epoch" not in captured.out and not out.exists()
 
 
 class TestUserErrors:
@@ -338,6 +354,59 @@ class TestUserErrors:
         assert wrong.is_dir() or wrong.read_text() == "kept\n"
         assert list(tmp_path.rglob(".*.tmp")) == []
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_empty_cache_exits_1(self, synth_cache, small_config, tmp_path,
+                                 capsys, command):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run") \
+            if command != "train" else None
+        cache = tmp_path / "none.stgw"
+        data.save_windows(cache, [])
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", cache, "--config", small_config,
+                      "--out", out],
+            "evaluate": ["evaluate", "--ckpt", ckpt, "--data", cache],
+            "predict": ["predict", "--ckpt", ckpt, "--data", cache,
+                        "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run([str(a) for a in argv]) == 1
+        assert capsys.readouterr() == ("", "error: no windows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["annotations", "robot-log", "config",
+                                        "sidecar"])
+    def test_text_that_is_not_utf8_exits_1_naming_line(
+            self, toy_dataset, synth_cache, small_config, tmp_path, capsys,
+            source):
+        bad = b"# caf\xe9 (Latin-1)\n"
+        out = tmp_path / "out"
+        if source in ("annotations", "robot-log"):
+            text = tmp_path / "scenes" / "gamma.txt" if source == \
+                "annotations" else tmp_path / "robot.txt"
+            text.write_bytes(b"0 1 0.0 0.0\n" + bad + b"1 1 0.1 0.0\n")
+            argv = ["preprocess", "--input", toy_dataset, "--output", out]
+            if source == "robot-log":
+                argv += ["--robot-log", text]
+            line = 2
+        elif source == "config":
+            text = tmp_path / "bad.cfg"
+            text.write_bytes(small_config.read_bytes() + bad)
+            argv = ["train", "--data", synth_cache, "--config", text,
+                    "--out", out]
+            line = 5
+        else:
+            ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+            text = Path(f"{ckpt}.meta")
+            line = text.read_bytes().count(b"\n") + 1
+            text.write_bytes(text.read_bytes() + bad)
+            argv = ["evaluate", "--ckpt", ckpt, "--data", synth_cache]
+        capsys.readouterr()
+        assert run([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {text}:{line}: not UTF-8 text\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("alone", [True, False])
     def test_train_window_of_the_wrong_length_exits_1(
             self, synth_cache, small_config, tmp_path, capsys, alone):
@@ -375,6 +444,7 @@ class TestTrainConfigFile:
         # fixed by the model's inputs and outputs, not configurable
         ("in_channels=2", "train.cfg:2: unknown key 'in_channels'"),
         ("out_channels=5", "train.cfg:2: unknown key 'out_channels'"),
+        ("tcn_kernel=3", "train.cfg:2: unknown key 'tcn_kernel'"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):

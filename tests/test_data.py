@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stgcvae import data
-from stgcvae.errors import (FormatError, IntegrityError, ParameterError,
-                            ParseError)
+from stgcvae.errors import (DimensionError, EmptyWindowError, FormatError,
+                            IntegrityError, MissingTruthError,
+                            ParameterError, ParseError)
 
 
 def write(tmp_path, text, name="scene.txt"):
@@ -390,6 +391,56 @@ def test_array_preprocessing_matches_per_row_reference():
                     assert w.positions.tobytes() == pos.tobytes(), seed
                 n_windows += len(got)
     assert n_windows > 10_000
+
+
+def window(n=2, frames=20, scene="s"):
+    return data.SequenceWindow(list(range(n)), np.zeros((frames, n, 2)),
+                               scene=scene)
+
+
+class TestCheckWindows:
+    def test_empty_list(self):
+        with pytest.raises(ParameterError, match="^no windows$"):
+            data.check_windows([], 20)
+
+    def test_valid_windows_pass(self):
+        data.check_windows([window(1), window(3)], 20)
+
+    def test_each_check_names_the_window_by_index(self):
+        gap = window(scene="gap")
+        gap.positions[15, 1] = np.nan
+        cases = [(window(0, scene="void"), EmptyWindowError,
+                  "window 1 (scene 'void') has no agents"),
+                 (window(frames=12, scene="short"), DimensionError,
+                  "window 1 (scene 'short') has 12 frames; the model reads "
+                  "seq_len = 20"),
+                 (gap, MissingTruthError,
+                  "window 1 (scene 'gap') has non-finite positions;")]
+        for bad, error, message in cases:
+            with pytest.raises(error) as info:
+                data.check_windows([window(), bad], 20)
+            assert str(info.value).startswith(message)
+
+    def test_first_bad_window_wins(self):
+        gap = window(scene="gap")
+        gap.positions[3, 0] = np.inf
+        with pytest.raises(MissingTruthError, match=r"^window 1 "):
+            data.check_windows([window(), gap, window(0)], 20)
+        with pytest.raises(EmptyWindowError, match=r"^window 1 "):
+            data.check_windows([window(), window(0), gap], 20)
+        # in one window: agents, then frames, then positions
+        with pytest.raises(EmptyWindowError):
+            data.check_windows([window(0, frames=12)], 20)
+        gap.positions = np.full((12, 2, 2), np.nan)
+        with pytest.raises(DimensionError):
+            data.check_windows([gap], 20)
+
+    def test_frames_limits_the_finite_check(self):
+        gap = window()
+        gap.positions[8:, 0] = np.nan  # unobserved future frames
+        data.check_windows([gap], 20, frames=8)
+        with pytest.raises(MissingTruthError, match="in its first 9 frames"):
+            data.check_windows([window(), gap], 20, frames=9)
 
 
 class TestDisplacements:

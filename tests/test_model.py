@@ -122,7 +122,7 @@ class TestEncoders:
         p = m.traced_params()
         embed = model.stgcnn_embed(
             ad.leaf(v[:, :8, :]), a[:8], p, "prior",
-            CFG.prior_blocks, CFG.tcn_kernel, CFG.tcn_kernel)
+            CFG.prior_blocks, 1)
         assert embed.data.shape == (CFG.embed_channels, 8, 3)
 
     def test_prior_shapes_and_determinism(self):

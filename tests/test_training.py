@@ -1,11 +1,12 @@
 import hashlib
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stgcvae import autodiff as ad
@@ -86,7 +87,18 @@ class TestConfigFile:
         names = [{f.name for f in fields(c)}
                  for c in (model.ModelConfig, training.TrainConfig)]
         assert not names[0] & names[1]
-        assert len(names[0]) + len(names[1]) == 17
+        assert len(names[0]) + len(names[1]) == 16
+
+    def test_readme_lists_every_key(self):
+        """README's Configuration section names each config's fields, in
+        order."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+        for cls in (model.ModelConfig, training.TrainConfig):
+            listed = re.search(rf"`\w+\.{cls.__name__}` \(([^)]*)\)",
+                               section).group(1)
+            assert re.findall(r"`(\w+)`", listed) == \
+                [f.name for f in fields(cls)]
 
     @pytest.mark.parametrize("line, named", [
         ("epochs=2.5", "epochs: expected a finite int"),
@@ -239,7 +251,7 @@ class TestTrainEpoch:
 
     def test_empty_windows_rejected(self):
         m, state, _ = small_setup()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="^no windows$"):
             training.train_epoch(state, m, [],
                                  training.TrainConfig(epochs=2,
                                                       lr_switch_epoch=1))
@@ -489,6 +501,16 @@ class TestChunks:
             training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
                                      labels=["a", "b"])
         assert len(passes) == 1
+
+    def test_non_finite_position_passed_straight_in_diverges(self):
+        # chunk_gradients does not check its windows; train_epoch does
+        windows = mixed_windows(3, seed=1)
+        windows[1].positions[9, 0, 0] = np.nan
+        m, _, _ = small_setup()
+        with pytest.raises(DivergenceError, match=r"^window 1: non-finite"), \
+                np.errstate(invalid="ignore"):
+            training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
+                                     labels=[0, 1, 2])
 
     def test_non_finite_position_is_named_as_bad_input(self):
         # the NaN reaches the prior's parameter gradients through the KL
@@ -748,8 +770,27 @@ class TestCheckpointResume:
         _, restored = training.restore(path)
         assert restored.config == m.config
 
+    def test_sidecar_with_removed_keys_restores(self, tmp_path):
+        # sidecars written while tcn_kernel was a config field and
+        # skipped_windows a progress field still restore and load
+        m, state, _ = small_setup()
+        state.step = 3
+        path = tmp_path / "ckpt.stgc"
+        training.checkpoint(state, m, path)
+        meta = Path(f"{path}.meta")
+        text = meta.read_text()
+        assert "tcn_kernel" not in text and "skipped_windows" not in text
+        meta.write_text(text + "tcn_kernel=3\nskipped_windows=2\n")
+        restored_state, restored = training.restore(path)
+        assert restored.config == m.config and restored_state.step == 3
+        assert restored_state.rng.bit_generator.state == \
+            state.rng.bit_generator.state
+        np.testing.assert_array_equal(restored.params.vector,
+                                      m.params.vector)
+        assert model.load_model(path)[0].config == m.config
+
     @pytest.mark.parametrize("field, bad", [
-        ("epoch", "abc"), ("step", "1.5"), ("skipped_windows", "-1"),
+        ("epoch", "abc"), ("step", "1.5"),
         ("best_val_metric", "abc"), ("best_val_metric", "nan"),
         ("rng_state", "{"),
     ])
@@ -920,7 +961,6 @@ def model_configs(draw):
         seq_len=obs_len + draw(st.integers(1, 6)),
         recog_blocks=recog_blocks,
         prior_blocks=recog_blocks + draw(st.integers(1, 2)),
-        tcn_kernel=draw(st.sampled_from([1, 3, 5])),
         dropout=draw(st.floats(0.0, 0.9)),
         noise_std=draw(st.floats(0.0, 1.0)),
         feature_scale=draw(st.floats(1e-3, 1e3)))
@@ -976,3 +1016,24 @@ def test_checkpoint_sidecar_roundtrips_model_config(mcfg):
         training.checkpoint(state, m, path)
         meta = model.load_params(path)[1]
     assert model.config_from_metadata(meta) == mcfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(mcfg=model_configs(), sizes=st.lists(st.integers(1, 3), min_size=1,
+                                            max_size=3))
+@example(mcfg=model.ModelConfig(obs_len=18, seq_len=20), sizes=[2])
+def test_every_accepted_config_trains_and_samples(mcfg, sizes):
+    """Every ModelConfig that __post_init__ accepts runs a training pass
+    over a chunk of windows and samples futures."""
+    rng = np.random.default_rng(0)
+    windows = [training.SequenceWindow(list(range(n)), np.cumsum(
+        rng.normal(0.0, 0.2, (mcfg.seq_len, n, 2)), axis=0))
+        for n in sizes]
+    m = model.TrajCvae(mcfg, rng=rng)
+    rows = training.chunk_gradients(m, windows, 0, rng)
+    assert len(rows) == len(windows)
+    assert all(np.isfinite(row).all() and np.isfinite(report.total)
+               for row, report in rows)
+    futures = evaluation.sample_futures(m, windows[0], rng, 2, "full")
+    assert futures.shape == (2, mcfg.seq_len - mcfg.obs_len, sizes[0], 2)
+    assert np.isfinite(futures).all()
