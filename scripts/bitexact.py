@@ -16,9 +16,10 @@ writes every resulting array to OUT.npz:
   {1, 12, 48};
 - `normalized_adjacency` (`adjacency/`) for N in {1, 2, 12, 48} and T in
   {8, 20}, of random positions and of rounded ones with co-located pairs;
-- `chunk_gradients` rows and losses (`chunk/`) of multi-window chunks of
-  the agent counts in CHUNKS;
-- the parameters after 4 epochs of `train_epoch` (batch 2) on 6 windows;
+- `chunk_gradients` gradients and per-window losses (`chunk/`) of
+  multi-window chunks of the agent counts in CHUNKS;
+- the parameters after 4 epochs of `train_epoch` on 6 windows, at batch
+  sizes 1 (`train/b1/`) and 2 (`train/b2/`);
 - `preprocess/`: annotation files written to a temporary directory (25 Hz
   frame ids sampled every 10 frames with jitter and gaps, and a 10 Hz robot
   log with a `#robot_id=` header), run through `parse_annotations`,
@@ -91,22 +92,23 @@ def grid() -> dict:
                 synthetic.PATTERNS[i % len(synthetic.PATTERNS)], n,
                 np.random.default_rng(i)) for i, n in enumerate(sizes)]
             key = f"chunk/s{scale:g}/{'-'.join(map(str, sizes))}"
-            for i, (row, report) in enumerate(training.chunk_gradients(
-                    m, windows, 0, np.random.default_rng(17))):
-                out[f"{key}/w{i}/row"] = row
+            out[f"{key}/grad"], reports = training.chunk_gradients(
+                m, windows, 0, np.random.default_rng(17))
+            for i, report in enumerate(reports):
                 out[f"{key}/w{i}/loss"] = np.array(
                     [report.total, report.rec, report.kl])
 
-    m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
-                       rng=np.random.default_rng(5))
     windows = synthetic.make_corpus("turn", 3, 6, seed=2)
-    cfg = training.TrainConfig(epochs=4, batch_size=2)
-    state = training.TrainState(params=m.params,
-                                rng=np.random.default_rng(5))
-    for _ in range(cfg.epochs):
-        state = training.train_epoch(state, m, windows, cfg)
-    for name, v in m.params.items():
-        out[f"train/{name}"] = v
+    for batch in (1, 2):
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(5))
+        cfg = training.TrainConfig(epochs=4, batch_size=batch)
+        state = training.TrainState(params=m.params,
+                                    rng=np.random.default_rng(5))
+        for _ in range(cfg.epochs):
+            state = training.train_epoch(state, m, windows, cfg)
+        for name, v in m.params.items():
+            out[f"train/b{batch}/{name}"] = v
     out.update(adjacency())
     out.update(preprocess())
     out.update(loss_terms())

@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 scripts/chunk_memory.py [--chunks 6+6+5 24 ...]
 
 For each chunk (a `+`-joined list of window agent counts; by default the
-README "Memory" table's four), one `training.chunk_gradients` call over
+README "Memory" table's five), one `training.chunk_gradients` call over
 synthetic windows of the default config runs under tracemalloc after one
 warm-up call. The output maps each chunk to the peak of each phase in MiB
 above the memory traced when the call starts. The phases split at
@@ -25,7 +25,7 @@ import numpy as np
 from stgcvae import autodiff as ad
 from stgcvae import model, synthetic, training
 
-CHUNKS = ("6+6+5", "3+4+3", "24", "48")
+CHUNKS = ("6+5+4+3+2+1+6+5", "6+6+5", "3+4+3", "24", "48")
 MIB = 2 ** 20
 
 

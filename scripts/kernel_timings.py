@@ -12,7 +12,7 @@ repeats of a timed loop:
   conv_time and mix_agents outputs have, K = 3, padding 1 (the forward on
   constant operands, so nothing is recorded; the VJP of a recorded call);
 - `conv_time_reduce_fwd_us` / `_vjp_us`: the recognition reduction,
-  (24, 20, 12) channels-last, K = 13, padding 0, the VJP over 3 segments;
+  (24, 20, 12) channels-last, K = 13, padding 0;
 - `prelu_fwd_us` / `_vjp_us`: prelu at (24, 20, 48), channels-last;
 - `decode_n48_us`: one decode of 48 latent columns at N = 48 on constant
   parameters, so nothing is recorded;
@@ -57,20 +57,19 @@ def main() -> None:
     gen = np.random.default_rng(0)
     out = {}
 
-    def conv(name, shape, c_out, k, padding, segments, number):
+    def conv(name, shape, c_out, k, padding, number):
         x = channels_last(gen.standard_normal(shape))
         kernel = gen.standard_normal((c_out, shape[0], k))
         bias = gen.standard_normal(c_out)
         out[f"conv_time_{name}_fwd_us"] = best_us(
             lambda: ad.conv_time(ad.Value(x), ad.Value(kernel),
                                  ad.Value(bias), padding), number)
-        y = ad.conv_time(ad.leaf(x), ad.leaf(kernel), ad.leaf(bias), padding,
-                         segments)
+        y = ad.conv_time(ad.leaf(x), ad.leaf(kernel), ad.leaf(bias), padding)
         g = gen.standard_normal(y.shape)
         out[f"conv_time_{name}_vjp_us"] = best_us(lambda: y.vjp(g), number)
 
-    conv("txp2", (20, 24, 48), 20, 3, 1, None, 300)
-    conv("reduce", (24, 20, 12), 24, 13, 0, (0, 3, 7, 12), 300)
+    conv("txp2", (20, 24, 48), 20, 3, 1, 300)
+    conv("reduce", (24, 20, 12), 24, 13, 0, 300)
 
     x = channels_last(gen.standard_normal((24, 20, 48)))
     slope = np.full(24, 0.25)

@@ -161,37 +161,9 @@ def clamp(x: Value, lo=None, hi=None) -> Value:
     return Value(np.clip(xd, lo, hi), (x,), vjp)
 
 
-# Segments: windows stacked along the agent axis of (C, T, N) tensors share
-# one record, and `segments`, the bounds (0, n_1, ..., N) of their agent
-# columns, keeps them apart. mix_agents takes one adjacency block per
-# segment. conv_time and prelu give their parameters' gradients per segment
-# along a new leading axis, reducing each segment as the whole array is
-# reduced for segments=None: the single segment (0, N), with the
-# parameter's own shape and the same bits.
-
-
-def _columns(segments, n: int) -> list[slice]:
-    """The agent-column slice of each segment of n columns."""
-    bounds = segments or (0, n)
-    cols = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if bounds[0] != 0 or bounds[-1] != n or len(cols) != len(bounds) - 1:
-        raise DimensionError(
-            f"segments {segments} do not split {n} agent columns")
-    return cols
-
-
-def _segment_grads(segments, n: int, shape: tuple):
-    """Each segment's agent-column slice paired with an empty gradient of
-    `shape` to fill with `out=`, and all the gradients as returned:
-    (S, *shape), or `shape` for segments=None."""
-    cols = _columns(segments, n)
-    grads = np.empty((len(cols),) + shape)
-    return zip(cols, grads), grads if segments else grads[0]
-
-
-def prelu(x: Value, slope: Value, segments=None) -> Value:
+def prelu(x: Value, slope: Value) -> Value:
     """Parametric ReLU of a (C, T, N) tensor with a per-channel slope
-    vector; the slope's gradient is per segment."""
+    vector."""
     if x.data.ndim != 3 or slope.data.shape != (x.data.shape[0],):
         raise DimensionError(
             f"prelu: slope {slope.data.shape} does not match the channels "
@@ -212,12 +184,9 @@ def prelu(x: Value, slope: Value, segments=None) -> Value:
         # element by element. The VJP keeps x's array, so it keeps no mask.
         pos = (xd > 0).astype(np.float64)
         neg = 1.0 - pos
-        gs_full = g * xd
-        gs_full *= neg
-        parts, gs = _segment_grads(segments, g.shape[2], s.shape[:1])
-        for c, gs_seg in parts:
-            gs_full[:, :, c].sum(axis=(1, 2), out=gs_seg)
-        del gs_full
+        gs = g * xd
+        gs *= neg
+        gs = gs.sum(axis=(1, 2))
         neg *= s
         neg += pos
         return g * neg, gs
@@ -298,14 +267,13 @@ def _tap_columns(x: np.ndarray, padding: int, k: int) -> np.ndarray:
     return cols.reshape(t_out * n, c_in * k)
 
 
-def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
-              segments=None) -> Value:
+def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0
+              ) -> Value:
     """1-D convolution along the time axis, independent per agent column,
     plus a per-channel bias.
 
     x: (C_in, T, N), kernel: (C_out, C_in, K), bias: (C_out,)
-    -> (C_out, T + 2*padding - K + 1, N) with zero padding. The kernel's
-    and the bias's gradients are per segment.
+    -> (C_out, T + 2*padding - K + 1, N) with zero padding.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise DimensionError(
@@ -344,19 +312,13 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
         # does not hold a padded copy of every convolution input; the gather
         # copies runs of agents here, which beat one copy per tap
         win = _padded_windows(xd, padding, k)
-        # per segment, kernel columns ordered (frame, agent)
-        parts, gk = _segment_grads(segments, n, (c_in * k, c_out))
-        for c, gk_seg in parts:
-            np.matmul(win[:, :, c].transpose(0, 3, 1, 2).reshape(c_in * k, -1),
-                      g[:, :, c].transpose(1, 2, 0).reshape(-1, c_out),
-                      out=gk_seg)
+        # kernel columns ordered (frame, agent)
+        gk = win.transpose(0, 3, 1, 2).reshape(c_in * k, -1) \
+            @ g.transpose(1, 2, 0).reshape(-1, c_out)
         del win  # frees the padded copy before the input gradient's buffers
-        parts, gb = _segment_grads(segments, n, (c_out,))
-        for c, gb_seg in parts:
-            g[:, :, c].sum(axis=(1, 2), out=gb_seg)
-        # (..., C_in * K, C_out) -> (..., C_out, C_in, K)
-        gk = gk.reshape(gk.shape[:-2] + (c_in, k, c_out))
-        gk = gk.swapaxes(-1, -2).swapaxes(-2, -3)
+        gb = g.sum(axis=(1, 2))
+        # (C_in * K, C_out) -> (C_out, C_in, K)
+        gk = gk.reshape(c_in, k, c_out).transpose(2, 0, 1)
         if not x_grad:  # a constant input: the first layers
             return None, gk, gb
         g_cols = g.reshape(c_out, t_out * n)
@@ -371,21 +333,23 @@ def conv_time(x: Value, kernel: Value, bias: Value, padding: int = 0,
     return Value(out, (x, kernel, bias), vjp)
 
 
-def mix_agents(x: Value, adj, segments=None) -> Value:
+def mix_agents(x: Value, adj) -> Value:
     """Per-frame mixing of a (C, T, N) tensor against constant adjacency:
-    a list of one (T, n, n) block per segment of n columns, or for
-    segments=None one (T, N, N) array. In the segment at column a,
-    out[c,t,a+j] = sum_i x[c,t,a+i] * block[t,i,j]; segments do not mix.
-    Adjacency is data-derived, not learned, so it carries no gradient.
+    one (T, N, N) array, or for windows stacked along the agent axis a list
+    of one (T, n, n) block per window, in column order. In the window at
+    column a, out[c,t,a+j] = sum_i x[c,t,a+i] * block[t,i,j]; windows do
+    not mix. Adjacency is data-derived, not learned, so it carries no
+    gradient.
     """
-    blocks = adj if segments else [adj]
-    cols = _columns(segments, x.data.shape[-1])
-    if x.data.ndim != 3 or [a.shape for a in blocks] != [
-            (x.data.shape[1], c.stop - c.start, c.stop - c.start)
-            for c in cols]:
+    blocks = [adj] if isinstance(adj, np.ndarray) else adj
+    bounds = np.cumsum([0] + [a.shape[-1] for a in blocks]).tolist()
+    cols = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    if x.data.ndim != 3 or bounds[-1] != x.data.shape[2] or any(
+            a.shape != (x.data.shape[1], c.stop - c.start, c.stop - c.start)
+            for a, c in zip(blocks, cols)):
         raise DimensionError(
-            f"mix_agents: input {x.data.shape}, segments {segments} vs "
-            f"adjacency {[a.shape for a in blocks]}")
+            f"mix_agents: input {x.data.shape} vs adjacency "
+            f"{[a.shape for a in blocks]}")
     # one (n, n) @ (n, C) product per frame and block, laid out as the
     # planner lays it out (see conv_time)
     out = np.empty(x.data.shape[1:] + x.data.shape[:1])

@@ -185,7 +185,7 @@ def cmd_bench(args) -> int:
     window = synthetic.make_window("const-velocity", args.agents, rng)
     stats = evaluation.benchmark_inference(m, window, repetitions=args.reps)
     print(f"agents = {args.agents}")
-    print(f"param_count = {m.count_params()}")
+    print(f"param_count = {m.params.count_params()}")
     print(f"latency_mean_s = {stats.mean:.6f}")
     print(f"latency_p95_s = {stats.p95:.6f}")
     return 0

@@ -248,7 +248,7 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
         ade=float(np.mean([r[1] for r in rows])),
         fde=float(np.mean([r[2] for r in rows])),
         k=k, windows=len(windows), per_scene=per_scene,
-        param_count=model.count_params())
+        param_count=model.params.count_params())
 
 
 def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],

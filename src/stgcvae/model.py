@@ -218,39 +218,35 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
 # building blocks
 
 
-# `segments`, where a function takes it, gives the bounds of each window's
-# agent columns when several windows are stacked along the agent axis: the
-# adjacency is then a list of per-window blocks, and every parameter
-# gradient comes out per window (see autodiff's segments).
+# `adj`, where a function takes it, is one window's (T, N, N) adjacency, or
+# for windows stacked along the agent axis a list of their blocks (see
+# autodiff.mix_agents).
 
 
-def _layer(v, params, name, padding=0, segments=None):
+def _layer(v, params, name, padding=0):
     """Convolution plus bias, with the parameters `name`.w and `name`.b."""
-    return ad.conv_time(v, params[name + ".w"], params[name + ".b"], padding,
-                        segments)
+    return ad.conv_time(v, params[name + ".w"], params[name + ".b"], padding)
 
 
-def _gcn(v, adj, params, name, segments=None):
+def _gcn(v, adj, params, name):
     """Per-frame graph convolution: channel mix, agent mix, prelu."""
-    h = ad.mix_agents(_layer(v, params, name, segments=segments), adj,
-                      segments)
-    return ad.prelu(h, params[name + ".slope"], segments)
+    h = ad.mix_agents(_layer(v, params, name), adj)
+    return ad.prelu(h, params[name + ".slope"])
 
 
-def _tcn(v, params, name, padding, segments=None):
-    h = _layer(v, params, name, padding, segments)
-    return ad.prelu(h, params[name + ".slope"], segments)
+def _tcn(v, params, name, padding):
+    h = _layer(v, params, name, padding)
+    return ad.prelu(h, params[name + ".slope"])
 
 
-def _txp(v, params, name, segments=None):
+def _txp(v, params, name):
     """Time-extrapolating convolution: time treated as the channel axis."""
-    h = ad.transpose_ct(_layer(ad.transpose_ct(v), params, name, 1, segments))
-    return ad.prelu(h, params[name + ".slope"], segments)
+    h = ad.transpose_ct(_layer(ad.transpose_ct(v), params, name, 1))
+    return ad.prelu(h, params[name + ".slope"])
 
 
-def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
-                 blocks: int, last_padding: int, dropout=(),
-                 segments=None) -> ad.Value:
+def stgcnn_embed(v: ad.Value, adj, params: dict, prefix: str,
+                 blocks: int, last_padding: int, dropout=()) -> ad.Value:
     """Alternating GCN / TCN blocks with identity residuals.
 
     Each TCN is padded by 1, the last by `last_padding` (1 for the prior's,
@@ -264,8 +260,8 @@ def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
     paddings = [1] * (blocks - 1) + [last_padding]
     for i, padding in enumerate(paddings):
         block_in = h
-        h = _gcn(h, adj, params, f"{prefix}.block{i}.gcn", segments)
-        h = _tcn(h, params, f"{prefix}.block{i}.tcn", padding, segments)
+        h = _gcn(h, adj, params, f"{prefix}.block{i}.gcn")
+        h = _tcn(h, params, f"{prefix}.block{i}.tcn", padding)
         if h.data.shape == block_in.data.shape:
             h = ad.add(h, block_in)
         if dropout:
@@ -273,11 +269,11 @@ def stgcnn_embed(v: ad.Value, adj: np.ndarray, params: dict, prefix: str,
     return h
 
 
-def _heads(embed, params, prefix, segments=None):
+def _heads(embed, params, prefix):
     """mu and logvar clamped to [LOGVAR_MIN, LOGVAR_MAX], which the latent's
     users (reparameterize, sample_futures) exponentiate as given."""
-    mu = _layer(embed, params, prefix + ".head.mu", segments=segments)
-    logvar = _layer(embed, params, prefix + ".head.logvar", segments=segments)
+    mu = _layer(embed, params, prefix + ".head.mu")
+    logvar = _layer(embed, params, prefix + ".head.logvar")
     return mu, ad.clamp(logvar, LOGVAR_MIN, LOGVAR_MAX)
 
 
@@ -328,24 +324,23 @@ class TrajCvae:
             * cfg.noise_std
         return RecogNoise(factors, mu)
 
-    def prior_forward(self, p: dict, v_obs: ad.Value,
-                      a_obs: np.ndarray, segments=None) -> LatentGaussian:
+    def prior_forward(self, p: dict, v_obs: ad.Value, a_obs
+                      ) -> LatentGaussian:
         """Latent Gaussian over z given the 8 observed frames.
 
-        v_obs: (2, obs_len, N) displacement features, a_obs: (obs_len, N, N).
+        v_obs: (2, obs_len, N) displacement features, a_obs: (obs_len, N, N)
+        or per-window blocks.
         """
         cfg = self.config
         if v_obs.data.shape[1] != cfg.obs_len:
             raise DimensionError(
                 f"prior_forward: expected {cfg.obs_len} frames, got "
                 f"{v_obs.data.shape[1]}")
-        embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks, 1,
-                             segments=segments)
-        return LatentGaussian(*_heads(embed, p, "prior", segments))
+        embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks, 1)
+        return LatentGaussian(*_heads(embed, p, "prior"))
 
-    def recog_forward(self, p: dict, v_full: ad.Value, a_full: np.ndarray,
-                      noise: RecogNoise | None = None,
-                      segments=None) -> LatentGaussian:
+    def recog_forward(self, p: dict, v_full: ad.Value, a_full,
+                      noise: RecogNoise | None = None) -> LatentGaussian:
         """Approximate posterior over z from all 20 frames.
 
         The final TCN uses a stride-free kernel of length seq-obs+1, so
@@ -359,22 +354,20 @@ class TrajCvae:
                 f"recog_forward: expected {cfg.seq_len} frames, got "
                 f"{v_full.data.shape[1]}")
         embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks, 0,
-                             dropout=() if noise is None else noise.dropout,
-                             segments=segments)
-        mu, logvar = _heads(embed, p, "recog", segments)
+                             dropout=() if noise is None else noise.dropout)
+        mu, logvar = _heads(embed, p, "recog")
         if noise is not None:
             mu = ad.add(mu, ad.Value(noise.mu))
         return LatentGaussian(mu, logvar)
 
-    def observe(self, p: dict, v_obs: ad.Value, a_obs: np.ndarray,
-                segments=None) -> ad.Value:
+    def observe(self, p: dict, v_obs: ad.Value, a_obs) -> ad.Value:
         """The decoder's observed branch, (embed_channels, obs_len, N): the
         only part of the decoder that mixes agents. Computed once per
         observation, it serves every decode of latents of its agents."""
-        return _gcn(v_obs, a_obs, p, "dec.obs_embed", segments)
+        return _gcn(v_obs, a_obs, p, "dec.obs_embed")
 
-    def decode(self, p: dict, z: ad.Value, obs: ad.Value, agents=None,
-               segments=None) -> BivariateGaussianSeq:
+    def decode(self, p: dict, z: ad.Value, obs: ad.Value, agents=None
+               ) -> BivariateGaussianSeq:
         """Cascade-fuse the observed graph `obs` (see observe) with the
         latent transition and extrapolate to the full 20-frame bivariate
         Gaussian sequence.
@@ -386,8 +379,7 @@ class TrajCvae:
         By default z has one column per agent. With `agents`, latent column
         j belongs to agent agents[j] and the output has one column per
         latent column, so several latent samples of the same agents decode
-        in one pass, each exactly as it would alone. `segments`, if given,
-        are z's.
+        in one pass, each exactly as it would alone.
         """
         cfg = self.config
         n = obs.data.shape[2]
@@ -405,21 +397,18 @@ class TrajCvae:
 
         if agents is not None:
             obs = ad.take_agents(obs, cols)
-        zre = _tcn(z, p, "dec.z_embed", 1, segments)
-        fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0, segments)
+        zre = _tcn(z, p, "dec.z_embed", 1)
+        fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0)
 
-        h = _txp(fused, p, "dec.txp1", segments)     # time obs_len -> seq_len
-        z_skip = _txp(zre, p, "dec.txp1", segments)  # same kernel
+        h = _txp(fused, p, "dec.txp1")     # time obs_len -> seq_len
+        z_skip = _txp(zre, p, "dec.txp1")  # same kernel
         h = ad.add(h, z_skip)
 
-        h2 = _txp(h, p, "dec.txp2", segments)        # refine at seq_len
+        h2 = _txp(h, p, "dec.txp2")        # refine at seq_len
         h = ad.add(h2, h)
 
-        raw = _layer(h, p, "dec.out", segments=segments)
+        raw = _layer(h, p, "dec.out")
         return BivariateGaussianSeq(raw)
-
-    def count_params(self) -> int:
-        return self.params.count_params()
 
 
 # ---------------------------------------------------------------------------

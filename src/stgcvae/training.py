@@ -77,67 +77,70 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 
 PRIOR_SAMPLES = 8   # best-of-k prior decodes per window
-CLIP_NORM = 100.0   # per-window cap on the gradient's global norm
+# Cap on the global norm of a step's mean gradient (global-norm clipping,
+# Pascanu, Mikolov & Bengio 2013); at batch size 1, of the window's gradient.
+CLIP_NORM = 100.0
 # Recorded decoded columns per training pass: windows share one computation
 # record while their sum of n + 1 (the agents and the best prior sample)
 # stays within this (see train_epoch). A pass costs about the same for 1 to
 # 6 agents, so wider chunks train faster, but the record sets the train
-# job's peak memory (README "Memory" and ROADMAP item 6 have the
-# measurements). A window of 20 or more agents always runs alone.
-TRAIN_COLUMNS = 20
+# job's peak memory, and the width sets the heap's trim thresholds that the
+# next job in the process inherits (README "Memory" and
+# scripts/heap_faults.py). A window of 39 or more agents fills a chunk alone.
+TRAIN_COLUMNS = 40
 
 
 def window_gradients(model: TrajCvae, window: SequenceWindow, epoch: int,
                      rng: np.random.Generator
                      ) -> tuple[dict, losses.LossReport]:
     """One forward/backward pass over a single training window: the
-    one-window chunk of chunk_gradients.
+    one-window chunk of chunk_gradients, so its gradient is not clipped
+    (train_epoch clips each step's mean gradient).
 
     Returns (gradients by parameter name, loss report).
     """
-    row, report = chunk_gradients(model, [window], epoch, rng)[0]
-    return model.params.views(row), report
+    grad, (report,) = chunk_gradients(model, [window], epoch, rng)
+    return model.params.views(grad), report
 
 
 def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
                     epoch: int, rng: np.random.Generator, labels=None
-                    ) -> list[tuple[np.ndarray, losses.LossReport]]:
-    """One forward/backward pass over windows stacked along the agent axis;
-    (gradient row, loss report) of each window, in order. The rows, laid
-    out as model.params.vector, are those of one (windows, P) array.
+                    ) -> tuple[np.ndarray, list[losses.LossReport]]:
+    """One forward/backward pass over windows stacked along the agent axis:
+    the gradient of the sum of their objectives, laid out as
+    model.params.vector and not clipped, and each window's loss report, in
+    order.
 
     The objective is losses.window_losses': the posterior sample of every
     agent, plus the best of PRIOR_SAMPLES prior samples of one randomly
     chosen agent, whose term trains the prior. The prior samples are
     decoded and scored without a record (see best_prior_samples), and only
     the best one is decoded again in the record, beside the agents'
-    columns: the others would carry zero gradients. Every window is one of
-    autodiff's segments: its agents mix only through its own adjacency
-    block, so no value, finite or not, reaches another window, and every
-    parameter gradient is taken per window. A one-window chunk gives the
-    bits of the model's single-window API.
+    columns: the others would carry zero gradients. Every window's agents
+    mix only through its own adjacency block (autodiff.mix_agents), so no
+    value, finite or not, reaches another window, and the chunk's gradient
+    is the sum of its windows' own, up to rounding. A one-window chunk
+    gives the bits of the model's single-window API.
 
     Each window draws its random arrays before the pass, in the order of
     passes over one window at a time: recognition dropout and noise
     (TrajCvae.recog_noise), the picked agent, then the latent noise of its
-    agents and of the prior samples. So a chunk gives each window's
-    gradient as its own pass would, up to rounding.
+    agents and of the prior samples.
 
-    A window whose gradient has a global norm above CLIP_NORM is scaled
-    down to it. A non-finite loss or norm raises DivergenceError naming the
-    window (as `window {labels[i]}: `, given labels) and the first
-    parameter whose value is not finite (or, if every value is, the first
-    whose gradient is not). The windows are not checked here (train_epoch
-    checks its list with data.check_windows): a window with a non-finite
-    position passed straight to chunk_gradients or window_gradients raises
-    DivergenceError.
+    A non-finite loss raises DivergenceError naming the window (as
+    `window {labels[i]}: `, by default its index in `windows`) and the
+    first parameter whose value is not finite (or, if every value is, the
+    first whose gradient is not). A non-finite gradient with finite losses re-runs the windows
+    one at a time, with the same draws, to name the window. The windows are
+    not checked here (train_epoch checks its list with data.check_windows):
+    a window with a non-finite position passed straight to chunk_gradients
+    or window_gradients raises DivergenceError.
     """
+    drawn = rng.bit_generator.state  # for the failure path's re-runs
     obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
-    # window bounds of the agent columns, and of the decoded columns: its
-    # agents, then its best prior sample
+    # window bounds of the agent columns
     agents = tuple(np.cumsum([0] + sizes).tolist())
-    decoded = tuple(a + i for i, a in enumerate(agents))
     # per window, the decoded columns' agents and latents (the prior's past
     # the posterior's); the prior sample's are its picked agent's
     noises, picks, eps, columns, latents = [], [], [], [], []
@@ -155,10 +158,10 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
 
     p = model.traced_params()
     v_obs = ad.Value(scaled[:, :obs, :])
-    prior = model.prior_forward(p, v_obs, adj_obs, agents)
+    prior = model.prior_forward(p, v_obs, adj_obs)
     post = model.recog_forward(p, ad.Value(scaled), adj,
-                               RecogNoise.stack(noises), agents)
-    seen = model.observe(p, v_obs, adj_obs, agents)
+                               RecogNoise.stack(noises))
+    seen = model.observe(p, v_obs, adj_obs)
     best = best_prior_samples(model, seen, prior, picks,
                               [e[:, :, n:] for e, n in zip(eps, sizes)],
                               scaled)
@@ -168,7 +171,7 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     z = ad.reparameterize(mu, logvar, np.concatenate(
         [e[:, :, [*range(n), n + b]] for e, n, b in zip(eps, sizes, best)],
         axis=2))
-    pred = model.decode(p, z, seen, columns, decoded)
+    pred = model.decode(p, z, seen, columns)
     objective, reports = losses.window_losses(
         pred, scaled[:, :, columns], post, prior, epoch, sizes)
     # hand backward the only reference to the record, so that it frees each
@@ -176,31 +179,49 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     box = [objective]
     del objective, pred, z, mu, logvar, prior, post, seen
     traced = ad.backward(box.pop())
-    rows = np.concatenate([traced.get(leaf).reshape(len(windows), -1)
-                           for leaf in p.values()], axis=1)
-    del traced  # rows holds a copy of every gradient
-    norms = gradient_norms(rows, model.params.offsets)
-    finite = np.isfinite(norms) & np.isfinite([r.total for r in reports])
-    if not finite.all():
-        i = int(np.argmin(finite))
-        bad = next((name for row in (model.params.vector, rows[i])
-                    for name, v in model.params.views(row).items()
-                    if not np.all(np.isfinite(v))), None)
-        raise DivergenceError(
-            ("" if labels is None else f"window {labels[i]}: ")
-            + f"non-finite loss ({reports[i].total!r}) or gradient norm; "
-            f"first non-finite parameter: {bad}")
-    rows *= (CLIP_NORM / np.maximum(norms, CLIP_NORM))[:, None]
-    return list(zip(rows, reports))
+    grad = np.concatenate([traced.get(leaf).ravel() for leaf in p.values()])
+    del traced  # grad holds a copy of every gradient
+    if not (np.isfinite([r.total for r in reports]).all()
+            and np.isfinite(grad).all()):
+        _diverged(model, windows, epoch, drawn, labels, reports, grad)
+    return grad, reports
+
+
+def _diverged(model: TrajCvae, windows: list[SequenceWindow], epoch: int,
+              drawn: dict, labels, reports: list[losses.LossReport],
+              grad: np.ndarray):
+    """Raise the DivergenceError of a chunk whose loss or gradient is not
+    finite (see chunk_gradients); `drawn` is the rng state its random
+    arrays were drawn from."""
+    names = range(len(windows)) if labels is None else labels
+    i = next((i for i, r in enumerate(reports)
+              if not np.isfinite(r.total)), None)
+    if i is None and len(windows) > 1:
+        # finite losses: the windows again one at a time, with the chunk's
+        # draws, so that the one whose gradient is not finite raises
+        replay = np.random.Generator(
+            getattr(np.random, drawn["bit_generator"])())
+        replay.bit_generator.state = drawn
+        for window, name in zip(windows, names):
+            chunk_gradients(model, [window], epoch, replay, [name])
+        raise DivergenceError(f"windows {list(names)}: finite gradients "
+                              "sum to a non-finite one")
+    i = i or 0
+    bad = next((name for v in (model.params.vector, grad)
+                for name, a in model.params.views(v).items()
+                if not np.all(np.isfinite(a))), None)
+    raise DivergenceError(
+        f"window {names[i]}: non-finite loss ({reports[i].total!r}) or "
+        f"gradient; first non-finite parameter: {bad}")
 
 
 def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
-    """The global norm of each row of a (windows, P) gradient array whose
+    """The global norm of each row of a (rows, P) gradient array whose
     parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
     each parameter's squares (np.add.reduce of a row's slice adds its
     pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root. Each block is squared on its own: one (windows, P) array of
-    squares raised the train job's peak RSS (see README, "Memory")."""
+    root. Each block is squared on its own: one array of squares of every
+    row raised the train job's peak RSS (see README, "Memory")."""
     sums = np.empty((len(rows), len(offsets) - 1))
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
         block = rows[:, a:b]
@@ -236,15 +257,18 @@ def train_epoch(state: TrainState, model: TrajCvae,
     """One epoch of accumulated SGD over a shuffled window order.
 
     Every batch_size windows (and at the epoch tail) one step
-    param <- param - lr * mean(grad) is applied, and `log` gets the mean
-    loss report of the step's windows. The windows must keep
+    param <- param - lr * clip(mean(grad)) is applied, and `log` gets the
+    mean loss report of the step's windows. The windows must keep
     data.check_windows' contract; the first that does not raises its typed
     error, naming its index, before any step. A step's windows go through
     chunk_gradients in chunks of consecutive windows whose n + 1 sum to at
-    most TRAIN_COLUMNS (a wider window alone); their clipped gradients are
-    summed in window order. state.epoch_report is set to the mean report
+    most TRAIN_COLUMNS (a wider window alone); the chunks' gradients are
+    summed in window order, and their mean is scaled down to a global norm
+    of CLIP_NORM if it is above it (at batch size 1, the window's own
+    gradient is clipped). state.epoch_report is set to the mean report
     over the epoch's windows. A diverged window raises DivergenceError
-    naming its index (see chunk_gradients).
+    naming its index (see chunk_gradients), and so does a step whose mean
+    gradient's norm is not finite, naming the step's windows.
     """
     check_windows(windows, model.config.seq_len)
     lr = lr_schedule(state.epoch, config)
@@ -256,15 +280,21 @@ def train_epoch(state: TrainState, model: TrajCvae,
     weight = losses.anneal_weight(state.epoch)
     for start in range(0, len(order), config.batch_size):
         step = order[start:start + config.batch_size]
-        # the bits of 0.0 + row + ..., without a new array per row
+        # the bits of 0.0 + grad + ..., without a new array per chunk
         acc = np.zeros_like(model.params.vector)
         for chunk in _chunks(step, windows):
-            for row, report in chunk_gradients(
-                    model, [windows[i] for i in chunk], state.epoch,
-                    state.rng, labels=chunk):
-                acc += row
-                parts.append((report.rec, report.kl))
-        model.params.vector -= lr * acc / len(step)
+            grad, reports = chunk_gradients(
+                model, [windows[i] for i in chunk], state.epoch, state.rng,
+                labels=chunk)
+            acc += grad
+            parts += [(r.rec, r.kl) for r in reports]
+        acc /= len(step)
+        norm = gradient_norms(acc[None], model.params.offsets)[0]
+        if not np.isfinite(norm):
+            raise DivergenceError(
+                f"windows {step}: the mean gradient's norm is {norm}")
+        acc *= CLIP_NORM / max(norm, CLIP_NORM)
+        model.params.vector -= lr * acc
         state.step += 1
         if log is not None:
             log.append(state.epoch, state.step,

@@ -279,8 +279,8 @@ def test_criterion_6_kl_behavior(overfit_run):
 
 
 def test_criterion_7_param_corridor():
-    counts = {L: model.TrajCvae(model.ModelConfig(latent_len=L),
-                                rng=np.random.default_rng(0)).count_params()
+    counts = {L: model.init_params(model.ModelConfig(latent_len=L),
+                                   np.random.default_rng(0)).count_params()
               for L in (10, 20, 30)}
     ok = (15_000 <= counts[20] <= 35_000
           and counts[10] < counts[20] < counts[30])

@@ -217,64 +217,78 @@ def symmetric_adjacency(t, n):
 
 
 class TestSegments:
-    """Per-segment parameter gradients and per-segment adjacency blocks."""
+    """Windows stacked along the agent axis, each one segment of the agent
+    columns: mix_agents mixes each segment through its own adjacency
+    block, and conv_time and prelu reduce their parameters' gradients over
+    every column, so a stack's parameter gradient is the sum of its
+    segments' own."""
 
     N = 5
     OPS = {
-        "conv_time": (lambda x, seg: ad.conv_time(
+        "conv_time": (lambda x: ad.conv_time(
             x, ad.leaf(np.linspace(-1, 1, 18).reshape(3, 2, 3)),
-            ad.leaf([0.5, -1.0, 0.25]), 1, seg)),
+            ad.leaf([0.5, -1.0, 0.25]), 1)),
         # a 1x1 identity kernel leaves only the bias add inside conv_time
-        "add_bias": (lambda x, seg: ad.conv_time(
-            x, ad.leaf(np.eye(2)[:, :, None]), ad.leaf([0.5, -1.0]), 0, seg)),
-        "prelu": lambda x, seg: ad.prelu(x, ad.leaf([0.25, 0.5]), seg),
+        "add_bias": (lambda x: ad.conv_time(
+            x, ad.leaf(np.eye(2)[:, :, None]), ad.leaf([0.5, -1.0]), 0)),
+        "prelu": lambda x: ad.prelu(x, ad.leaf([0.25, 0.5])),
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_one_segment_is_byte_equal_to_none(self, op):
-        x = ad.leaf(rng.uniform(-1, 1, (2, 6, self.N)))
-        plain = self.OPS[op](x, None)
-        whole = self.OPS[op](x, (0, self.N))
-        assert plain.data.tobytes() == whole.data.tobytes()
-        g = rng.uniform(-1, 1, plain.shape)
-        (gx, *gps), (gx1, *gps1) = plain.vjp(g), whole.vjp(g)
-        assert gx.tobytes() == gx1.tobytes()
-        for gp, gp1 in zip(gps, gps1, strict=True):
-            assert gp1.shape == (1,) + gp.shape
-            assert gp1[0].tobytes() == gp.tobytes()
+        # a segment's columns of a stack hold, byte for byte, the output and
+        # input gradient of the op over that segment alone
+        x = rng.uniform(-1, 1, (2, 6, self.N))
+        stacked = self.OPS[op](ad.leaf(x))
+        g = rng.uniform(-1, 1, stacked.shape)
+        gx = stacked.vjp(g)[0]
+        for c in (slice(0, 2), slice(2, self.N)):
+            alone = self.OPS[op](ad.leaf(x[:, :, c]))
+            assert alone.data.tobytes() == \
+                np.ascontiguousarray(stacked.data[:, :, c]).tobytes()
+            gx1 = alone.vjp(np.ascontiguousarray(g[:, :, c]))[0]
+            assert gx1.tobytes() == np.ascontiguousarray(gx[:, :, c]).tobytes()
 
     def test_mix_agents_one_block_is_byte_equal_to_none(self):
         x = ad.leaf(rng.uniform(-1, 1, (2, 6, self.N)))
         adj = symmetric_adjacency(6, self.N)
         plain = ad.mix_agents(x, adj)
-        whole = ad.mix_agents(x, [adj], (0, self.N))
+        whole = ad.mix_agents(x, [adj])
         assert plain.data.tobytes() == whole.data.tobytes()
         g = rng.uniform(-1, 1, plain.shape)
         assert plain.vjp(g)[0].tobytes() == whole.vjp(g)[0].tobytes()
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_segment_gradients_are_each_segments_own(self, op):
+        # the parameters' gradients of a stack: the sum of each segment's
         x = rng.uniform(-1, 1, (2, 6, self.N))
         g = rng.uniform(-1, 1, (3 if op == "conv_time" else 2, 6, self.N))
-        _, *per_segment = self.OPS[op](ad.leaf(x), (0, 2, self.N)).vjp(g)
-        for i, c in enumerate((slice(0, 2), slice(2, self.N))):
-            _, *alone = self.OPS[op](ad.leaf(x[:, :, c]), None).vjp(
+        _, *stacked = self.OPS[op](ad.leaf(x)).vjp(g)
+        total = [0.0] * len(stacked)
+        for c in (slice(0, 2), slice(2, self.N)):
+            _, *alone = self.OPS[op](ad.leaf(x[:, :, c])).vjp(
                 np.ascontiguousarray(g[:, :, c]))
-            for gp, gp_alone in zip(per_segment, alone, strict=True):
-                np.testing.assert_allclose(gp[i], gp_alone, rtol=1e-12)
+            total = [t + gp for t, gp in zip(total, alone, strict=True)]
+        for gp, want in zip(stacked, total, strict=True):
+            assert gp.shape == want.shape
+            np.testing.assert_allclose(gp, want, rtol=1e-12)
 
     @pytest.mark.parametrize("op", sorted(OPS))
-    @pytest.mark.parametrize("segments", [(0, 4), (1, 5), (0, 3, 2, 5)])
+    @pytest.mark.parametrize("segments", [(0, 4), (0, 2, 4), (0, 3, 3, 6)])
     def test_gradient_rejects_segments_not_splitting_n(self, op, segments):
-        out = self.OPS[op](ad.leaf(np.ones((2, 6, self.N))), segments)
-        with pytest.raises(DimensionError, match="do not split 5"):
-            out.vjp(np.ones(out.shape))
+        # the op takes no segments; the agent mix after it rejects blocks
+        # whose segments do not split its N columns, before any gradient
+        out = self.OPS[op](ad.leaf(np.ones((2, 6, self.N))))
+        blocks = [np.zeros((6, b - a, b - a))
+                  for a, b in zip(segments, segments[1:])]
+        with pytest.raises(DimensionError, match="mix_agents"):
+            ad.mix_agents(out, blocks)
 
     def test_two_block_mix_agents_gradient(self):
         x = rng.uniform(-1, 1, (2, 4, self.N))
         blocks = [symmetric_adjacency(4, 2), symmetric_adjacency(4, 3)]
-        check_op(lambda x: ad.mix_agents(x, blocks, (0, 2, self.N)), [x])
-        out = ad.mix_agents(ad.leaf(x), blocks, (0, 2, self.N)).data
+        check_op(lambda x: ad.mix_agents(x, blocks), [x])
+        out = ad.mix_agents(ad.leaf(x), blocks).data
         for block, c in zip(blocks, (slice(0, 2), slice(2, self.N))):
             alone = ad.mix_agents(ad.leaf(x[:, :, c]), block).data
             np.testing.assert_allclose(out[:, :, c], alone, rtol=1e-12)
@@ -283,24 +297,24 @@ class TestSegments:
         ([(4, 2, 2)], (0, 2, 5)),             # a block missing
         ([(4, 2, 2), (4, 2, 2)], (0, 2, 5)),  # a block of the wrong size
         ([(3, 2, 2), (4, 3, 3)], (0, 2, 5)),  # wrong frame count
-        ([(4, 5, 5)], (0, 4)),                # segments short of N
+        ([(4, 5, 5)], (0, 4)),                # a block wider than N
     ])
     def test_blocks_must_match_segments(self, blocks, segments):
-        x = ad.leaf(np.zeros((2, 4, 5)))
+        x = ad.leaf(np.zeros((2, 4, segments[-1])))
         with pytest.raises(DimensionError):
-            ad.mix_agents(x, [np.zeros(b) for b in blocks], segments)
+            ad.mix_agents(x, [np.zeros(b) for b in blocks])
 
     def test_whole_array_with_segments_rejected(self):
-        # with segments, adj is a list of blocks, not one (T, N, N) array
+        # a whole array is one segment's square block: a (T, n, N) array
+        # that would span the stack's other segments is not one
         with pytest.raises(DimensionError):
-            ad.mix_agents(ad.leaf(np.zeros((2, 4, 5))), np.zeros((4, 5, 5)),
-                          (0, 5))
+            ad.mix_agents(ad.leaf(np.zeros((2, 4, 5))), np.zeros((4, 2, 5)))
 
     @pytest.mark.parametrize("op", ["conv_time", "prelu"])
     @pytest.mark.parametrize("shape", [(2,), (2, 4), (2, 4, 3, 1)])
     def test_channel_ops_need_3d_input(self, op, shape):
         with pytest.raises(DimensionError):
-            self.OPS[op](ad.leaf(np.zeros(shape)), None)
+            self.OPS[op](ad.leaf(np.zeros(shape)))
 
 
 class TestReparameterize:
@@ -591,10 +605,8 @@ def test_every_op_is_used(monkeypatch):
 # fixed matmul contractions against the einsum code they replaced
 
 
-def einsum_conv_time(x, kernel, bias, padding=0, segments=None):
-    """conv_time as written with np.einsum(optimize=True), the reference
-    (for one window: segments must be None or the whole (0, N))."""
-    assert segments in (None, (0, x.data.shape[2]))
+def einsum_conv_time(x, kernel, bias, padding=0):
+    """conv_time as written with np.einsum(optimize=True), the reference."""
     xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
     k = kernel.data.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
@@ -610,17 +622,15 @@ def einsum_conv_time(x, kernel, bias, padding=0, segments=None):
             gxp[:, j:j + t_out, :] += np.einsum(
                 "otn,oi->itn", g, kernel.data[:, :, j], optimize=True)
         gx = gxp[:, padding:padding + t, :] if padding else gxp
-        return (gx, gk, gb) if segments is None else (gx, gk[None], gb[None])
+        return gx, gk, gb
 
     return ad.Value(out, (x, kernel, bias), vjp)
 
 
-def einsum_mix_agents(x, adj, segments=None):
+def einsum_mix_agents(x, adj):
     """mix_agents as written with np.einsum(optimize=True), the reference
-    (for one window: segments must be None, or the whole (0, N) with a
-    one-block list)."""
-    assert segments in (None, (0, x.data.shape[2]))
-    adj = adj if segments is None else adj[0]
+    (for one window: one (T, N, N) array, or a list of one block)."""
+    (adj,) = [adj] if isinstance(adj, np.ndarray) else adj
     out = np.einsum("ctm,tmn->ctn", x.data, adj, optimize=True)
     return ad.Value(out, (x,), lambda g: (
         np.einsum("ctn,tmn->ctm", g, adj, optimize=True),))
@@ -739,8 +749,9 @@ class TestEinsumEquivalence:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_segment_gradients_equal_per_window_calls(self, k, padding,
                                                       layout):
-        """Kernel, bias and input gradients of stacked windows, byte for
-        byte those of each window's own call on its agent columns. (The
+        """Stacked windows' input gradients are, byte for byte, those of
+        each window's own call on its agent columns, and their kernel and
+        bias gradients the sum of the windows' own to rtol 1e-10. (The
         forward GEMM's bits may depend on its row count, so the outputs
         are not compared.)"""
         gen = np.random.default_rng(k)
@@ -748,16 +759,18 @@ class TestEinsumEquivalence:
         x = LAYOUTS[layout](gen.standard_normal((24, 20, bounds[-1])))
         kernel = ad.leaf(gen.standard_normal((20, 24, k)))
         bias = ad.leaf(gen.standard_normal(20))
-        stacked = ad.conv_time(ad.leaf(x), kernel, bias, padding, bounds)
+        stacked = ad.conv_time(ad.leaf(x), kernel, bias, padding)
         g = gen.standard_normal(stacked.shape)
         gx, gk, gb = stacked.vjp(g)
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        gk_sum, gb_sum = 0.0, 0.0
+        for a, b in zip(bounds, bounds[1:]):
             alone = ad.conv_time(ad.leaf(x[:, :, a:b]), kernel, bias,
                                  padding)
             gx1, gk1, gb1 = alone.vjp(g[:, :, a:b])
             assert gx1.tobytes() == gx[:, :, a:b].tobytes()
-            assert gk1.tobytes() == gk[i].tobytes()
-            assert gb1.tobytes() == gb[i].tobytes()
+            gk_sum, gb_sum = gk_sum + gk1, gb_sum + gb1
+        np.testing.assert_allclose(gk, gk_sum, rtol=1e-10)
+        np.testing.assert_allclose(gb, gb_sum, rtol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 13])
     @pytest.mark.parametrize("layout", ["C", "F"])

@@ -179,10 +179,10 @@ class TestTrainCommand:
         inner = training.chunk_gradients
 
         def counted(model_, windows, *args, **kwargs):
-            results = inner(model_, windows, *args, **kwargs)
-            assert len(results) == len(windows)
-            reports.extend(report for _, report in results)
-            return results
+            grad, chunk_reports = inner(model_, windows, *args, **kwargs)
+            assert len(chunk_reports) == len(windows)
+            reports.extend(chunk_reports)
+            return grad, chunk_reports
 
         monkeypatch.setattr(training, "chunk_gradients", counted)
         train_once(cache, small_config, tmp_path / "run")
@@ -481,7 +481,7 @@ class TestTrainConfigFile:
         assert "feature_scale=4.0" in meta and "latent_len=8" in meta
         capsys.readouterr()
         assert run(["bench", "--ckpt", str(ckpt), "--reps", "2"]) == 0
-        want = model.TrajCvae(model.ModelConfig(latent_len=8)).count_params()
+        want = model.TrajCvae(model.ModelConfig(latent_len=8)).params.count_params()
         assert f"param_count = {want}" in capsys.readouterr().out
 
 

@@ -323,7 +323,7 @@ class TestEvaluateDataset:
         assert report.ade == pytest.approx(a)
         assert report.fde == pytest.approx(f)
         assert report.windows == 1
-        assert report.param_count == m.count_params()
+        assert report.param_count == m.params.count_params()
 
     def test_mean_matches_scalar_accumulation(self):
         m, _ = make_model_and_window()

@@ -242,12 +242,18 @@ class TestTrainEpoch:
         assert all(g.flags.c_contiguous for g in grads.values())
 
     def test_gradient_norm_is_clipped(self, monkeypatch):
+        # at batch size 1 the step clips the window's own gradient
         monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
-        m, _, windows = small_setup(n_windows=1)
+        m, state, windows = small_setup(n_windows=1)
         grads, _ = training.window_gradients(
             m, windows[0], 0, np.random.default_rng(0))
         norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
-        assert norm == pytest.approx(1e-3, rel=1e-9)
+        assert norm > 1e-3  # window_gradients does not clip
+        before = m.params.vector.copy()
+        cfg = training.TrainConfig(batch_size=1, epochs=10)
+        training.train_epoch(state, m, windows[:1], cfg)
+        step = (before - m.params.vector) / training.lr_schedule(0, cfg)
+        assert np.linalg.norm(step) == pytest.approx(1e-3, rel=1e-9)
 
     def test_empty_windows_rejected(self):
         m, state, _ = small_setup()
@@ -288,13 +294,9 @@ def unstacked_pass(m, window, rng):
     return n, scaled, p, prior, post, seen, pick, eps
 
 
-def clipped_gradients(p, objective):
+def leaf_gradients(p, objective):
     traced = ad.backward(objective)
-    grads = {name: traced.get(leaf) for name, leaf in p.items()}
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if norm > training.CLIP_NORM:
-        grads = {k: g * (training.CLIP_NORM / norm) for k, g in grads.items()}
-    return grads
+    return {name: traced.get(leaf) for name, leaf in p.items()}
 
 
 def reference_window_gradients(m, window, epoch, rng):
@@ -320,7 +322,7 @@ def reference_window_gradients(m, window, epoch, rng):
     pred = m.decode(p, z, seen, columns)
     objective, (report,) = losses.window_losses(
         pred, scaled[:, :, columns], post, prior, epoch, [n])
-    return clipped_gradients(p, objective), report
+    return leaf_gradients(p, objective), report
 
 
 def all_samples_window_gradients(m, window, epoch, rng):
@@ -354,7 +356,7 @@ def all_samples_window_gradients(m, window, epoch, rng):
     kl_w = float(np.sum(kl.data)) * (1.0 / n)
     report = losses.LossReport(total=rec + w * kl_w, rec=rec, kl=kl_w,
                                weight=w)
-    return clipped_gradients(p, objective), report, best
+    return leaf_gradients(p, objective), report, best
 
 
 def mixed_windows(count, seed):
@@ -426,7 +428,8 @@ class TestChunks:
                                           rng=np.random.default_rng(2))
 
         # test-local loop: window_gradients, summed in order, one step per
-        # batch; the same rng stream as train_epoch
+        # batch of the mean clipped to CLIP_NORM; the same rng stream as
+        # train_epoch
         m_seq, state = fresh()
         rows = []
         for epoch in range(cfg.epochs):
@@ -441,9 +444,12 @@ class TestChunks:
                         acc[name] = acc.get(name, 0.0) + g
                     parts.append((report.rec, report.kl))
                 lr = training.lr_schedule(epoch, cfg)
+                norm = np.sqrt(sum(np.sum((g / len(batch)) ** 2)
+                                   for g in acc.values()))
+                clip = min(1.0, training.CLIP_NORM / norm)
                 for name in acc:
                     m_seq.params[name] = m_seq.params[name] \
-                        - lr * acc[name] / len(batch)
+                        - lr * clip * acc[name] / len(batch)
                 rec, kl = np.mean(parts, axis=0)
                 w = losses.anneal_weight(epoch)
                 rows.append([epoch, len(rows) + 1, rec + w * kl, rec, kl, w])
@@ -482,7 +488,7 @@ class TestChunks:
         for chunk, nxt in zip(chunks, chunks[1:]):
             width = sum(windows[i].n_agents + 1 for i in chunk + nxt[:1])
             assert width > training.TRAIN_COLUMNS
-        wide = [synthetic.make_window("turn", 30, np.random.default_rng(0))]
+        wide = [synthetic.make_window("turn", 50, np.random.default_rng(0))]
         assert list(training._chunks([0], wide)) == [[0]]
 
     def test_divergence_names_the_window_inside_a_chunk(self, monkeypatch):
@@ -527,26 +533,13 @@ class TestChunks:
 
 
 def per_name_gradients(leaves, traced):
-    """Each window's clipped gradients, and the norms, as the per-name code
-    computed them before a window's gradient was one row: np.sum of each
-    parameter's squares, summed over the parameters by Python's sum, then
-    each window's dict scaled down to CLIP_NORM."""
-    grads = {name: traced.get(leaf) for name, leaf in leaves.items()}
-    norms = np.sqrt(sum(np.sum(g * g, axis=tuple(range(1, g.ndim)))
-                        for g in grads.values()))
-    out = []
-    for i, norm in enumerate(norms):
-        window = {name: g[i] for name, g in grads.items()}
-        if norm > training.CLIP_NORM:
-            window = {name: g * (training.CLIP_NORM / norm)
-                      for name, g in window.items()}
-        out.append(window)
-    return out, norms
+    """The gradients backward gave the leaves, by name."""
+    return {name: traced.get(leaf) for name, leaf in leaves.items()}
 
 
 class TestGradientRows:
-    """The norm, clip and SGD step on gradient rows give the bits of the
-    per-name code they replaced, with clipping in force."""
+    """A chunk's gradient is one vector holding the bits of backward's leaf
+    gradients, and the step clips the mean of its chunks' vectors."""
 
     @staticmethod
     def recorded(m, monkeypatch):
@@ -560,13 +553,12 @@ class TestGradientRows:
         return passes
 
     @staticmethod
-    def assert_rows_equal(m, rows, want):
-        for row, window in zip(rows, want):
-            got = m.params.views(row)
-            assert list(got) == list(window)
-            for name, g in window.items():
-                assert got[name].shape == g.shape
-                assert got[name].tobytes() == g.tobytes(), name
+    def assert_vector_equal(m, vector, want):
+        got = m.params.views(vector)
+        assert list(got) == list(want)
+        for name, g in want.items():
+            assert got[name].shape == g.shape
+            assert got[name].tobytes() == g.tobytes(), name
 
     def test_chunk_of_1_3_and_6_agents_and_its_step(self, monkeypatch):
         m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
@@ -576,37 +568,33 @@ class TestGradientRows:
         assert len(list(training._chunks([0, 1, 2], windows))) == 1
         passes = self.recorded(m, monkeypatch)
 
-        # the epoch's pass without a cap: same order, same draws
-        rng = np.random.default_rng(9)
+        # the epoch's pass, without a step: same order, same draws
         probe = np.random.default_rng(9)
         order = probe.permutation(3)
-        monkeypatch.setattr(training, "CLIP_NORM", 1e300)
-        training.chunk_gradients(m, [windows[i] for i in order], 0, probe)
-        _, norms = per_name_gradients(*passes[-1])
-        # one window above the cap, one exactly at it, one below
-        cap = float(np.sort(norms)[1])
+        grad, _ = training.chunk_gradients(
+            m, [windows[i] for i in order], 0, probe)
+        mean = grad / 3
+        norm = np.sqrt(np.sum(mean * mean))
+        cap = norm / 2  # the step's mean is clipped
         monkeypatch.setattr(training, "CLIP_NORM", cap)
 
         results, inner = [], training.chunk_gradients
         monkeypatch.setattr(training, "chunk_gradients", lambda *a, **k:
                             results.append(inner(*a, **k)) or results[-1])
-        before = m.params.copy()
+        before = m.params.vector.copy()
         cfg = training.TrainConfig(batch_size=3, epochs=10)
-        training.train_epoch(training.TrainState(params=m.params, rng=rng),
-                             m, windows, cfg)
+        training.train_epoch(training.TrainState(
+            params=m.params, rng=np.random.default_rng(9)), m, windows, cfg)
 
-        (result,) = results
-        want, again = per_name_gradients(*passes[-1])
-        assert again.tobytes() == norms.tobytes()
-        assert sorted(norms > cap) == [False, False, True]
-        self.assert_rows_equal(m, [row for row, _ in result], want)
-        lr = training.lr_schedule(0, cfg)
-        for name in before.names():
-            acc = 0.0
-            for window in want:
-                acc = acc + window[name]
-            step = before[name] - lr * acc / 3
-            assert m.params[name].tobytes() == step.tobytes(), name
+        ((got, _),) = results
+        self.assert_vector_equal(m, got, per_name_gradients(*passes[-1]))
+        assert got.tobytes() == grad.tobytes()
+        acc = (0.0 + got) / 3
+        want_norm = training.gradient_norms(acc[None], m.params.offsets)[0]
+        assert want_norm == pytest.approx(norm, rel=1e-12)
+        step = before - training.lr_schedule(0, cfg) * (
+            acc * (cap / want_norm))
+        assert m.params.vector.tobytes() == step.tobytes()
 
     def test_gradient_map_holds_the_parameters_only(self, monkeypatch):
         # constants (inputs, noise, masks, targets) get no gradient
@@ -620,17 +608,170 @@ class TestGradientRows:
 
     @pytest.mark.parametrize("agents", [1, 3, 6])
     def test_one_window_chunk(self, agents, monkeypatch):
+        # not clipped, however small CLIP_NORM is
         monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
         m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
                            rng=np.random.default_rng(3))
         window = synthetic.make_window("turn", agents,
                                        np.random.default_rng(agents))
         passes = self.recorded(m, monkeypatch)
-        ((row, _),) = training.chunk_gradients(m, [window], 50,
-                                               np.random.default_rng(7))
-        want, norms = per_name_gradients(*passes[-1])
-        assert norms[0] > 1e-3
-        self.assert_rows_equal(m, [row], want)
+        grad, (_,) = training.chunk_gradients(m, [window], 50,
+                                              np.random.default_rng(7))
+        assert np.linalg.norm(grad) > 1e-3
+        self.assert_vector_equal(m, grad, per_name_gradients(*passes[-1]))
+
+
+class TestStepClip:
+    """One gradient vector per chunk, and one clip per step."""
+
+    def test_batch_step_above_clip_norm_is_scaled_to_it(self, monkeypatch):
+        grads, inner = [], training.chunk_gradients
+
+        def scaled_up(*args, **kwargs):
+            # far above CLIP_NORM, whatever the windows' own norms
+            grad, reports = inner(*args, **kwargs)
+            grads.append(grad * 1e6)
+            return grads[-1], reports
+
+        monkeypatch.setattr(training, "chunk_gradients", scaled_up)
+        windows = mixed_windows(12, seed=2)
+        m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        state = training.TrainState(params=m.params,
+                                    rng=np.random.default_rng(1))
+        cfg = training.TrainConfig(batch_size=12, epochs=10)
+        before = m.params.vector.copy()
+        training.train_epoch(state, m, windows, cfg)
+        assert len(grads) > 1  # the step summed several chunks
+        mean = sum(grads) / len(windows)
+        assert np.linalg.norm(mean) > 100 * training.CLIP_NORM
+        step = (before - m.params.vector) / training.lr_schedule(0, cfg)
+        assert np.linalg.norm(step) == pytest.approx(training.CLIP_NORM,
+                                                     rel=1e-9)
+        np.testing.assert_allclose(
+            step, mean * (training.CLIP_NORM / np.linalg.norm(mean)),
+            rtol=1e-6, atol=1e-9 * training.CLIP_NORM)
+
+    def test_non_finite_gradient_with_finite_losses_names_its_window(
+            self, monkeypatch):
+        # only the 5-agent window "b" gets an infinite dec.out.b gradient,
+        # in the chunk and when it runs alone
+        windows = [synthetic.make_window(pattern, n, np.random.default_rng(n))
+                   for pattern, n in zip(synthetic.PATTERNS, (2, 5, 3))]
+        m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        leaves, sizes, reports = [], [], []
+        traced, window_losses, backward = (m.traced_params,
+                                           losses.window_losses, ad.backward)
+        monkeypatch.setattr(m, "traced_params", lambda: leaves.append(
+            traced()) or leaves[-1])
+
+        def recorded(pred, target, post, prior, epoch, n):
+            sizes.append(n)
+            out = window_losses(pred, target, post, prior, epoch, n)
+            reports.append(out[1])
+            return out
+
+        def poisoned(loss):
+            grads = backward(loss)
+            if 5 in sizes[-1]:
+                bias = leaves[-1]["dec.out.b"]
+                grads._grads[bias.nid] = np.full(bias.shape, np.inf)
+            return grads
+
+        monkeypatch.setattr(losses, "window_losses", recorded)
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(DivergenceError,
+                           match=r"^window b: non-finite loss \(-?\d.*\) "
+                                 r"or gradient; first non-finite parameter: "
+                                 r"dec\.out\.b$"):
+            training.chunk_gradients(m, windows, 0, np.random.default_rng(4),
+                                     labels=["a", "b", "c"])
+        # the chunk, then "a" and "b" alone, with the chunk's draws
+        assert sizes == [[2, 5, 3], [2], [5]]
+        for alone, stacked in zip(reports[1:], reports[0]):
+            (alone,) = alone
+            assert np.isfinite(stacked.total)
+            assert alone.total == pytest.approx(stacked.total, rel=1e-10)
+
+    def test_finite_gradients_summing_to_non_finite_name_the_chunk(
+            self, monkeypatch):
+        # the chunk's gradient is not finite, each window's alone is
+        windows = mixed_windows(3, seed=1)
+        m = model.TrajCvae(SMALL, rng=np.random.default_rng(0))
+        leaves, sizes = [], []
+        traced, window_losses, backward = (m.traced_params,
+                                           losses.window_losses, ad.backward)
+        monkeypatch.setattr(m, "traced_params", lambda: leaves.append(
+            traced()) or leaves[-1])
+        monkeypatch.setattr(losses, "window_losses", lambda *a: sizes.append(
+            a[-1]) or window_losses(*a))
+
+        def huge(loss):
+            grads = backward(loss)
+            bias = leaves[-1]["dec.out.b"]
+            grads._grads[bias.nid] = np.full(
+                bias.shape, np.inf if len(sizes[-1]) > 1 else 1e308)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", huge)
+        with pytest.raises(DivergenceError,
+                           match=r"^windows \[4, 5, 6\]: finite gradients "
+                                 r"sum to a non-finite one$"):
+            training.chunk_gradients(m, windows, 0, np.random.default_rng(0),
+                                     labels=[4, 5, 6])
+        assert len(sizes) == 4  # the chunk, then each window alone
+
+    def test_step_whose_mean_gradient_norm_overflows_diverges(
+            self, monkeypatch):
+        # finite entries whose squares overflow: the clip would scale the
+        # step to 0, so the step raises instead
+        inner = training.chunk_gradients
+        monkeypatch.setattr(training, "chunk_gradients", lambda *a, **k: (
+            lambda grad, reports: (grad * 1e200, reports))(*inner(*a, **k)))
+        m, state, windows = small_setup(n_windows=2)
+        cfg = training.TrainConfig(batch_size=2, epochs=10)
+        with pytest.raises(DivergenceError,
+                           match=r"^windows \[\d, \d\]: the mean "
+                                 r"gradient's norm is inf$"), \
+                np.errstate(over="ignore"):
+            training.train_epoch(state, m, windows, cfg)
+        assert state.step == 0
+
+    def test_chunk_gradient_is_the_sum_of_its_one_window_gradients(self):
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        windows = mixed_windows(6, seed=5)  # 1 to 6 agents
+        grad, reports = training.chunk_gradients(m, windows, 20,
+                                                 np.random.default_rng(8))
+        rng, total = np.random.default_rng(8), 0.0
+        for window, report in zip(windows, reports, strict=True):
+            alone, (alone_report,) = training.chunk_gradients(m, [window],
+                                                              20, rng)
+            total = total + alone
+            assert alone_report.total == pytest.approx(report.total,
+                                                       rel=1e-10)
+        np.testing.assert_allclose(grad, total, rtol=1e-10)
+
+    def test_a_40_column_chunk_of_one_agent_windows_trains(self, monkeypatch):
+        assert training.TRAIN_COLUMNS == 40
+        rng = np.random.default_rng(6)
+        windows = [synthetic.make_window(synthetic.PATTERNS[i % 3], 1, rng)
+                   for i in range(20)]  # 2 decoded columns each
+        sizes, inner = [], training.chunk_gradients
+        monkeypatch.setattr(training, "chunk_gradients", lambda m_, ws, *a,
+                            **k: sizes.append(len(ws)) or inner(m_, ws, *a,
+                                                                **k))
+        m = model.TrajCvae(model.ModelConfig(feature_scale=4.0),
+                           rng=np.random.default_rng(3))
+        state = training.TrainState(params=m.params,
+                                    rng=np.random.default_rng(7))
+        cfg = training.TrainConfig(batch_size=20, epochs=2)
+        before = m.params.vector.copy()
+        for _ in range(cfg.epochs):
+            training.train_epoch(state, m, windows, cfg)
+        assert sizes == [20, 20] and state.step == 2
+        assert np.isfinite(m.params.vector).all()
+        assert not np.array_equal(m.params.vector, before)
+        assert np.isfinite(state.epoch_report.total)
 
 
 def insert_reference_norms(rows, offsets):
@@ -1030,10 +1171,10 @@ def test_every_accepted_config_trains_and_samples(mcfg, sizes):
         rng.normal(0.0, 0.2, (mcfg.seq_len, n, 2)), axis=0))
         for n in sizes]
     m = model.TrajCvae(mcfg, rng=rng)
-    rows = training.chunk_gradients(m, windows, 0, rng)
-    assert len(rows) == len(windows)
-    assert all(np.isfinite(row).all() and np.isfinite(report.total)
-               for row, report in rows)
+    grad, reports = training.chunk_gradients(m, windows, 0, rng)
+    assert grad.shape == m.params.vector.shape and np.isfinite(grad).all()
+    assert len(reports) == len(windows)
+    assert all(np.isfinite(report.total) for report in reports)
     futures = evaluation.sample_futures(m, windows[0], rng, 2, "full")
     assert futures.shape == (2, mcfg.seq_len - mcfg.obs_len, sizes[0], 2)
     assert np.isfinite(futures).all()
