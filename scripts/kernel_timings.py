@@ -52,7 +52,7 @@ def main() -> None:
     import numpy as np
 
     from stgcvae import autodiff as ad
-    from stgcvae import evaluation, graph, model, synthetic
+    from stgcvae import data, evaluation, graph, model, synthetic
 
     gen = np.random.default_rng(0)
     out = {}
@@ -81,9 +81,9 @@ def main() -> None:
 
     m = model.TrajCvae(model.ModelConfig(), rng=np.random.default_rng(3))
     window = synthetic.make_window("turn", 48, np.random.default_rng(1))
-    obs_pos = window.positions[:m.config.obs_len]
+    obs_pos = window.positions[:data.OBS_LEN]
     adj = graph.normalized_adjacency(obs_pos)
-    z = gen.standard_normal((m.config.latent_len, m.config.obs_len, 48))
+    z = gen.standard_normal((m.config.latent_len, data.OBS_LEN, 48))
     p = {name: ad.Value(v) for name, v in m.params.items()}
     disp = np.zeros((2,) + obs_pos.shape[:2])
     disp[:, 1:] = np.diff(obs_pos, axis=0).transpose(2, 0, 1)

@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
     mcfg, cfg = training.read_config(args.config) if args.config \
         else (model.ModelConfig(), training.TrainConfig())
     # fail before anything is written, naming windows by their cache index
-    data.check_windows(windows, mcfg.seq_len)
+    data.check_windows(windows)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.holdout:

@@ -76,8 +76,11 @@ class SequenceWindow:
     positions: np.ndarray
     scene: str = ""
     robot_index: int = -1
-    obs_len: int = OBS_LEN
-    pred_len: int = PRED_LEN
+
+    @property
+    def pred_len(self) -> int:
+        """The predicted frames, PRED_LEN: the horizon is not per window."""
+        return PRED_LEN
 
     @property
     def n_agents(self) -> int:
@@ -88,13 +91,13 @@ class SequenceWindow:
         return self.robot_index >= 0
 
 
-def check_windows(windows: list[SequenceWindow], seq_len: int,
+def check_windows(windows: list[SequenceWindow],
                   frames: int | None = None) -> None:
     """The window contract of training, scoring and prediction, checked in
     one pass: ParameterError for an empty list; then, for the first window
     that breaks it, named `window i (scene s)` by its index in the list,
     EmptyWindowError if it has no agents, DimensionError if its frame count
-    is not seq_len, and MissingTruthError if a position in its first
+    is not SEQ_LEN, and MissingTruthError if a position in its first
     `frames` frames (default: all) is not finite."""
     if not windows:
         raise ParameterError("no windows")
@@ -103,10 +106,10 @@ def check_windows(windows: list[SequenceWindow], seq_len: int,
         if w.n_agents == 0:
             raise EmptyWindowError(
                 f"{name} has no agents, so there is nothing to sample")
-        if w.positions.shape[0] != seq_len:
+        if w.positions.shape[0] != SEQ_LEN:
             raise DimensionError(
                 f"{name} has {w.positions.shape[0]} frames; the model reads "
-                f"seq_len = {seq_len}")
+                f"seq_len = {SEQ_LEN}")
         if not np.all(np.isfinite(w.positions[:frames])):
             raise MissingTruthError(
                 f"{name} has non-finite positions"
@@ -376,9 +379,13 @@ def load_windows(path) -> list[SequenceWindow]:
             off += nbytes
             (name_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            scene = data[off:off + name_len].decode("utf-8")
             if off + name_len > len(data):
                 raise FormatError(f"{path}: truncated")
+            try:
+                scene = data[off:off + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: window {len(windows)}: scene "
+                                  "name is not UTF-8") from None
             off += name_len
             windows.append(SequenceWindow(agents, pos, scene=scene,
                                           robot_index=robot_index))

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph
-from .data import (SequenceWindow, check_windows, replacing,
-                   to_displacements)
+from .data import (OBS_LEN, PRED_LEN, SequenceWindow, check_windows,
+                   replacing, to_displacements)
 from .errors import DimensionError, EmptyWindowError, ParameterError
 from .model import OUT_CHANNELS, TrajCvae
 
@@ -83,7 +83,7 @@ def _check_sampling(k: int, sample_mode: str) -> None:
 def sample_futures(model: TrajCvae, window: SequenceWindow,
                    rng: np.random.Generator, k: int,
                    sample_mode: str = "latent") -> np.ndarray:
-    """k candidate futures: absolute positions (k, pred_len, N, 2).
+    """k candidate futures: absolute positions (k, PRED_LEN, N, 2).
 
     Each candidate decodes a latent z drawn from the conditional prior
     over the observed frames. In `latent` mode the trajectory is the
@@ -102,8 +102,7 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     if window.n_agents == 0:
         raise EmptyWindowError("sample_futures: the window has no agents")
     cfg = model.config
-    obs_len, pred_len = cfg.obs_len, cfg.seq_len - cfg.obs_len
-    obs_pos = window.positions[:obs_len]
+    obs_pos = window.positions[:OBS_LEN]
     n = obs_pos.shape[1]
     adj = graph.normalized_adjacency(obs_pos)
     scale = cfg.feature_scale
@@ -111,19 +110,19 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
 
     # eps[s] is the latent noise of sample s; column s * N + i of every
     # (..., k * N) array below is agent i of sample s
-    shape = (cfg.latent_len, obs_len, n)
+    shape = (cfg.latent_len, OBS_LEN, n)
     if full:
         eps = np.empty((k,) + shape)
-        e1, e2 = np.empty((2, pred_len, k * n))
+        e1, e2 = np.empty((2, PRED_LEN, k * n))
         for s in range(k):
             sample = slice(s * n, (s + 1) * n)
             eps[s] = rng.standard_normal(shape)
-            e1[:, sample] = rng.standard_normal((pred_len, n))
-            e2[:, sample] = rng.standard_normal((pred_len, n))
+            e1[:, sample] = rng.standard_normal((PRED_LEN, n))
+            e2[:, sample] = rng.standard_normal((PRED_LEN, n))
     else:  # the stream of k draws of one sample's eps each
         eps = rng.standard_normal((k,) + shape)
 
-    pred = np.empty((OUT_CHANNELS if full else 2, pred_len, k * n))
+    pred = np.empty((OUT_CHANNELS if full else 2, PRED_LEN, k * n))
     per_pass = max(1, DECODE_COLUMNS // n)
     p = model.params.constants()
     v_obs = ad.Value(to_displacements(obs_pos) * scale)
@@ -139,25 +138,25 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
         cols = slice(start * n, (start + c) * n)
         out = model.decode(p, ad.Value(z[:, :, cols]), obs,
                            None if c == 1 else np.tile(np.arange(n), c))
-        pred[:, :, cols] = out.constrained()[:, obs_len:] if full \
-            else out.data[0:2, obs_len:]
+        pred[:, :, cols] = out.constrained()[:, OBS_LEN:] if full \
+            else out.data[0:2, OBS_LEN:]
 
-    steps = pred[0:2]  # displacement means (2, pred_len, k * N)
+    steps = pred[0:2]  # displacement means (2, PRED_LEN, k * N)
     if full:
         sx, sy, rho = pred[2:5]
         steps[0] += sx * e1
         steps[1] += sy * (rho * e1 + np.sqrt(np.maximum(1 - rho ** 2, 0)) * e2)
 
     # anchor at the last observed position and accumulate (back in metres)
-    steps = np.transpose(steps.reshape(2, pred_len, k, n), (2, 1, 3, 0)) \
-        / scale  # (k, pred_len, N, 2)
+    steps = np.transpose(steps.reshape(2, PRED_LEN, k, n), (2, 1, 3, 0)) \
+        / scale  # (k, PRED_LEN, N, 2)
     return obs_pos[-1] + np.cumsum(steps, axis=1)
 
 
 def sample_trajectory(model: TrajCvae, window: SequenceWindow,
                       rng: np.random.Generator,
                       sample_mode: str = "latent") -> np.ndarray:
-    """One candidate future: absolute positions (pred_len, N, 2); the
+    """One candidate future: absolute positions (PRED_LEN, N, 2); the
     k = 1 case of sample_futures."""
     return sample_futures(model, window, rng, 1, sample_mode)[0]
 
@@ -174,9 +173,9 @@ def best_of_k(model: TrajCvae, window: SequenceWindow, k: int = 20,
     """
     rng = rng or np.random.default_rng(0)
     preds = sample_futures(model, window, rng, k, sample_mode)
-    truth = window.positions[model.config.obs_len:]
+    truth = window.positions[OBS_LEN:]
     dx, dy = np.moveaxis(preds - truth, -1, 0)
-    dist = graph.distance(dx, dy)  # (k, pred_len, N)
+    dist = graph.distance(dx, dy)  # (k, PRED_LEN, N)
     ades = np.mean(dist.reshape(k, -1), axis=1)
     fdes = np.mean(dist[:, -1], axis=1)
     if oracle_per_metric:
@@ -185,17 +184,13 @@ def best_of_k(model: TrajCvae, window: SequenceWindow, k: int = 20,
     return float(ades[best]), float(fdes[best])
 
 
-def constant_velocity_baseline(window: SequenceWindow,
-                               obs_len: int = 8) -> tuple[float, float]:
+def constant_velocity_baseline(window: SequenceWindow) -> tuple[float, float]:
     """Linear extrapolation from the last observed step; sanity oracle."""
     pos = window.positions
-    if obs_len < 2:
-        raise ParameterError("need >= 2 observed frames")
-    v = pos[obs_len - 1] - pos[obs_len - 2]  # (N, 2) per-frame velocity
-    horizon = pos.shape[0] - obs_len
-    steps = np.arange(1, horizon + 1).reshape(-1, 1, 1)
-    pred = pos[obs_len - 1][None, :, :] + steps * v[None, :, :]
-    truth = pos[obs_len:]
+    v = pos[OBS_LEN - 1] - pos[OBS_LEN - 2]  # (N, 2) per-frame velocity
+    truth = pos[OBS_LEN:]
+    steps = np.arange(1, len(truth) + 1).reshape(-1, 1, 1)
+    pred = pos[OBS_LEN - 1][None, :, :] + steps * v[None, :, :]
     return ade(pred, truth), fde(pred, truth)
 
 
@@ -228,7 +223,7 @@ def evaluate_dataset(model: TrajCvae, windows: list[SequenceWindow],
     own rng stream derived from (seed, index), so the report is
     reproducible regardless of evaluation order.
     """
-    check_windows(windows, model.config.seq_len)
+    check_windows(windows)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     rows = []
     for window, ss in zip(windows, streams):
@@ -260,8 +255,7 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
     be NaN, as in an infer-mode cache), k < 1 or an unknown sample mode
     raises before anything is written. The CSV is written through
     `data.replacing`, so a failure leaves a previous file as it was."""
-    obs_len = model.config.obs_len
-    check_windows(windows, model.config.seq_len, frames=obs_len)
+    check_windows(windows, frames=OBS_LEN)
     _check_sampling(k, sample_mode)
     streams = np.random.SeedSequence(seed).spawn(len(windows))
     with replacing(path) as fh:
@@ -269,10 +263,10 @@ def export_predictions(path, model: TrajCvae, windows: list[SequenceWindow],
         for wi, (window, ss) in enumerate(zip(windows, streams)):
             preds = sample_futures(model, window, np.random.default_rng(ss),
                                    k, sample_mode)
-            blocks = [window.positions[obs_len:]] + list(preds)
+            blocks = [window.positions[OBS_LEN:]] + list(preds)
             for sample_id, block in enumerate(blocks, start=-1):
                 for t in range(block.shape[0]):
                     for n, agent in enumerate(window.agent_ids):
-                        fh.write(f"{wi},{agent},{obs_len + t},{sample_id},"
+                        fh.write(f"{wi},{agent},{OBS_LEN + t},{sample_id},"
                                  f"{block[t, n, 0]:.6f},"
                                  f"{block[t, n, 1]:.6f}\n")

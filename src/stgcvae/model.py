@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import read_lines, replacing
+from .data import OBS_LEN, SEQ_LEN, read_lines, replacing
 from .errors import ConfigError, DimensionError, FormatError
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0  # latent logvar bounds (see _heads)
@@ -33,6 +33,9 @@ OUT_CHANNELS = 5  # (mu_x, mu_y, s_x, s_y, r)
 # Width of every temporal convolution but the recognition reduction
 # (Social-STGCNN's); each is padded by 1 to keep its frame count.
 TCN_KERNEL = 3
+# Width of the recognition encoder's last, unpadded temporal convolution:
+# it reduces the SEQ_LEN frames to the prior's OBS_LEN-frame grid.
+REDUCE_KERNEL = SEQ_LEN - OBS_LEN + 1
 
 # Guards for the output distribution channels. The latent clamp above bounds
 # the loss value, but near-degenerate output Gaussians also blow up the NLL
@@ -48,8 +51,6 @@ RHO_R_MAX = 1.2
 class ModelConfig:
     embed_channels: int = 24
     latent_len: int = 20
-    obs_len: int = 8
-    seq_len: int = 20
     prior_blocks: int = 3    # GCN+TCN pairs in the prior encoder
     recog_blocks: int = 2    # GCN+TCN pairs in the recognition encoder
     dropout: float = 0.1
@@ -64,24 +65,17 @@ class ModelConfig:
     def __post_init__(self):
         if self.feature_scale <= 0:
             raise ConfigError("feature_scale must be positive")
-        for name in ("embed_channels", "latent_len", "obs_len", "seq_len",
-                     "prior_blocks", "recog_blocks"):
+        for name in ("embed_channels", "latent_len", "prior_blocks",
+                     "recog_blocks"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.prior_blocks <= self.recog_blocks:
             # asymmetry: the prior is the more expressive encoder
             raise ConfigError("prior_blocks must exceed recog_blocks")
-        if self.seq_len <= self.obs_len:
-            raise ConfigError("seq_len must exceed obs_len")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be non-negative")
-
-    @property
-    def reduce_kernel(self) -> int:
-        # stride-free reduction of the recognition embedding: seq -> obs frames
-        return self.seq_len - self.obs_len + 1
 
 
 class ParamStore:
@@ -197,7 +191,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
         conv(f"{prefix}.head.logvar", l, p, 1)
 
     encoder("prior", config.prior_blocks, k)
-    encoder("recog", config.recog_blocks, config.reduce_kernel)
+    encoder("recog", config.recog_blocks, REDUCE_KERNEL)
 
     # decoder
     conv("dec.obs_embed", p, c, 1)
@@ -206,9 +200,9 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
     slope("dec.z_embed.slope", p)
     conv("dec.fuse", p, 2 * p, 1)
     slope("dec.fuse.slope", p)
-    conv("dec.txp1", config.seq_len, config.obs_len, k)
+    conv("dec.txp1", SEQ_LEN, OBS_LEN, k)
     slope("dec.txp1.slope", p)
-    conv("dec.txp2", config.seq_len, config.seq_len, k)
+    conv("dec.txp2", SEQ_LEN, SEQ_LEN, k)
     slope("dec.txp2.slope", p)
     conv("dec.out", OUT_CHANNELS, p, 1)
     return ParamStore(arrays)
@@ -316,11 +310,11 @@ class TrajCvae:
         in the order the pass applies it."""
         cfg = self.config
         factors = []
-        for t in [cfg.seq_len] * (cfg.recog_blocks - 1) + [cfg.obs_len]:
+        for t in [SEQ_LEN] * (cfg.recog_blocks - 1) + [OBS_LEN]:
             if cfg.dropout > 0.0:
                 factors.append(ad.dropout_factor(
                     (cfg.embed_channels, t, n), cfg.dropout, rng))
-        mu = rng.standard_normal((cfg.latent_len, cfg.obs_len, n)) \
+        mu = rng.standard_normal((cfg.latent_len, OBS_LEN, n)) \
             * cfg.noise_std
         return RecogNoise(factors, mu)
 
@@ -328,13 +322,13 @@ class TrajCvae:
                       ) -> LatentGaussian:
         """Latent Gaussian over z given the 8 observed frames.
 
-        v_obs: (2, obs_len, N) displacement features, a_obs: (obs_len, N, N)
+        v_obs: (2, OBS_LEN, N) displacement features, a_obs: (OBS_LEN, N, N)
         or per-window blocks.
         """
         cfg = self.config
-        if v_obs.data.shape[1] != cfg.obs_len:
+        if v_obs.data.shape[1] != OBS_LEN:
             raise DimensionError(
-                f"prior_forward: expected {cfg.obs_len} frames, got "
+                f"prior_forward: expected {OBS_LEN} frames, got "
                 f"{v_obs.data.shape[1]}")
         embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks, 1)
         return LatentGaussian(*_heads(embed, p, "prior"))
@@ -343,15 +337,15 @@ class TrajCvae:
                       noise: RecogNoise | None = None) -> LatentGaussian:
         """Approximate posterior over z from all 20 frames.
 
-        The final TCN uses a stride-free kernel of length seq-obs+1, so
+        The final TCN uses a stride-free kernel of width REDUCE_KERNEL, so
         the latent lands on the same 8-frame grid as the prior. Given
         `noise` (train mode, see recog_noise), dropout acts inside the
         embedding and small Gaussian noise is added to mu.
         """
         cfg = self.config
-        if v_full.data.shape[1] != cfg.seq_len:
+        if v_full.data.shape[1] != SEQ_LEN:
             raise DimensionError(
-                f"recog_forward: expected {cfg.seq_len} frames, got "
+                f"recog_forward: expected {SEQ_LEN} frames, got "
                 f"{v_full.data.shape[1]}")
         embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks, 0,
                              dropout=() if noise is None else noise.dropout)
@@ -361,7 +355,7 @@ class TrajCvae:
         return LatentGaussian(mu, logvar)
 
     def observe(self, p: dict, v_obs: ad.Value, a_obs) -> ad.Value:
-        """The decoder's observed branch, (embed_channels, obs_len, N): the
+        """The decoder's observed branch, (embed_channels, OBS_LEN, N): the
         only part of the decoder that mixes agents. Computed once per
         observation, it serves every decode of latents of its agents."""
         return _gcn(v_obs, a_obs, p, "dec.obs_embed")
@@ -390,21 +384,21 @@ class TrajCvae:
             raise DimensionError(
                 f"decode: z has {z.data.shape[2]} agents, observation has "
                 f"{n}")
-        if z.data.shape[:2] != (cfg.latent_len, cfg.obs_len):
+        if z.data.shape[:2] != (cfg.latent_len, OBS_LEN):
             raise DimensionError(
                 f"decode: z shape {z.data.shape} != "
-                f"({cfg.latent_len}, {cfg.obs_len}, N)")
+                f"({cfg.latent_len}, {OBS_LEN}, N)")
 
         if agents is not None:
             obs = ad.take_agents(obs, cols)
         zre = _tcn(z, p, "dec.z_embed", 1)
         fused = _tcn(ad.concat_channels(obs, zre), p, "dec.fuse", 0)
 
-        h = _txp(fused, p, "dec.txp1")     # time obs_len -> seq_len
+        h = _txp(fused, p, "dec.txp1")     # time OBS_LEN -> SEQ_LEN
         z_skip = _txp(zre, p, "dec.txp1")  # same kernel
         h = ad.add(h, z_skip)
 
-        h2 = _txp(h, p, "dec.txp2")        # refine at seq_len
+        h2 = _txp(h, p, "dec.txp2")        # refine at SEQ_LEN
         h = ad.add(h2, h)
 
         raw = _layer(h, p, "dec.out")

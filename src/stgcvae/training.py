@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graph, losses
-from .data import SequenceWindow, check_windows, to_displacements
+from .data import OBS_LEN, SequenceWindow, check_windows, to_displacements
 from .errors import ConfigError, DivergenceError, FormatError, ParameterError
 from .model import (LatentGaussian, ModelConfig, ParamStore, RecogNoise,
                     TrajCvae, build_config, load_model, read_key_values,
@@ -137,7 +137,6 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     or window_gradients raises DivergenceError.
     """
     drawn = rng.bit_generator.state  # for the failure path's re-runs
-    obs = model.config.obs_len
     sizes = [w.n_agents for w in windows]
     # window bounds of the agent columns
     agents = tuple(np.cumsum([0] + sizes).tolist())
@@ -154,10 +153,10 @@ def chunk_gradients(model: TrajCvae, windows: list[SequenceWindow],
     scaled = model.config.feature_scale * np.concatenate(
         [to_displacements(w.positions) for w in windows], axis=2)
     adj = [graph.normalized_adjacency(w.positions) for w in windows]
-    adj_obs = [a[:obs] for a in adj]
+    adj_obs = [a[:OBS_LEN] for a in adj]
 
     p = model.traced_params()
-    v_obs = ad.Value(scaled[:, :obs, :])
+    v_obs = ad.Value(scaled[:, :OBS_LEN, :])
     prior = model.prior_forward(p, v_obs, adj_obs)
     post = model.recog_forward(p, ad.Value(scaled), adj,
                                RecogNoise.stack(noises))
@@ -215,18 +214,17 @@ def _diverged(model: TrajCvae, windows: list[SequenceWindow], epoch: int,
         f"gradient; first non-finite parameter: {bad}")
 
 
-def gradient_norms(rows: np.ndarray, offsets) -> np.ndarray:
-    """The global norm of each row of a (rows, P) gradient array whose
-    parameters start at `offsets` (ParamStore.offsets): per row, np.sum of
-    each parameter's squares (np.add.reduce of a row's slice adds its
-    pairwise sum to 0, as np.sum does), summed in parameter order, then the
-    root. Each block is squared on its own: one array of squares of every
-    row raised the train job's peak RSS (see README, "Memory")."""
-    sums = np.empty((len(rows), len(offsets) - 1))
+def gradient_norm(grad: np.ndarray, offsets) -> float:
+    """The global norm of a gradient vector whose parameters start at
+    `offsets` (ParamStore.offsets): np.sum of each parameter's squares
+    (np.add.reduce of its slice adds the pairwise sum to 0, as np.sum
+    does), summed in parameter order, then the root. The per-parameter
+    sums fix the bits; a network's norm is a partial sum of them."""
+    sums = np.empty(len(offsets) - 1)
     for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-        block = rows[:, a:b]
-        np.add.reduce(block * block, axis=1, out=sums[:, j])
-    return np.sqrt(np.add.accumulate(sums, axis=1)[:, -1])
+        block = grad[a:b]
+        sums[j] = np.add.reduce(block * block)
+    return float(np.sqrt(np.add.accumulate(sums)[-1]))
 
 
 def best_prior_samples(model: TrajCvae, seen: ad.Value,
@@ -237,7 +235,7 @@ def best_prior_samples(model: TrajCvae, seen: ad.Value,
     here only. window_losses adds the chosen sample's weighted NLL.
 
     Window w's PRIOR_SAMPLES latents are drawn from the prior of agent
-    column picks[w] with the noise eps[w] (L, obs_len, PRIOR_SAMPLES), and
+    column picks[w] with the noise eps[w] (L, OBS_LEN, PRIOR_SAMPLES), and
     decoded against the observed branch `seen` (TrajCvae.observe) of the
     stacked windows, whose displacement features are `scaled`."""
     copies = np.repeat(picks, PRIOR_SAMPLES)
@@ -270,7 +268,7 @@ def train_epoch(state: TrainState, model: TrajCvae,
     naming its index (see chunk_gradients), and so does a step whose mean
     gradient's norm is not finite, naming the step's windows.
     """
-    check_windows(windows, model.config.seq_len)
+    check_windows(windows)
     lr = lr_schedule(state.epoch, config)
     order = state.rng.permutation(len(windows)).tolist()
 
@@ -289,7 +287,7 @@ def train_epoch(state: TrainState, model: TrajCvae,
             acc += grad
             parts += [(r.rec, r.kl) for r in reports]
         acc /= len(step)
-        norm = gradient_norms(acc[None], model.params.offsets)[0]
+        norm = gradient_norm(acc, model.params.offsets)
         if not np.isfinite(norm):
             raise DivergenceError(
                 f"windows {step}: the mean gradient's norm is {norm}")

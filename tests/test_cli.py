@@ -445,6 +445,9 @@ class TestTrainConfigFile:
         ("in_channels=2", "train.cfg:2: unknown key 'in_channels'"),
         ("out_channels=5", "train.cfg:2: unknown key 'out_channels'"),
         ("tcn_kernel=3", "train.cfg:2: unknown key 'tcn_kernel'"),
+        # the 8 + 12 frame horizon is data.OBS_LEN and data.SEQ_LEN
+        ("obs_len=8", "train.cfg:2: unknown key 'obs_len'"),
+        ("seq_len=20", "train.cfg:2: unknown key 'seq_len'"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):

@@ -401,10 +401,10 @@ def window(n=2, frames=20, scene="s"):
 class TestCheckWindows:
     def test_empty_list(self):
         with pytest.raises(ParameterError, match="^no windows$"):
-            data.check_windows([], 20)
+            data.check_windows([])
 
     def test_valid_windows_pass(self):
-        data.check_windows([window(1), window(3)], 20)
+        data.check_windows([window(1), window(3)])
 
     def test_each_check_names_the_window_by_index(self):
         gap = window(scene="gap")
@@ -418,29 +418,29 @@ class TestCheckWindows:
                   "window 1 (scene 'gap') has non-finite positions;")]
         for bad, error, message in cases:
             with pytest.raises(error) as info:
-                data.check_windows([window(), bad], 20)
+                data.check_windows([window(), bad])
             assert str(info.value).startswith(message)
 
     def test_first_bad_window_wins(self):
         gap = window(scene="gap")
         gap.positions[3, 0] = np.inf
         with pytest.raises(MissingTruthError, match=r"^window 1 "):
-            data.check_windows([window(), gap, window(0)], 20)
+            data.check_windows([window(), gap, window(0)])
         with pytest.raises(EmptyWindowError, match=r"^window 1 "):
-            data.check_windows([window(), window(0), gap], 20)
+            data.check_windows([window(), window(0), gap])
         # in one window: agents, then frames, then positions
         with pytest.raises(EmptyWindowError):
-            data.check_windows([window(0, frames=12)], 20)
+            data.check_windows([window(0, frames=12)])
         gap.positions = np.full((12, 2, 2), np.nan)
         with pytest.raises(DimensionError):
-            data.check_windows([gap], 20)
+            data.check_windows([gap])
 
     def test_frames_limits_the_finite_check(self):
         gap = window()
         gap.positions[8:, 0] = np.nan  # unobserved future frames
-        data.check_windows([gap], 20, frames=8)
+        data.check_windows([gap], frames=8)
         with pytest.raises(MissingTruthError, match="in its first 9 frames"):
-            data.check_windows([window(), gap], 20, frames=9)
+            data.check_windows([window(), gap], frames=9)
 
 
 class TestDisplacements:
@@ -523,6 +523,15 @@ class TestCache:
         p = tmp_path / "cache.stgw"
         p.write_bytes(self.small_cache(p) + b"\0")
         with pytest.raises(FormatError, match="cache.stgw: 1 bytes after"):
+            data.load_windows(p)
+
+    def test_scene_name_not_utf8_named(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        blob = bytearray(self.small_cache(p))
+        blob[-1] = 0xff  # the last byte of window 1's name "s"
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"^\S*cache\.stgw: window 1: "
+                                              "scene name is not UTF-8$"):
             data.load_windows(p)
 
     def test_window_count_one_short(self, tmp_path):

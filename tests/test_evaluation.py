@@ -3,7 +3,7 @@ import pytest
 
 from stgcvae import autodiff as ad
 from stgcvae import evaluation, graph, model, synthetic
-from stgcvae.data import SequenceWindow, to_displacements
+from stgcvae.data import OBS_LEN, PRED_LEN, SequenceWindow, to_displacements
 from stgcvae.errors import DimensionError, MissingTruthError, ParameterError
 
 SMALL = model.ModelConfig(embed_channels=6, latent_len=4)
@@ -120,7 +120,7 @@ def reference_futures(m, window, rng, k, sample_mode):
     """k single samples, each through its own recorded prior_forward,
     reparameterize and decode on one rng: the sampling path that
     sample_futures replaced."""
-    obs_len = m.config.obs_len
+    obs_len = OBS_LEN
     obs_pos = window.positions[:obs_len]
     scale = m.config.feature_scale
     futures = []
@@ -151,7 +151,7 @@ def replaced_sample_futures(m, window, rng, k, sample_mode):
     in latent mode: per-sample draws into column slices, an np.tile gather
     at every pass and constrained() in both modes."""
     cfg = m.config
-    obs_len, pred_len = cfg.obs_len, cfg.seq_len - cfg.obs_len
+    obs_len, pred_len = OBS_LEN, PRED_LEN
     obs_pos = window.positions[:obs_len]
     n = obs_pos.shape[1]
     adj = graph.normalized_adjacency(obs_pos)

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stgcvae import autodiff as ad
-from stgcvae import graph, model
+from stgcvae import data, graph, model
 from stgcvae.errors import ConfigError, DimensionError, FormatError
 
 CFG = model.ModelConfig()
 SMALL = model.ModelConfig(embed_channels=4, latent_len=3)
 
 
-def make_inputs(n_agents, rng, cfg=CFG):
-    pos = np.cumsum(rng.uniform(-0.3, 0.3, (cfg.seq_len, n_agents, 2)), axis=0)
-    v = np.zeros((2, cfg.seq_len, n_agents))
+def make_inputs(n_agents, rng):
+    pos = np.cumsum(rng.uniform(-0.3, 0.3, (data.SEQ_LEN, n_agents, 2)),
+                    axis=0)
+    v = np.zeros((2, data.SEQ_LEN, n_agents))
     v[:, 1:, :] = np.transpose(pos[1:] - pos[:-1], (2, 0, 1))
     a = graph.normalized_adjacency(pos)
     return v, a
@@ -464,6 +465,22 @@ class TestLoadModel:
         with pytest.raises(FormatError,
                            match=r"parameter prior\.head\.mu\.w: \(3, 4, 1\) "
                                  r"in the file, \(5, 4, 1\)"):
+            model.load_model(path)
+
+    def test_checkpoint_of_another_horizon_named(self, tmp_path):
+        # trained while the horizon was a config field, at obs_len = 6: the
+        # recognition reduction and the first extrapolation have other
+        # widths, and the sidecar's horizon keys are ignored
+        arrays = dict(model.init_params(SMALL, np.random.default_rng(0))
+                      .items())
+        arrays["recog.block1.tcn.w"] = np.zeros((4, 4, 20 - 6 + 1))
+        arrays["dec.txp1.w"] = np.zeros((20, 6, 3))
+        path, _ = self.save(tmp_path, model.ParamStore(arrays), obs_len=6,
+                            seq_len=20)
+        with pytest.raises(FormatError,
+                           match=r"^\S*model\.stgc: parameter recog\.block1"
+                                 r"\.tcn\.w: \(4, 4, 15\) in the file, "
+                                 r"\(4, 4, 13\)"):
             model.load_model(path)
 
 

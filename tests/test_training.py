@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgcvae import autodiff as ad
 from stgcvae import evaluation, losses, model, synthetic, training
+from stgcvae.data import OBS_LEN, PRED_LEN, SEQ_LEN
 from stgcvae.errors import (ConfigError, DivergenceError, FormatError,
                             MissingTruthError, ParameterError)
 
@@ -87,7 +88,7 @@ class TestConfigFile:
         names = [{f.name for f in fields(c)}
                  for c in (model.ModelConfig, training.TrainConfig)]
         assert not names[0] & names[1]
-        assert len(names[0]) + len(names[1]) == 16
+        assert len(names[0]) + len(names[1]) == 14
 
     def test_readme_lists_every_key(self):
         """README's Configuration section names each config's fields, in
@@ -268,20 +269,20 @@ def unstacked_pass(m, window, rng):
     order the forward pass used to draw them before windows were stacked,
     and its unsegmented forward pass: (n, scaled features, traced
     parameters, prior, posterior, the decoder's observed branch, picked
-    agent, latent noise (L, obs_len, n + PRIOR_SAMPLES))."""
+    agent, latent noise (L, OBS_LEN, n + PRIOR_SAMPLES))."""
     cfg = m.config
     disp = training.to_displacements(window.positions)
     adj = training.graph.normalized_adjacency(window.positions)
-    obs = cfg.obs_len
+    obs = OBS_LEN
     scaled = disp * cfg.feature_scale
     n = window.n_agents
     p = m.traced_params()
     v_obs = ad.Value(scaled[:, :obs, :])
     prior = m.prior_forward(p, v_obs, adj[:obs])
     # each recognition block's dropout on its output: every block keeps
-    # the seq_len frames but the last, which reduces them to obs_len; then
+    # the SEQ_LEN frames but the last, which reduces them to OBS_LEN; then
     # the posterior-mean noise
-    frames = [cfg.seq_len] * (cfg.recog_blocks - 1) + [obs]
+    frames = [SEQ_LEN] * (cfg.recog_blocks - 1) + [obs]
     factors = [ad.dropout_factor((cfg.embed_channels, t, n), cfg.dropout, rng)
                for t in frames]
     mu_noise = rng.standard_normal((cfg.latent_len, obs, n)) * cfg.noise_std
@@ -590,7 +591,7 @@ class TestGradientRows:
         self.assert_vector_equal(m, got, per_name_gradients(*passes[-1]))
         assert got.tobytes() == grad.tobytes()
         acc = (0.0 + got) / 3
-        want_norm = training.gradient_norms(acc[None], m.params.offsets)[0]
+        want_norm = training.gradient_norm(acc, m.params.offsets)
         assert want_norm == pytest.approx(norm, rel=1e-12)
         step = before - training.lr_schedule(0, cfg) * (
             acc * (cap / want_norm))
@@ -775,7 +776,7 @@ class TestStepClip:
 
 
 def insert_reference_norms(rows, offsets):
-    """The gradient norm gradient_norms replaced: a 0 inserted before each
+    """The gradient norm gradient_norm replaced: a 0 inserted before each
     parameter's squares, then np.add.reduceat and np.add.accumulate."""
     starts = offsets[:-1]
     squares = np.insert(rows, starts, 0.0, axis=1)
@@ -797,9 +798,9 @@ class TestGradientNorms:
             rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 13,
                                                                     shape)
             rows[rng.random(shape) < 0.05] = 0.0
-            got = training.gradient_norms(rows, offsets)
-            assert got.shape == (windows,)
-            assert got.tobytes() == \
+            got = [training.gradient_norm(row, offsets) for row in rows]
+            assert all(type(norm) is float for norm in got)
+            assert np.array(got).tobytes() == \
                 insert_reference_norms(rows, offsets).tobytes()
 
 
@@ -912,16 +913,19 @@ class TestCheckpointResume:
         assert restored.config == m.config
 
     def test_sidecar_with_removed_keys_restores(self, tmp_path):
-        # sidecars written while tcn_kernel was a config field and
-        # skipped_windows a progress field still restore and load
+        # sidecars written while tcn_kernel, obs_len and seq_len were
+        # config fields and skipped_windows a progress field still restore
+        # and load
         m, state, _ = small_setup()
         state.step = 3
         path = tmp_path / "ckpt.stgc"
         training.checkpoint(state, m, path)
         meta = Path(f"{path}.meta")
         text = meta.read_text()
-        assert "tcn_kernel" not in text and "skipped_windows" not in text
-        meta.write_text(text + "tcn_kernel=3\nskipped_windows=2\n")
+        old = "tcn_kernel=3\nskipped_windows=2\nobs_len=8\nseq_len=20\n"
+        assert not any(line.split("=")[0] in text
+                       for line in old.splitlines())
+        meta.write_text(text + old)
         restored_state, restored = training.restore(path)
         assert restored.config == m.config and restored_state.step == 3
         assert restored_state.rng.bit_generator.state == \
@@ -1020,9 +1024,9 @@ class TestPriorTraining:
         monkeypatch.setattr(m, "decode", lambda p, z, seen, columns:
                             decoded.append(list(columns))
                             or model.BivariateGaussianSeq(ad.Value(raw)))
-        zeros = np.zeros((SMALL.latent_len, SMALL.obs_len, 3))
+        zeros = np.zeros((SMALL.latent_len, OBS_LEN, 3))
         prior = model.LatentGaussian(ad.Value(zeros), ad.Value(zeros))
-        eps = [rng.standard_normal((SMALL.latent_len, SMALL.obs_len, k))
+        eps = [rng.standard_normal((SMALL.latent_len, OBS_LEN, k))
                for _ in picks]
         assert training.best_prior_samples(m, ad.Value(np.zeros(1)), prior,
                                            picks, eps, scaled) == exact
@@ -1093,13 +1097,10 @@ class TestVarianceWeightedObjective:
 
 @st.composite
 def model_configs(draw):
-    obs_len = draw(st.integers(1, 8))
     recog_blocks = draw(st.integers(1, 2))
     return model.ModelConfig(
         embed_channels=draw(st.integers(1, 6)),
         latent_len=draw(st.integers(1, 6)),
-        obs_len=obs_len,
-        seq_len=obs_len + draw(st.integers(1, 6)),
         recog_blocks=recog_blocks,
         prior_blocks=recog_blocks + draw(st.integers(1, 2)),
         dropout=draw(st.floats(0.0, 0.9)),
@@ -1127,7 +1128,7 @@ def test_read_config_roundtrip_any_order(mcfg, cfg, data):
     and spaces around `=`, reads back as the configs it was written from
     (unset fields keep their defaults)."""
     # a field whose valid values depend on another's is set with it
-    linked = {"seq_len": "obs_len", "prior_blocks": "recog_blocks",
+    linked = {"prior_blocks": "recog_blocks",
               "lr_switch_epoch": "epochs"}
     values = {f.name: getattr(c, f.name) for c in (mcfg, cfg)
               for f in fields(c)}
@@ -1162,13 +1163,12 @@ def test_checkpoint_sidecar_roundtrips_model_config(mcfg):
 @settings(max_examples=30, deadline=None)
 @given(mcfg=model_configs(), sizes=st.lists(st.integers(1, 3), min_size=1,
                                             max_size=3))
-@example(mcfg=model.ModelConfig(obs_len=18, seq_len=20), sizes=[2])
 def test_every_accepted_config_trains_and_samples(mcfg, sizes):
     """Every ModelConfig that __post_init__ accepts runs a training pass
     over a chunk of windows and samples futures."""
     rng = np.random.default_rng(0)
     windows = [training.SequenceWindow(list(range(n)), np.cumsum(
-        rng.normal(0.0, 0.2, (mcfg.seq_len, n, 2)), axis=0))
+        rng.normal(0.0, 0.2, (SEQ_LEN, n, 2)), axis=0))
         for n in sizes]
     m = model.TrajCvae(mcfg, rng=rng)
     grad, reports = training.chunk_gradients(m, windows, 0, rng)
@@ -1176,5 +1176,5 @@ def test_every_accepted_config_trains_and_samples(mcfg, sizes):
     assert len(reports) == len(windows)
     assert all(np.isfinite(report.total) for report in reports)
     futures = evaluation.sample_futures(m, windows[0], rng, 2, "full")
-    assert futures.shape == (2, mcfg.seq_len - mcfg.obs_len, sizes[0], 2)
+    assert futures.shape == (2, PRED_LEN, sizes[0], 2)
     assert np.isfinite(futures).all()
