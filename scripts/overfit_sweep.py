@@ -16,10 +16,12 @@ Every run is its own process, with OPENBLAS_CORETYPE set to the kernel
 OPENBLAS_VERBOSE=2, so the kernel that OpenBLAS reports is recorded. The
 variable only selects kernels in a DYNAMIC_ARCH OpenBLAS build.
 
-Per run the JSON gets the best-of-20 ADE and FDE, the turn and
-const-velocity (straight-walker) ADE, whether the criterion passed (ADE
-< 0.10) and the training wall time; per kernel, the ADE's median, min, max
-and the count under 0.10. The result goes under `--label` in --out, beside
+Per run the JSON gets the best-of-20 ADE and FDE, the model's best-of-20
+ADE on each scene (`turn_ade`, and `const_velocity_ade` on the
+const-velocity scene's straight walkers: the model's ADE there, not the
+constant-velocity baseline's), whether the criterion passed (ADE < 0.10)
+and the training wall time; per kernel, the ADE's median, min, max and
+the count under 0.10. The result goes under `--label` in --out, beside
 the labels already there. A run takes about 40 s on one core, so 10 pairs
 at 4 kernels take about 27 minutes. Not part of the test suite.
 """

@@ -36,6 +36,11 @@ TCN_KERNEL = 3
 # Width of the recognition encoder's last, unpadded temporal convolution:
 # it reduces the SEQ_LEN frames to the prior's OBS_LEN-frame grid.
 REDUCE_KERNEL = SEQ_LEN - OBS_LEN + 1
+# GCN+TCN pairs per encoder: the prior is the more expressive encoder
+PRIOR_BLOCKS, RECOG_BLOCKS = 3, 2
+# The training-mode recognition pass's dropout rate inside the embedding,
+# and the std of the Gaussian noise it adds to the posterior mean
+DROPOUT, POSTERIOR_NOISE_STD = 0.1, 0.01
 
 # Guards for the output distribution channels. The latent clamp above bounds
 # the loss value, but near-degenerate output Gaussians also blow up the NLL
@@ -51,10 +56,6 @@ RHO_R_MAX = 1.2
 class ModelConfig:
     embed_channels: int = 24
     latent_len: int = 20
-    prior_blocks: int = 3    # GCN+TCN pairs in the prior encoder
-    recog_blocks: int = 2    # GCN+TCN pairs in the recognition encoder
-    dropout: float = 0.1
-    noise_std: float = 0.01
     # Multiplier applied to displacement features on the way into the
     # networks (and divided back out of the predicted means). Typical
     # per-frame steps are ~0.1-0.4 m, well below the unit scale of the
@@ -65,17 +66,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.feature_scale <= 0:
             raise ConfigError("feature_scale must be positive")
-        for name in ("embed_channels", "latent_len", "prior_blocks",
-                     "recog_blocks"):
+        for name in ("embed_channels", "latent_len"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.prior_blocks <= self.recog_blocks:
-            # asymmetry: the prior is the more expressive encoder
-            raise ConfigError("prior_blocks must exceed recog_blocks")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
 
 
 class ParamStore:
@@ -190,8 +183,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ParamStore:
         conv(f"{prefix}.head.mu", l, p, 1)
         conv(f"{prefix}.head.logvar", l, p, 1)
 
-    encoder("prior", config.prior_blocks, k)
-    encoder("recog", config.recog_blocks, REDUCE_KERNEL)
+    encoder("prior", PRIOR_BLOCKS, k)
+    encoder("recog", RECOG_BLOCKS, REDUCE_KERNEL)
 
     # decoder
     conv("dec.obs_embed", p, c, 1)
@@ -274,8 +267,8 @@ def _heads(embed, params, prefix):
 @dataclass
 class RecogNoise:
     """The random arrays of a training-mode recognition pass, drawn before
-    it runs: each embedding block's dropout factors (none at dropout 0),
-    then the noise added to the posterior mean. Agent columns last."""
+    it runs: each embedding block's dropout factors, then the noise added
+    to the posterior mean. Agent columns last."""
     dropout: list[np.ndarray]
     mu: np.ndarray
 
@@ -309,13 +302,10 @@ class TrajCvae:
         """Draw the noise of a training-mode recognition pass over n agents,
         in the order the pass applies it."""
         cfg = self.config
-        factors = []
-        for t in [SEQ_LEN] * (cfg.recog_blocks - 1) + [OBS_LEN]:
-            if cfg.dropout > 0.0:
-                factors.append(ad.dropout_factor(
-                    (cfg.embed_channels, t, n), cfg.dropout, rng))
+        factors = [ad.dropout_factor((cfg.embed_channels, t, n), DROPOUT, rng)
+                   for t in [SEQ_LEN] * (RECOG_BLOCKS - 1) + [OBS_LEN]]
         mu = rng.standard_normal((cfg.latent_len, OBS_LEN, n)) \
-            * cfg.noise_std
+            * POSTERIOR_NOISE_STD
         return RecogNoise(factors, mu)
 
     def prior_forward(self, p: dict, v_obs: ad.Value, a_obs
@@ -325,12 +315,11 @@ class TrajCvae:
         v_obs: (2, OBS_LEN, N) displacement features, a_obs: (OBS_LEN, N, N)
         or per-window blocks.
         """
-        cfg = self.config
         if v_obs.data.shape[1] != OBS_LEN:
             raise DimensionError(
                 f"prior_forward: expected {OBS_LEN} frames, got "
                 f"{v_obs.data.shape[1]}")
-        embed = stgcnn_embed(v_obs, a_obs, p, "prior", cfg.prior_blocks, 1)
+        embed = stgcnn_embed(v_obs, a_obs, p, "prior", PRIOR_BLOCKS, 1)
         return LatentGaussian(*_heads(embed, p, "prior"))
 
     def recog_forward(self, p: dict, v_full: ad.Value, a_full,
@@ -342,12 +331,11 @@ class TrajCvae:
         `noise` (train mode, see recog_noise), dropout acts inside the
         embedding and small Gaussian noise is added to mu.
         """
-        cfg = self.config
         if v_full.data.shape[1] != SEQ_LEN:
             raise DimensionError(
                 f"recog_forward: expected {SEQ_LEN} frames, got "
                 f"{v_full.data.shape[1]}")
-        embed = stgcnn_embed(v_full, a_full, p, "recog", cfg.recog_blocks, 0,
+        embed = stgcnn_embed(v_full, a_full, p, "recog", RECOG_BLOCKS, 0,
                              dropout=() if noise is None else noise.dropout)
         mu, logvar = _heads(embed, p, "recog")
         if noise is not None:
@@ -451,7 +439,8 @@ def load_params(path) -> tuple[ParamStore, dict]:
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", blob, off)
             off += 2
-            name = blob[off:off + nlen].decode("utf-8")
+            # unpacked before decoding: a cut name reads as truncated
+            name = struct.unpack_from(f"<{nlen}s", blob, off)[0].decode()
             off += nlen
             (ndim,) = struct.unpack_from("<B", blob, off)
             off += 1
@@ -464,6 +453,9 @@ def load_params(path) -> tuple[ParamStore, dict]:
             if name in arrays:
                 raise FormatError(f"{path}: parameter {name} appears twice")
             arrays[name] = arr
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: parameter {len(arrays)}: name is not "
+                          "UTF-8") from None
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated ({exc})") from exc
     if off != len(blob):
@@ -515,7 +507,8 @@ def read_key_values(path, error=FormatError) -> dict[str, tuple[str, str]]:
 def build_config(config_cls, texts: dict[str, tuple[str, str]], error):
     """config_cls from {field name: (where, text)}, each text cast to its
     field's declared type (int or float, or an optional of either); a text
-    that is not a finite value of it raises `error` naming where and field."""
+    that is not a finite value of it, or a value config_cls rejects, raises
+    `error` naming where and field."""
     kwargs = {}
     for name, (where, text) in texts.items():
         hint = typing.get_type_hints(config_cls)[name]
@@ -527,7 +520,11 @@ def build_config(config_cls, texts: dict[str, tuple[str, str]], error):
         except (ValueError, OverflowError):
             raise error(f"{where}: {name}: expected a finite "
                         f"{kind.__name__}, got {text!r}") from None
-    return config_cls(**kwargs)
+    try:
+        return config_cls(**kwargs)
+    except ConfigError as exc:  # its message starts with a field set here
+        where = texts[str(exc).split()[0]][0]
+        raise error(f"{where}: {exc}") from None
 
 
 def config_from_metadata(metadata: dict, source="sidecar") -> ModelConfig:

@@ -319,7 +319,8 @@ class TestUserErrors:
         capsys.readouterr()
         assert run([str(a) for a in argv]) == 1
         captured = capsys.readouterr()
-        assert ("error: seed must be >= 0" if command == "train-config"
+        assert (f"error: {seeded}:5: seed must be >= 0"
+                if command == "train-config"
                 else "error: --seed must be >= 0, got -1") in captured.err
         assert captured.out == "" and not out.exists()
 
@@ -436,8 +437,7 @@ class TestTrainConfigFile:
         ("epochs=2.5", "train.cfg:2: epochs"),
         ("lr_initial=abc", "train.cfg:2: lr_initial"),
         ("val_every=0", "val_every must be >= 1"),
-        ("dropout=-0.5", "dropout must be in [0, 1)"),
-        ("dropout=1.0", "dropout must be in [0, 1)"),
+        ("epochs=0", "train.cfg:2: epochs must be >= 1"),
         ("lr_initial=-0.01", "lr_initial must be positive"),
         ("lr_after=0", "lr_after must be positive"),
         ("lr_switch_epoch=-3", "lr_switch_epoch must be in [0, epochs)"),
@@ -448,6 +448,11 @@ class TestTrainConfigFile:
         # the 8 + 12 frame horizon is data.OBS_LEN and data.SEQ_LEN
         ("obs_len=8", "train.cfg:2: unknown key 'obs_len'"),
         ("seq_len=20", "train.cfg:2: unknown key 'seq_len'"),
+        # the encoder depths, dropout and posterior noise are model constants
+        ("prior_blocks=3", "train.cfg:2: unknown key 'prior_blocks'"),
+        ("recog_blocks=2", "train.cfg:2: unknown key 'recog_blocks'"),
+        ("dropout=0.1", "train.cfg:2: unknown key 'dropout'"),
+        ("noise_std=0.01", "train.cfg:2: unknown key 'noise_std'"),
     ])
     def test_bad_value_exits_1_naming_it(self, synth_cache, tmp_path, capsys,
                                          line, named):

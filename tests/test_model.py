@@ -52,14 +52,6 @@ class TestInit:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             model.ModelConfig(embed_channels=0)
-        with pytest.raises(ConfigError):
-            model.ModelConfig(prior_blocks=2, recog_blocks=2)
-
-    @pytest.mark.parametrize("field, value", [
-        ("dropout", -0.5), ("dropout", 1.0), ("noise_std", -0.01)])
-    def test_out_of_range_noise_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            model.ModelConfig(**{field: value})
 
 
 class TestCount:
@@ -123,7 +115,7 @@ class TestEncoders:
         p = m.traced_params()
         embed = model.stgcnn_embed(
             ad.leaf(v[:, :8, :]), a[:8], p, "prior",
-            CFG.prior_blocks, 1)
+            model.PRIOR_BLOCKS, 1)
         assert embed.data.shape == (CFG.embed_channels, 8, 3)
 
     def test_prior_shapes_and_determinism(self):
@@ -371,6 +363,15 @@ class TestCheckpoint:
             with pytest.raises(FormatError):
                 model.load_params(p)
 
+    def test_name_not_utf8_named(self, tmp_path):
+        p = tmp_path / "x.stgc"
+        blob = bytearray(self.tiny_checkpoint(p))
+        blob[11] = 0xff  # magic, version, count, name length, then the name
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"x\.stgc: parameter 0: name "
+                                              r"is not UTF-8$"):
+            model.load_params(p)
+
     def test_trailing_byte(self, tmp_path):
         p = tmp_path / "x.stgc"
         p.write_bytes(self.tiny_checkpoint(p) + b"\0")
@@ -481,6 +482,38 @@ class TestLoadModel:
                            match=r"^\S*model\.stgc: parameter recog\.block1"
                                  r"\.tcn\.w: \(4, 4, 15\) in the file, "
                                  r"\(4, 4, 13\)"):
+            model.load_model(path)
+
+    # the encoder depths, dropout and posterior noise were config fields
+    RETIRED = {"prior_blocks": 3, "recog_blocks": 2, "dropout": 0.1,
+               "noise_std": 0.01}
+
+    def test_sidecar_with_retired_keys_loads(self, tmp_path):
+        path, store = self.save(tmp_path, **self.RETIRED)
+        m, meta = model.load_model(path)
+        assert m.config == SMALL and meta["prior_blocks"] == "3"
+        np.testing.assert_array_equal(m.params.vector, store.vector)
+
+    def test_checkpoint_with_a_fourth_prior_block_named(self, tmp_path):
+        arrays = dict(model.init_params(SMALL, np.random.default_rng(0))
+                      .items())
+        for name in ("gcn", "tcn"):
+            arrays[f"prior.block3.{name}.w"] = np.zeros((4, 4, 1))
+            arrays[f"prior.block3.{name}.b"] = np.zeros(4)
+            arrays[f"prior.block3.{name}.slope"] = np.zeros(4)
+        path, _ = self.save(tmp_path, model.ParamStore(arrays),
+                            **{**self.RETIRED, "prior_blocks": 4})
+        with pytest.raises(FormatError,
+                           match=r"^\S*model\.stgc: parameter prior\.block3"
+                                 r"\.gcn\.w: \(4, 4, 1\) in the file, "
+                                 r"absent for its config$"):
+            model.load_model(path)
+
+    def test_sidecar_value_the_config_rejects_named(self, tmp_path):
+        path, _ = self.save(tmp_path, feature_scale=-1)
+        with pytest.raises(FormatError,
+                           match=r"^\S*model\.stgc\.meta: feature_scale "
+                                 r"must be positive$"):
             model.load_model(path)
 
 

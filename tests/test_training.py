@@ -88,7 +88,7 @@ class TestConfigFile:
         names = [{f.name for f in fields(c)}
                  for c in (model.ModelConfig, training.TrainConfig)]
         assert not names[0] & names[1]
-        assert len(names[0]) + len(names[1]) == 14
+        assert len(names[0]) + len(names[1]) == 10
 
     def test_readme_lists_every_key(self):
         """README's Configuration section names each config's fields, in
@@ -107,6 +107,9 @@ class TestConfigFile:
         ("lr_initial=nan", "lr_initial: expected a finite float"),
         ("latent_len=abc", "latent_len: expected a finite int"),
         ("epochs", "expected key=value"),
+        # values the config class rejects
+        ("epochs=0", "epochs must be >= 1"),
+        ("feature_scale=-1", "feature_scale must be positive"),
     ])
     def test_malformed_value_names_file_and_line(self, tmp_path, line,
                                                  named):
@@ -282,10 +285,11 @@ def unstacked_pass(m, window, rng):
     # each recognition block's dropout on its output: every block keeps
     # the SEQ_LEN frames but the last, which reduces them to OBS_LEN; then
     # the posterior-mean noise
-    frames = [SEQ_LEN] * (cfg.recog_blocks - 1) + [obs]
-    factors = [ad.dropout_factor((cfg.embed_channels, t, n), cfg.dropout, rng)
-               for t in frames]
-    mu_noise = rng.standard_normal((cfg.latent_len, obs, n)) * cfg.noise_std
+    frames = [SEQ_LEN] * (model.RECOG_BLOCKS - 1) + [obs]
+    factors = [ad.dropout_factor((cfg.embed_channels, t, n), model.DROPOUT,
+                                 rng) for t in frames]
+    mu_noise = rng.standard_normal((cfg.latent_len, obs, n)) \
+        * model.POSTERIOR_NOISE_STD
     post = m.recog_forward(p, ad.Value(scaled), adj,
                            model.RecogNoise(factors, mu_noise))
     pick = int(rng.integers(n))
@@ -913,16 +917,17 @@ class TestCheckpointResume:
         assert restored.config == m.config
 
     def test_sidecar_with_removed_keys_restores(self, tmp_path):
-        # sidecars written while tcn_kernel, obs_len and seq_len were
-        # config fields and skipped_windows a progress field still restore
-        # and load
+        # sidecars written while tcn_kernel, obs_len, seq_len, the encoder
+        # depths, dropout and noise_std were config fields and
+        # skipped_windows a progress field still restore and load
         m, state, _ = small_setup()
         state.step = 3
         path = tmp_path / "ckpt.stgc"
         training.checkpoint(state, m, path)
         meta = Path(f"{path}.meta")
         text = meta.read_text()
-        old = "tcn_kernel=3\nskipped_windows=2\nobs_len=8\nseq_len=20\n"
+        old = ("tcn_kernel=3\nskipped_windows=2\nobs_len=8\nseq_len=20\n"
+               "prior_blocks=3\nrecog_blocks=2\ndropout=0.1\nnoise_std=0.01\n")
         assert not any(line.split("=")[0] in text
                        for line in old.splitlines())
         meta.write_text(text + old)
@@ -1097,14 +1102,9 @@ class TestVarianceWeightedObjective:
 
 @st.composite
 def model_configs(draw):
-    recog_blocks = draw(st.integers(1, 2))
     return model.ModelConfig(
         embed_channels=draw(st.integers(1, 6)),
         latent_len=draw(st.integers(1, 6)),
-        recog_blocks=recog_blocks,
-        prior_blocks=recog_blocks + draw(st.integers(1, 2)),
-        dropout=draw(st.floats(0.0, 0.9)),
-        noise_std=draw(st.floats(0.0, 1.0)),
         feature_scale=draw(st.floats(1e-3, 1e3)))
 
 
@@ -1128,8 +1128,7 @@ def test_read_config_roundtrip_any_order(mcfg, cfg, data):
     and spaces around `=`, reads back as the configs it was written from
     (unset fields keep their defaults)."""
     # a field whose valid values depend on another's is set with it
-    linked = {"prior_blocks": "recog_blocks",
-              "lr_switch_epoch": "epochs"}
+    linked = {"lr_switch_epoch": "epochs"}
     values = {f.name: getattr(c, f.name) for c in (mcfg, cfg)
               for f in fields(c)}
     keys = {k for k in values if data.draw(st.booleans())}
