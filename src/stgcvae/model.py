@@ -522,7 +522,8 @@ def build_config(config_cls, texts: dict[str, tuple[str, str]], error):
                         f"{kind.__name__}, got {text!r}") from None
     try:
         return config_cls(**kwargs)
-    except ConfigError as exc:  # its message starts with a field set here
+    except ConfigError as exc:
+        # a rule names its field first, and only a value that was set fails
         where = texts[str(exc).split()[0]][0]
         raise error(f"{where}: {exc}") from None
 
