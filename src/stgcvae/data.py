@@ -314,7 +314,7 @@ def to_displacements(positions: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# STGW window cache, and the file writes of every module
+# file writes, the reader of both binary formats, and the STGW window cache
 
 
 @contextlib.contextmanager
@@ -330,6 +330,59 @@ def replacing(path, mode: str = "w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+class BinaryReader:
+    """The fields of a STGW cache or STGC checkpoint, read in order after its
+    magic, version byte and u32 record `count`. Each misread raises
+    FormatError naming the file: bad magic, unsupported version, truncated,
+    a name that is not UTF-8, or bytes after the last record."""
+
+    def __init__(self, path, magic: bytes, versions: tuple[int, ...]):
+        self.path, self.data, self.off = path, Path(path).read_bytes(), 4
+        if self.data[:4] != magic:
+            raise FormatError(f"{path}: bad magic {self.data[:4]!r}")
+        self.version, self.count = self.take("<BI")
+        if self.version not in versions:
+            raise FormatError(f"{path}: unsupported version {self.version}")
+
+    def take(self, fmt: str) -> tuple:
+        """The next fields, as struct.unpack_from reads `fmt`."""
+        try:
+            fields = struct.unpack_from(fmt, self.data, self.off)
+        except struct.error as exc:
+            raise FormatError(f"{self.path}: truncated ({exc})") from exc
+        self.off += struct.calcsize(fmt)
+        return fields
+
+    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The next array of `dtype`, row-major, as float64 of `shape`."""
+        try:
+            arr = np.frombuffer(self.data, dtype, math.prod(shape), self.off)
+            self.off += arr.nbytes
+            return arr.reshape(shape).astype(np.float64)
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"{self.path}: truncated ({exc})") from exc
+
+    def text(self, what: str) -> str:
+        """The next length-prefixed name; `what` names it in the error."""
+        (size,) = self.take("<H")
+        try:
+            return self.take(f"<{size}s")[0].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: {what} is not UTF-8") from None
+
+    def end(self, what: str) -> None:
+        """Check that the file ends after its last `what`."""
+        if self.off != len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.off} "
+                              f"bytes after the last {what}")
+
+
+def write_text(fh, text: str) -> None:
+    """`text` as a u16 byte length and UTF-8, as BinaryReader.text reads."""
+    raw = text.encode("utf-8")
+    fh.write(struct.pack(f"<H{len(raw)}s", len(raw), raw))
 
 
 _MAGIC = b"STGW"
@@ -351,47 +404,19 @@ def save_windows(path, windows: list[SequenceWindow]) -> None:
             fh.write(struct.pack("<i", w.robot_index))
             fh.write(np.ascontiguousarray(
                 w.positions, dtype="<f4").tobytes())
-            name = w.scene.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
+            write_text(fh, w.scene)
 
 
 def load_windows(path) -> list[SequenceWindow]:
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}")
-    try:
-        version, count = struct.unpack_from("<BI", data, 4)
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        off = 9
-        windows = []
-        for _ in range(count):
-            n, t = struct.unpack_from("<II", data, off)
-            off += 8
-            agents = list(struct.unpack_from(f"<{n}q", data, off))
-            off += 8 * n
-            (robot_index,) = struct.unpack_from("<i", data, off)
-            off += 4
-            nbytes = t * n * 2 * 4
-            pos = np.frombuffer(data, dtype="<f4", count=t * n * 2,
-                                offset=off).reshape(t, n, 2).astype(np.float64)
-            off += nbytes
-            (name_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            if off + name_len > len(data):
-                raise FormatError(f"{path}: truncated")
-            try:
-                scene = data[off:off + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                raise FormatError(f"{path}: window {len(windows)}: scene "
-                                  "name is not UTF-8") from None
-            off += name_len
-            windows.append(SequenceWindow(agents, pos, scene=scene,
-                                          robot_index=robot_index))
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated ({exc})") from exc
-    if off != len(data):
-        raise FormatError(
-            f"{path}: {len(data) - off} bytes after the last window")
+    """The windows of a cache; see BinaryReader for its FormatErrors."""
+    r = BinaryReader(path, _MAGIC, (_VERSION,))
+    windows = []
+    for i in range(r.count):
+        n, t = r.take("<II")
+        agents = list(r.take(f"<{n}q"))
+        (robot_index,) = r.take("<i")
+        positions = r.array("<f4", (t, n, 2))
+        scene = r.text(f"window {i}: scene name")
+        windows.append(SequenceWindow(agents, positions, scene, robot_index))
+    r.end("window")
     return windows

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import OBS_LEN, SEQ_LEN, read_lines, replacing
+from .data import (OBS_LEN, SEQ_LEN, BinaryReader, read_lines, replacing,
+                   write_text)
 from .errors import ConfigError, DimensionError, FormatError
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0  # latent logvar bounds (see _heads)
@@ -412,11 +413,8 @@ def save_params(path, store: ParamStore, metadata: dict | None = None) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<BI", 2, len(store.names())))
         for name, arr in store.items():
-            enc = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            write_text(fh, name)
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         if metadata is not None:
             with replacing(f"{path}.meta") as meta:
@@ -426,41 +424,17 @@ def save_params(path, store: ParamStore, metadata: dict | None = None) -> None:
 
 def load_params(path) -> tuple[ParamStore, dict]:
     """Read a checkpoint and its sidecar metadata (empty dict if absent)."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    try:
-        version, count = struct.unpack_from("<BI", blob, 4)
-        if version not in (1, 2):
-            raise FormatError(f"{path}: unsupported version {version}")
-        np_dtype = np.dtype("<f4" if version == 1 else "<f8")
-        arrays = {}
-        off = 9
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            # unpacked before decoding: a cut name reads as truncated
-            name = struct.unpack_from(f"<{nlen}s", blob, off)[0].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype=np_dtype, count=size,
-                                offset=off).reshape(shape).astype(np.float64)
-            off += size * np_dtype.itemsize
-            if name in arrays:
-                raise FormatError(f"{path}: parameter {name} appears twice")
-            arrays[name] = arr
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: parameter {len(arrays)}: name is not "
-                          "UTF-8") from None
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated ({exc})") from exc
-    if off != len(blob):
-        raise FormatError(
-            f"{path}: {len(blob) - off} bytes after the last entry")
+    r = BinaryReader(path, _MAGIC, (1, 2))
+    dtype = "<f4" if r.version == 1 else "<f8"
+    arrays = {}
+    for i in range(r.count):
+        name = r.text(f"parameter {i}: name")
+        (ndim,) = r.take("<B")
+        arr = r.array(dtype, r.take(f"<{ndim}I"))
+        if name in arrays:
+            raise FormatError(f"{path}: parameter {name} appears twice")
+        arrays[name] = arr
+    r.end("entry")
 
     meta_path = Path(f"{path}.meta")
     metadata = {k: v for k, (_, v) in read_key_values(meta_path).items()} \
