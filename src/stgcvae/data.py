@@ -408,13 +408,17 @@ def save_windows(path, windows: list[SequenceWindow]) -> None:
 
 
 def load_windows(path) -> list[SequenceWindow]:
-    """The windows of a cache; see BinaryReader for its FormatErrors."""
+    """The windows of a cache. Besides BinaryReader's FormatErrors, a robot
+    index that is neither -1 nor one of its window's agents raises one."""
     r = BinaryReader(path, _MAGIC, (_VERSION,))
     windows = []
     for i in range(r.count):
         n, t = r.take("<II")
         agents = list(r.take(f"<{n}q"))
         (robot_index,) = r.take("<i")
+        if not -1 <= robot_index < n:
+            raise FormatError(f"{path}: window {i}: robot index "
+                              f"{robot_index} outside [-1, {n})")
         positions = r.array("<f4", (t, n, 2))
         scene = r.text(f"window {i}: scene name")
         windows.append(SequenceWindow(agents, positions, scene, robot_index))

@@ -22,14 +22,16 @@ class ConfigError(StgcvaeError):
 
 
 class DivergenceError(StgcvaeError):
-    """Training produced a non-finite loss or gradient; the message names the
-    window and the first non-finite parameter."""
+    """Training produced a non-finite loss or gradient, or sampling a future
+    that is not finite; the message names the window and, in training, the
+    first non-finite parameter."""
 
 
 class FormatError(StgcvaeError):
-    """A binary file has a bad magic number or version, is truncated or has
-    bytes after its last record, or a checkpoint's parameters do not match
-    its config."""
+    """A binary file has a bad magic number or version, is truncated, has a
+    name that is not UTF-8 or bytes after its last record, or holds a value
+    out of range: a window's robot index, or a checkpoint's parameters that
+    do not match its config or are not finite."""
 
 
 class ParseError(StgcvaeError):

@@ -12,7 +12,8 @@ from . import autodiff as ad
 from . import graph
 from .data import (OBS_LEN, PRED_LEN, SequenceWindow, check_windows,
                    replacing, to_displacements)
-from .errors import DimensionError, EmptyWindowError, ParameterError
+from .errors import (DimensionError, DivergenceError, EmptyWindowError,
+                     ParameterError)
 from .model import OUT_CHANNELS, TrajCvae
 
 
@@ -96,7 +97,9 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     (see TrajCvae.decode); a pass of one sample decodes the agents as they
     are. The rng draws follow the order of k single samples: eps of sample
     s, then its two step noises in `full` mode. `latent` mode reads only
-    the two mean channels of the decoded frames.
+    the two mean channels of the decoded frames. A future that is not
+    finite, or whose square is not, raises DivergenceError naming the
+    window's scene and agent count.
     """
     _check_sampling(k, sample_mode)
     if window.n_agents == 0:
@@ -150,7 +153,15 @@ def sample_futures(model: TrajCvae, window: SequenceWindow,
     # anchor at the last observed position and accumulate (back in metres)
     steps = np.transpose(steps.reshape(2, PRED_LEN, k, n), (2, 1, 3, 0)) \
         / scale  # (k, PRED_LEN, N, 2)
-    return obs_pos[-1] + np.cumsum(steps, axis=1)
+    # scoring squares the positions' differences, so a future whose square
+    # overflows would read as an infinite ADE, as a non-finite one does
+    with np.errstate(over="ignore"):
+        futures = obs_pos[-1] + np.cumsum(steps, axis=1)
+        if not np.isfinite(np.square(futures)).all():
+            raise DivergenceError(
+                f"window of scene {window.scene!r} with {n} agents: a sampled "
+                "future diverged (a position or its square is not finite)")
+    return futures
 
 
 def sample_trajectory(model: TrajCvae, window: SequenceWindow,

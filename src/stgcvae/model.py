@@ -445,8 +445,8 @@ def load_params(path) -> tuple[ParamStore, dict]:
 def load_model(path) -> tuple[TrajCvae, dict]:
     """The model a checkpoint holds, and its sidecar metadata. The
     parameters must have the names and shapes that the sidecar's config
-    gives; the first that does not, or a missing sidecar, raises
-    FormatError naming the file."""
+    gives, and finite values; the first that does not, or a missing
+    sidecar, raises FormatError naming the file."""
     store, meta = load_params(path)
     if not Path(f"{path}.meta").exists():
         raise FormatError(f"{path}.meta: missing, so the config is unknown")
@@ -458,6 +458,10 @@ def load_model(path) -> tuple[TrajCvae, dict]:
             raise FormatError(
                 f"{path}: parameter {name}: {got.get(name, 'absent')} in the "
                 f"file, {want.get(name, 'absent')} for its config")
+    for i, (name, values) in enumerate(store.items()):
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: parameter {name} (entry {i}) holds a "
+                              "non-finite value")
     return TrajCvae(config, params=store), meta
 
 

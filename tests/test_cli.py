@@ -535,6 +535,31 @@ class TestEvaluateCommand:
                     str(synth_cache), "--k", "2"]) == 1
         assert f"error: {ckpt}: " in capsys.readouterr().err
 
+    # nan and inf are refused as the checkpoint loads; 1e300 loads, but
+    # the futures it decodes overflow
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_non_finite_model_exits_1(self, synth_cache, small_config,
+                                      tmp_path, capsys, command, value):
+        ckpt = train_once(synth_cache, small_config, tmp_path / "run")
+        store, _ = model.load_params(ckpt)
+        store["dec.out.b"][0] = value
+        model.save_params(ckpt, store)
+        export = tmp_path / "preds.csv"
+        argv = [command, "--ckpt", str(ckpt), "--data", str(synth_cache),
+                "--k", "2"]
+        if command == "predict":
+            argv += ["--out", str(export)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        entry = store.names().index("dec.out.b")
+        assert (f"error: {ckpt}: parameter dec.out.b (entry {entry}) holds "
+                "a non-finite value" if value != 1e300 else
+                "error: window of scene 'const-velocity' with 2 agents: a "
+                "sampled future diverged") in captured.err
+        assert "ade" not in captured.out and not export.exists()
+
     def test_report_is_deterministic(self, synth_cache, small_config,
                                      tmp_path, capsys):
         ckpt = train_once(synth_cache, small_config, tmp_path / "run")

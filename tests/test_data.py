@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -509,6 +510,41 @@ class TestCache:
             data.SequenceWindow([4], np.ones((2, 1, 2)), scene="s",
                                 robot_index=0)])
         return path.read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        blob = self.small_cache(tmp_path / "cache.stgw")
+        assert hashlib.sha256(blob).hexdigest() == \
+            "5090b09ef5b55766f6ea080076c413184e877942f2723003a00839be398b9b3e"
+
+    def test_each_byte_change_loads_or_raises_format_error(
+            self, tmp_path, each_byte_change):
+        p = tmp_path / "cache.stgw"
+        blob = self.small_cache(p)
+        payload = [(37, 85), (109, 125)]  # the float32 positions
+        assert b"".join(blob[a:b] for a, b in payload) == \
+            np.r_[np.zeros(12), np.ones(4)].astype("<f4").tobytes()
+        each_byte_change(p, data.load_windows, payload)
+
+    def test_unsupported_version(self, tmp_path):
+        p = tmp_path / "cache.stgw"
+        blob = bytearray(self.small_cache(p))
+        blob[4] = 255
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"^\S*cache\.stgw: unsupported "
+                                              "version 255$"):
+            data.load_windows(p)
+
+    @pytest.mark.parametrize("robot_index", [2, 7, -2, -5])
+    def test_robot_index_out_of_range(self, tmp_path, robot_index):
+        p = tmp_path / "cache.stgw"
+        data.save_windows(p, [
+            data.SequenceWindow([1], np.zeros((20, 1, 2)), scene="a"),
+            data.SequenceWindow([1, 2], np.zeros((20, 2, 2)), scene="b",
+                                robot_index=robot_index)])
+        with pytest.raises(FormatError, match=rf"^\S*cache\.stgw: window 1: "
+                                              rf"robot index {robot_index} "
+                                              r"outside \[-1, 2\)$"):
+            data.load_windows(p)
 
     def test_truncated_at_every_byte(self, tmp_path):
         p = tmp_path / "cache.stgw"

@@ -4,7 +4,8 @@ import pytest
 from stgcvae import autodiff as ad
 from stgcvae import evaluation, graph, model, synthetic
 from stgcvae.data import OBS_LEN, PRED_LEN, SequenceWindow, to_displacements
-from stgcvae.errors import DimensionError, MissingTruthError, ParameterError
+from stgcvae.errors import (DimensionError, DivergenceError,
+                            MissingTruthError, ParameterError)
 
 SMALL = model.ModelConfig(embed_channels=6, latent_len=4)
 
@@ -230,6 +231,18 @@ class TestSampleFutures:
         w = synthetic.make_window("turn", 40, np.random.default_rng(0))
         evaluation.sample_futures(PAPER, w, np.random.default_rng(0), 20)
         assert sorted(calls) == ["normalized_adjacency", "prior_forward"]
+
+    # 1e300 is finite, but twelve steps of it and the square of that are not
+    @pytest.mark.parametrize("mode", ["latent", "full"])
+    @pytest.mark.parametrize("bias", [1e300, 1e308])
+    def test_diverged_future_raises(self, bias, mode):
+        m, w = make_model_and_window(n=3)
+        m.params["dec.out.b"][0] = bias
+        with pytest.raises(DivergenceError, match="^window of scene "
+                           "'const-velocity' with 3 agents: a sampled future "
+                           "diverged"):
+            evaluation.sample_futures(m, w, np.random.default_rng(0), 4,
+                                      mode)
 
     def test_bad_arguments(self):
         m, w = make_model_and_window()

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -354,6 +355,29 @@ class TestCheckpoint:
         model.save_params(path, store)
         return path.read_bytes()
 
+    def test_bytes_pinned(self, tmp_path):
+        blob = self.tiny_checkpoint(tmp_path / "x.stgc")
+        assert hashlib.sha256(blob).hexdigest() == \
+            "bd10b812db7d7f7866f3237789ff0fd163530f39fd72adfd3e4552b8f02b0ecc"
+
+    def test_each_byte_change_loads_or_raises_format_error(
+            self, tmp_path, each_byte_change):
+        p = tmp_path / "x.stgc"
+        blob = self.tiny_checkpoint(p)
+        payload = [(21, 69), (78, 86), (98, 106)]  # the float64 data
+        assert b"".join(blob[a:b] for a, b in payload) == \
+            np.r_[np.arange(6.0), 1.5, 1.0].astype("<f8").tobytes()
+        each_byte_change(p, model.load_params, payload)
+
+    def test_unsupported_version(self, tmp_path):
+        p = tmp_path / "x.stgc"
+        blob = bytearray(self.tiny_checkpoint(p))
+        blob[4] = 255
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"x\.stgc: unsupported version "
+                                              "255$"):
+            model.load_params(p)
+
     def test_truncated_at_every_byte(self, tmp_path):
         p = tmp_path / "x.stgc"
         blob = self.tiny_checkpoint(p)
@@ -452,6 +476,19 @@ class TestLoadModel:
         store = model.ParamStore({**dict(full.items()), "stray": np.zeros(2)})
         path, _ = self.save(tmp_path, store)
         with pytest.raises(FormatError, match="parameter stray: "):
+            model.load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_named(self, tmp_path, value):
+        store = model.init_params(SMALL, np.random.default_rng(0))
+        store["dec.txp1.w"][1, 2, 0] = value
+        store["dec.out.b"][0] = np.nan
+        path, _ = self.save(tmp_path, store)
+        assert np.isnan(model.load_params(path)[0]["dec.out.b"][0])
+        entry = store.names().index("dec.txp1.w")
+        with pytest.raises(FormatError,
+                           match=rf"model\.stgc: parameter dec\.txp1\.w "
+                                 rf"\(entry {entry}\) holds a non-finite"):
             model.load_model(path)
 
     def test_missing_sidecar_named(self, tmp_path):
